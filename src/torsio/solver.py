@@ -7,13 +7,19 @@ The torsion function is the unique minimizer of
 over functions vanishing on the Dirichlet set (over all functions when the
 potential is somewhere positive).  Three methods are available:
 
-* ``direct_p2``    exact sparse symmetric positive definite solve (p = 2);
+* ``direct_p2``    exact symmetric positive definite solve (p = 2);
 * ``newton``       damped Newton on the full system with curvature
                    regularization and an Armijo line search on F_p, started
                    from the p = 2 solution;
 * ``gauss_seidel`` cyclic exact scalar solves per free vertex, each a
                    strictly monotone one-dimensional equation handled by
                    safeguarded Newton/bisection.
+
+A problem is assembled once into arrays.  The p = 2 matrix, the Newton
+Hessian and the p = 2 eigenproblems of ``spectral`` are all one reweighted
+Laplacian on the free vertices (``_laplacian``): a dense array up to
+DENSE_LIMIT free vertices and a sparse CSC matrix above, solved by
+``_linsolve`` with dense or sparse LU to match.
 
 Convergence is always measured on the pointwise residual
 max_v |L_p u(v) - 1| (not on step sizes), because on finite graphs the weak
@@ -34,6 +40,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .energy import check_vertex_function, functional_Fp, phi_p
@@ -46,6 +53,9 @@ from .errors import (
 from .graphs import ProblemSpec, VertexId
 
 _METHODS = ("auto", "gauss_seidel", "newton", "direct_p2")
+
+# free vertices up to which the Laplacian is a dense array; sparse above
+DENSE_LIMIT = 500
 
 
 @dataclass(frozen=True)
@@ -86,6 +96,11 @@ class _Assembled(NamedTuple):
     ei: np.ndarray
     ej: np.ndarray
     w: np.ndarray
+    # the Laplacian on the free vertices as triplets: entry k adds
+    # concat(w_e, -w_e, c_v)[lap_src[k]] at (lap_row[k], lap_col[k])
+    lap_src: np.ndarray
+    lap_row: np.ndarray
+    lap_col: np.ndarray
 
 
 def _assemble(spec: ProblemSpec) -> _Assembled:
@@ -102,40 +117,39 @@ def _assemble(spec: ProblemSpec) -> _Assembled:
     ei = np.array([idx[u] for u, _, _ in edges], dtype=int)
     ej = np.array([idx[v] for _, v, _ in edges], dtype=int)
     w = np.array([b for _, _, b in edges])
-    return _Assembled(ids, m, c, free, pos, ei, ej, w)
+    ne = len(edges)
+    pa, pb = pos[ei], pos[ej]
+    ka, kb = np.flatnonzero(pa >= 0), np.flatnonzero(pb >= 0)
+    kab = np.flatnonzero((pa >= 0) & (pb >= 0))
+    lap_src = np.concatenate([ka, kb, ne + kab, ne + kab, 2 * ne + free])
+    lap_row = np.concatenate([pa[ka], pb[kb], pa[kab], pb[kab], pos[free]])
+    lap_col = np.concatenate([pa[ka], pb[kb], pb[kab], pa[kab], pos[free]])
+    return _Assembled(ids, m, c, free, pos, ei, ej, w, lap_src, lap_row, lap_col)
 
 
 def _check_bounded(spec: ProblemSpec, asm: _Assembled) -> None:
     """Every free component must touch a Dirichlet vertex or carry c > 0."""
     if not spec.well_posed:
         raise IllPosedError("no Dirichlet vertex and c identically zero")
-    if len(asm.free) == 0:
+    nf = len(asm.free)
+    if nf == 0:
         raise IllPosedError("no free vertices to solve for")
-    n = len(asm.ids)
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    free_set = set(int(i) for i in asm.free)
-    for a, b in zip(asm.ei, asm.ej):
-        if int(a) in free_set and int(b) in free_set:
-            parent[find(int(a))] = find(int(b))
-    anchored: set[int] = set()
-    for a, b in zip(asm.ei, asm.ej):
-        if int(a) in free_set and int(b) not in free_set:
-            anchored.add(find(int(a)))
-        if int(b) in free_set and int(a) not in free_set:
-            anchored.add(find(int(b)))
-    for i in free_set:
-        if asm.c[i] > 0.0:
-            anchored.add(find(i))
-    loose = sorted({find(i) for i in free_set} - {find(r) for r in anchored})
-    if loose:
-        names = [asm.ids[i] for i in loose]
+    pa, pb = asm.pos[asm.ei], asm.pos[asm.ej]
+    inner = (pa >= 0) & (pb >= 0)
+    adjacency = sp.coo_matrix(
+        (np.ones(int(inner.sum())), (pa[inner], pb[inner])), shape=(nf, nf)
+    )
+    ncomp, label = csgraph.connected_components(adjacency, directed=False)
+    anchored = np.zeros(ncomp, dtype=bool)
+    anchored[label[pa[(pa >= 0) & (pb < 0)]]] = True
+    anchored[label[pb[(pb >= 0) & (pa < 0)]]] = True
+    anchored[label[asm.c[asm.free] > 0.0]] = True
+    # free positions follow vertex order, so the first position of each
+    # component is its smallest-index vertex
+    _, first = np.unique(label, return_index=True)
+    loose = np.sort(first[~anchored])
+    if len(loose):
+        names = [asm.ids[asm.free[k]] for k in loose]
         raise UnboundedComponentError(
             f"free components at {names} have no Dirichlet link and no potential"
         )
@@ -163,36 +177,34 @@ def _residual_inf(asm: _Assembled, p: float, rhs: np.ndarray, u: np.ndarray) -> 
     return float(np.max(np.abs(g[asm.free]) / asm.m[asm.free]))
 
 
-def _p2_matrix(asm: _Assembled) -> sp.csr_matrix:
+def _laplacian(asm: _Assembled, w_e: np.ndarray, c_v: np.ndarray) -> np.ndarray | sp.csc_matrix:
+    """Reweighted Laplacian restricted to the free vertices,
+
+        sum_e w_e (1_a - 1_b)(1_a - 1_b)^T + diag(c_v),
+
+    for edge weights w_e and vertex weights c_v: a dense array up to
+    DENSE_LIMIT free vertices, a CSC matrix above."""
     nf = len(asm.free)
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    diag = np.zeros(nf)
-    for a, b, wt in zip(asm.ei, asm.ej, asm.w):
-        pa, pb = asm.pos[a], asm.pos[b]
-        if pa >= 0:
-            diag[pa] += wt
-        if pb >= 0:
-            diag[pb] += wt
-        if pa >= 0 and pb >= 0:
-            rows += [pa, pb]
-            cols += [pb, pa]
-            vals += [-wt, -wt]
-    diag += asm.c[asm.free]
-    rows += list(range(nf))
-    cols += list(range(nf))
-    vals += list(diag)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(nf, nf))
+    vals = np.concatenate((w_e, -w_e, c_v))[asm.lap_src]
+    if nf <= DENSE_LIMIT:
+        flat = asm.lap_row * nf + asm.lap_col
+        return np.bincount(flat, weights=vals, minlength=nf * nf).reshape(nf, nf)
+    return sp.csc_matrix((vals, (asm.lap_row, asm.lap_col)), shape=(nf, nf))
 
 
-def _solve_direct_p2(asm: _Assembled, rhs_free: np.ndarray) -> np.ndarray:
-    K = _p2_matrix(asm)
-    return spla.spsolve(K.tocsc(), rhs_free)
+def _linsolve(A: np.ndarray | sp.csc_matrix, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b for a matrix from _laplacian; LinAlgError if A is singular."""
+    if isinstance(A, np.ndarray):
+        return np.linalg.solve(A, b)
+    try:
+        return spla.splu(A).solve(b)
+    except RuntimeError as exc:  # SuperLU reports an exactly singular factor
+        raise np.linalg.LinAlgError(str(exc)) from exc
 
 
-def _hessian(asm: _Assembled, p: float, u: np.ndarray) -> np.ndarray:
-    """Dense regularized Hessian of F_p restricted to the free vertices.
+def _curvature(asm: _Assembled, p: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edge and vertex weights of the regularized Hessian of F_p, which is
+    _laplacian(asm, *_curvature(asm, p, u)).
 
     For p >= 2 a tiny epsilon is added to the |grad|^(p-2) factors (they
     vanish at equal neighbor values); for p < 2 the factors blow up there,
@@ -214,22 +226,7 @@ def _hessian(asm: _Assembled, p: float, u: np.ndarray) -> np.ndarray:
         floor = 64.0 * np.finfo(float).eps * scale
         we = np.maximum(ad, floor) ** (p - 2.0)
         wu = np.maximum(au, floor) ** (p - 2.0)
-    ce = asm.w * (p - 1.0) * we
-    cc = asm.c * (p - 1.0) * wu
-
-    nf = len(asm.free)
-    H = np.zeros((nf, nf))
-    diag = np.zeros(nf)
-    pa = asm.pos[asm.ei]
-    pb = asm.pos[asm.ej]
-    both = (pa >= 0) & (pb >= 0)
-    np.add.at(H, (pa[both], pb[both]), -ce[both])
-    np.add.at(H, (pb[both], pa[both]), -ce[both])
-    np.add.at(diag, pa[pa >= 0], ce[pa >= 0])
-    np.add.at(diag, pb[pb >= 0], ce[pb >= 0])
-    diag += cc[asm.free]
-    H[np.arange(nf), np.arange(nf)] += diag
-    return H
+    return asm.w * (p - 1.0) * we, asm.c * (p - 1.0) * wu
 
 
 def _newton_leg(
@@ -251,12 +248,12 @@ def _newton_leg(
     while res > tol and it < cap:
         it += 1
         g = _grad_full(asm, p, rhs, u)[asm.free]
-        H = _hessian(asm, p, u)
+        ce, cc = _curvature(asm, p, u)
+        H = _laplacian(asm, ce, cc)
         try:
-            step = np.linalg.solve(H, -g)
+            step = _linsolve(H, -g)
         except np.linalg.LinAlgError:
-            H[np.diag_indices_from(H)] += 1e-10 * (1.0 + np.abs(H).max())
-            step = np.linalg.solve(H, -g)
+            step = _linsolve(_laplacian(asm, ce, cc + 1e-10 * (1.0 + abs(H).max())), -g)
         # for p < 2 the curvature model flattens far from the minimizer and
         # raw steps can overshoot by orders of magnitude
         limit = 0.5 * max(1.0, float(np.max(np.abs(u[asm.free]))))
@@ -303,42 +300,35 @@ def _solve_newton(
     rhs: np.ndarray,
     tol: float,
     max_iter: int,
-    x0: np.ndarray | None,
-    best_effort: bool = False,
 ) -> tuple[np.ndarray, int, float]:
-    """Newton driver.  Cold starts walk a continuation in the exponent
-    s = 1/(p-1) from the exact p = 2 solution to the target, transforming
-    the iterate by the matching elementwise power at each leg; this keeps
-    every leg inside Newton's fast local regime."""
-    n = len(asm.ids)
-    u = np.zeros(n)
+    """Newton driver.  Walks a continuation in the exponent s = 1/(p-1) from
+    the exact p = 2 solution to the target, transforming the iterate by the
+    matching elementwise power at each leg; this keeps every leg inside
+    Newton's fast local regime."""
+    u = np.zeros(len(asm.ids))
+    u[asm.free] = _linsolve(_laplacian(asm, asm.w, asm.c), rhs[asm.free])
     it = 0
     cap = min(max_iter, 400)
-    if x0 is not None:
-        u[asm.free] = x0
-        u, it, res = _newton_leg(asm, p, rhs, u, tol, cap)
-    else:
-        u[asm.free] = _solve_direct_p2(asm, rhs[asm.free])
-        res = _residual_inf(asm, p, rhs, u)
-        s_cur = 1.0
-        s_tgt = 1.0 / (p - 1.0)
-        while True:
-            ratio = float(np.clip(s_tgt / s_cur, 0.75, 4.0 / 3.0))
-            s_cur *= ratio
-            u[asm.free] = phi_p(u[asm.free], 1.0 + ratio)
-            final = abs(np.log(s_tgt / s_cur)) < 1e-12
-            leg_p = 1.0 + 1.0 / s_cur
-            leg_tol = tol if final else 1e-6 * max(1.0, float(np.max(np.abs(u))))
-            u, leg_it, res = _newton_leg(asm, leg_p, rhs, u, leg_tol, cap)
-            it += leg_it
-            if final:
-                break
+    s_cur = 1.0
+    s_tgt = 1.0 / (p - 1.0)
+    while True:
+        ratio = float(np.clip(s_tgt / s_cur, 0.75, 4.0 / 3.0))
+        s_cur *= ratio
+        u[asm.free] = phi_p(u[asm.free], 1.0 + ratio)
+        final = abs(np.log(s_tgt / s_cur)) < 1e-12
+        leg_p = 1.0 + 1.0 / s_cur
+        leg_tol = tol if final else 1e-6 * max(1.0, float(np.max(np.abs(u))))
+        u, leg_it, res = _newton_leg(asm, leg_p, rhs, u, leg_tol, cap)
+        it += leg_it
+        if final:
+            break
     if res > tol:
-        # polish with exact coordinate solves; also the terminal safeguard
+        # the terminal safeguard of solve_torsion: polish with exact
+        # coordinate solves (inverse power runs Newton legs only)
         budget = min(max(max_iter - it, 0), 500)
         u, sweeps, res = _gs_sweeps(asm, p, rhs, tol, budget, u, bail_on_stall=True)
         it += sweeps
-        if res > tol and not best_effort:
+        if res > tol:
             raise NoConvergenceError(
                 f"Newton/Gauss-Seidel stopped at residual {res:.3e} > tol {tol:.3e}",
                 iterations=it,
@@ -457,59 +447,6 @@ def default_tolerance(spec: ProblemSpec) -> float:
     return 1e-10 * max(1.0, max(spec.graph.measure.values()))
 
 
-def _solve_rhs(
-    spec: ProblemSpec,
-    rhs_free: np.ndarray,
-    opts: SolverOptions,
-    x0: np.ndarray | None = None,
-    best_effort: bool = False,
-) -> tuple[_Assembled, np.ndarray, int, float, str]:
-    """Shared driver: minimize Q_p(u) - <rhs, u> over functions vanishing on V0."""
-    asm = _assemble(spec)
-    _check_bounded(spec, asm)
-    p = spec.p
-    tol = opts.tol if opts.tol is not None else default_tolerance(spec)
-    rhs = np.zeros(len(asm.ids))
-    rhs[asm.free] = rhs_free
-
-    method = opts.method
-    if method == "auto":
-        method = "direct_p2" if p == 2.0 else "newton"
-    if method == "direct_p2":
-        if p != 2.0:
-            raise UnsupportedCombinationError("direct_p2 requires p = 2")
-        u = np.zeros(len(asm.ids))
-        u[asm.free] = _solve_direct_p2(asm, rhs[asm.free])
-        res = _residual_inf(asm, p, rhs, u)
-        if res > tol:
-            u, sweeps, res = _gs_sweeps(asm, p, rhs, tol, opts.max_iterations, u)
-            if res > tol:
-                raise NoConvergenceError(
-                    f"direct solve residual {res:.3e} > tol {tol:.3e}",
-                    iterations=1 + sweeps,
-                    residual=res,
-                )
-        return asm, u, 1, res, method
-    if method == "newton":
-        u, it, res = _solve_newton(
-            asm, p, rhs, tol, opts.max_iterations, x0, best_effort=best_effort
-        )
-        return asm, u, it, res, method
-    # gauss_seidel
-    u = np.zeros(len(asm.ids))
-    if x0 is not None:
-        u[asm.free] = x0
-    u, sweeps, res = _gs_sweeps(asm, p, rhs, tol, opts.max_iterations, u)
-    if res > tol:
-        raise NoConvergenceError(
-            f"Gauss-Seidel stopped at residual {res:.3e} > tol {tol:.3e} "
-            f"after {sweeps} sweeps",
-            iterations=sweeps,
-            residual=res,
-        )
-    return asm, u, sweeps, res, method
-
-
 def solve_torsion(spec: ProblemSpec, opts: SolverOptions | None = None) -> TorsionSolution:
     """Minimize F_p and return the torsion function with its rigidity.
 
@@ -519,14 +456,48 @@ def solve_torsion(spec: ProblemSpec, opts: SolverOptions | None = None) -> Torsi
     out.
     """
     opts = opts or SolverOptions()
-    asm0 = _assemble(spec)
-    rhs_free = asm0.m[asm0.free]
-    asm, u, iterations, res, method = _solve_rhs(spec, rhs_free, opts)
+    asm = _assemble(spec)
+    _check_bounded(spec, asm)
+    p = spec.p
+    tol = opts.tol if opts.tol is not None else default_tolerance(spec)
+    rhs = np.zeros(len(asm.ids))
+    rhs[asm.free] = asm.m[asm.free]
+
+    method = opts.method
+    if method == "auto":
+        method = "direct_p2" if p == 2.0 else "newton"
+    if method == "direct_p2":
+        if p != 2.0:
+            raise UnsupportedCombinationError("direct_p2 requires p = 2")
+        u = np.zeros(len(asm.ids))
+        u[asm.free] = _linsolve(_laplacian(asm, asm.w, asm.c), rhs[asm.free])
+        iterations = 1
+        res = _residual_inf(asm, p, rhs, u)
+        if res > tol:
+            u, sweeps, res = _gs_sweeps(asm, p, rhs, tol, opts.max_iterations, u)
+            if res > tol:
+                raise NoConvergenceError(
+                    f"direct solve residual {res:.3e} > tol {tol:.3e}",
+                    iterations=1 + sweeps,
+                    residual=res,
+                )
+    elif method == "newton":
+        u, iterations, res = _solve_newton(asm, p, rhs, tol, opts.max_iterations)
+    else:
+        u = np.zeros(len(asm.ids))
+        u, iterations, res = _gs_sweeps(asm, p, rhs, tol, opts.max_iterations, u)
+        if res > tol:
+            raise NoConvergenceError(
+                f"Gauss-Seidel stopped at residual {res:.3e} > tol {tol:.3e} "
+                f"after {iterations} sweeps",
+                iterations=iterations,
+                residual=res,
+            )
     tau = {v: (0.0 if asm.pos[i] < 0 else float(u[i])) for i, v in enumerate(asm.ids)}
     l1 = float(np.dot(np.abs(u[asm.free]), asm.m[asm.free]))
     return TorsionSolution(
         tau=tau,
-        rigidity=l1 ** (spec.p - 1.0),
+        rigidity=l1 ** (p - 1.0),
         residual_inf=res,
         iterations=iterations,
         method=method,

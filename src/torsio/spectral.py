@@ -3,11 +3,14 @@ of the operator without Dirichlet conditions.
 
 For p = 2 the problem is the generalized symmetric eigenproblem
 K phi = lambda M phi with K the weighted Laplacian plus potential restricted
-to the free vertices and M = diag(m); it is solved exactly by a dense
-symmetric eigensolver (shift-invert Lanczos above 500 free vertices).
+to the free vertices (the solver's ``_laplacian``) and M = diag(m); it is
+solved exactly by a dense symmetric eigensolver up to the solver's
+DENSE_LIMIT free vertices and by shift-invert Lanczos, from a fixed positive
+start vector, above.
 
-For p != 2 a nonlinear inverse power iteration is used: each step minimizes
-Q_p(v) - lambda_k <phi_p(u_k) m, v> with the torsion machinery, renormalizes,
+For p != 2 a nonlinear inverse power iteration is used on the problem
+assembled and checked once: each step runs one damped Newton leg on
+Q_p(v) - lambda_k <phi_p(u_k) m, v> from the current iterate, renormalizes,
 and recomputes the Rayleigh quotient.  Started from positive constant data
 the iterate stays nonnegative; the result is a variational upper bound for
 the bottom of the spectrum, believed exact, and is labeled as such.
@@ -25,9 +28,15 @@ import scipy.sparse.linalg as spla
 from .energy import phi_p
 from .errors import DisconnectedError, IllPosedError, NoConvergenceError
 from .graphs import ProblemSpec, VertexId, WeightedGraph
-from .solver import SolverOptions, _assemble, _check_bounded, _grad_full, _p2_matrix, _solve_rhs
-
-DENSE_LIMIT = 500
+from .solver import (
+    SolverOptions,
+    _assemble,
+    _check_bounded,
+    _grad_full,
+    _laplacian,
+    _newton_leg,
+    _objective,
+)
 
 
 @dataclass(frozen=True)
@@ -60,27 +69,26 @@ def _normalize(asm, p: float, u: np.ndarray) -> np.ndarray:
 
 
 def _rayleigh(asm, p: float, u: np.ndarray) -> float:
-    d = u[asm.ei] - u[asm.ej]
-    q = float(np.sum(asm.w * np.abs(d) ** p)) + float(np.sum(asm.c * np.abs(u) ** p))
+    q = _objective(asm, p, np.zeros(len(u)), u)  # Q_p(u)
     lp = float(np.sum(np.abs(u[asm.free]) ** p * asm.m[asm.free]))
-    return q / lp
+    return p * q / lp
 
 
 def _lambda0_p2(asm) -> tuple[float, np.ndarray, str]:
-    K = _p2_matrix(asm)
-    nf = K.shape[0]
+    K = _laplacian(asm, asm.w, asm.c)
     m_free = asm.m[asm.free]
-    if nf <= DENSE_LIMIT:
-        vals, vecs = scipy.linalg.eigh(K.toarray(), np.diag(m_free))
-        lam = float(vals[0])
-        vec = vecs[:, 0]
+    if isinstance(K, np.ndarray):
+        vals, vecs = scipy.linalg.eigh(K, np.diag(m_free))
         method = "dense_eigh"
     else:
+        # the ground state is positive, so this fixed start vector is never
+        # orthogonal to it, and repeated calls give identical results
         M = sp.diags(m_free).tocsc()
-        vals, vecs = spla.eigsh(K.tocsc(), k=1, M=M, sigma=0.0, which="LM")
-        lam = float(vals[0])
-        vec = vecs[:, 0]
+        start = np.ones(len(m_free))
+        vals, vecs = spla.eigsh(K, k=1, M=M, sigma=0.0, which="LM", v0=start)
         method = "lanczos"
+    lam = float(vals[0])
+    vec = vecs[:, 0]
     if vec.sum() < 0.0:
         vec = -vec
     return lam, vec, method
@@ -119,22 +127,23 @@ def lambda0(
         )
 
     _check_bounded(spec, asm)
+    cap = min((opts or SolverOptions()).max_iterations, 400)
     u = np.zeros(len(asm.ids))
     u[asm.free] = 1.0
     u = _normalize(asm, p, u)
     lam = _rayleigh(asm, p, u)
     gap = max(1e-6 * lam, 1e-12)
+    rhs = np.zeros(len(asm.ids))
     max_outer = 500
     for it in range(1, max_outer + 1):
         inner_tol = max(1e-12, 1e-2 * gap)
-        rhs_free = lam * phi_p(u[asm.free], p) * asm.m[asm.free]
-        inner = SolverOptions(tol=inner_tol, max_iterations=(opts.max_iterations if opts else 1_000_000), method="newton")
-        # inner solves are best effort: any iterate yields a valid Rayleigh
-        # value, and for p < 2 near-tied values put the pointwise residual
-        # floor above tight tolerances; the outer gap test stays strict
-        _, v, _, _, _ = _solve_rhs(spec, rhs_free, inner, x0=u[asm.free], best_effort=True)
-        v = np.abs(v)
-        v = _normalize(asm, p, v)
+        rhs[asm.free] = lam * phi_p(u[asm.free], p) * asm.m[asm.free]
+        # one Newton leg from the current iterate, best effort: any iterate
+        # yields a valid Rayleigh value, and for p < 2 near-tied values put
+        # the pointwise residual floor above tight tolerances; the outer gap
+        # test stays strict.  The leg updates its iterate in place.
+        v, _, _ = _newton_leg(asm, p, rhs, u.copy(), inner_tol, cap)
+        v = _normalize(asm, p, np.abs(v))
         lam_new = _rayleigh(asm, p, v)
         gap = abs(lam_new - lam)
         u = v
@@ -164,8 +173,7 @@ def lambda1_p2(g: WeightedGraph) -> float:
         raise DisconnectedError("lambda1 needs a connected graph")
     spec = ProblemSpec(g, frozenset(), 2.0)
     asm = _assemble(spec)
-    K = _p2_matrix(asm)
-    vals = scipy.linalg.eigh(
-        K.toarray(), np.diag(asm.m), eigvals_only=True, subset_by_index=(0, 1)
-    )
+    K = _laplacian(asm, asm.w, asm.c)
+    K = K if isinstance(K, np.ndarray) else K.toarray()
+    vals = scipy.linalg.eigh(K, np.diag(asm.m), eigvals_only=True, subset_by_index=(0, 1))
     return float(vals[1])

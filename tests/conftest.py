@@ -48,3 +48,15 @@ def as_unit_function(spec, rng):
         v: (0.0 if v in spec.dirichlet else float(rng.uniform(-2.0, 2.0)))
         for v in spec.graph.vertices
     }
+
+
+def dirichlet_grid(n, p=2.0):
+    """n x n grid with unit masses and weights; the boundary ring is Dirichlet."""
+    name = [[f"g{i}_{j}" for j in range(n)] for i in range(n)]
+    vertices = [(name[i][j], 1.0, 0.0) for i in range(n) for j in range(n)]
+    edges = [(name[i][j], name[i][j + 1], 1.0) for i in range(n) for j in range(n - 1)]
+    edges += [(name[i][j], name[i + 1][j], 1.0) for i in range(n - 1) for j in range(n)]
+    ring = frozenset(
+        name[i][j] for i in range(n) for j in range(n) if min(i, j) == 0 or max(i, j) == n - 1
+    )
+    return ProblemSpec(build_graph(vertices, edges), ring, float(p))

@@ -4,7 +4,8 @@ independent brute-force oracle for tiny graphs."""
 import numpy as np
 import pytest
 
-from conftest import random_general_spec
+import torsio.solver
+from conftest import dirichlet_grid, random_general_spec
 from torsio import (
     IllPosedError,
     NoConvergenceError,
@@ -248,10 +249,23 @@ def test_ill_posed_and_unbounded():
     g2 = build_graph(
         [("a", 1, 0), ("b", 1, 0), ("c", 1, 0)], [("a", "b", 1)]
     )
-    with pytest.raises(UnboundedComponentError):
+    with pytest.raises(UnboundedComponentError, match=r"\['c'\]"):
         solve_torsion(ProblemSpec(g2, frozenset({"a"}), 2.0))
     with pytest.raises(IllPosedError):
         solve_torsion(ProblemSpec(g, frozenset({"a", "b"}), 2.0))
+    # each loose component is named by its smallest-index vertex
+    g3 = build_graph(
+        [("a", 1, 0), ("b", 1, 0), ("c", 1, 0), ("d", 1, 0), ("e", 1, 0), ("f", 1, 0.5)],
+        [("a", "d", 1), ("b", "c", 1), ("c", "e", 1)],
+    )
+    with pytest.raises(UnboundedComponentError, match=r"\['b'\]"):
+        solve_torsion(ProblemSpec(g3, frozenset({"a"}), 3.0))
+    g4 = build_graph(
+        [("a", 1, 0), ("b", 1, 0), ("c", 1, 0), ("d", 1, 0), ("e", 1, 0)],
+        [("a", "b", 1), ("c", "d", 1)],
+    )
+    with pytest.raises(UnboundedComponentError, match=r"\['c', 'e'\]"):
+        solve_torsion(ProblemSpec(g4, frozenset({"a"}), 2.0))
 
 
 def test_no_dirichlet_with_potential():
@@ -285,3 +299,34 @@ def test_window_edge_exponents_on_random_graphs():
         assert sol.residual_inf <= 1e-10 * max(1.0, max(hard.graph.measure.values()))
     except NoConvergenceError as e:
         assert np.isfinite(e.residual) and e.iterations > 0
+
+
+def _free_laplacian_reference(spec):
+    """networkx Laplacian restricted to the free vertices, plus diag(c)."""
+    nx = pytest.importorskip("networkx")
+    g = spec.graph
+    G = nx.Graph()
+    G.add_nodes_from(g.vertices)
+    G.add_weighted_edges_from(g.edges)
+    L = nx.laplacian_matrix(G, nodelist=list(g.vertices), weight="weight").toarray()
+    free = [i for i, v in enumerate(g.vertices) if v not in spec.dirichlet]
+    return L[np.ix_(free, free)] + np.diag([g.potential[g.vertices[i]] for i in free])
+
+
+def test_laplacian_matches_networkx_on_both_sides_of_dense_limit():
+    small = random_general_spec(4, with_potential=True)
+    grid = dirichlet_grid(25)  # 529 free vertices
+    for spec, dense in ((small, True), (grid, False)):
+        asm = torsio.solver._assemble(spec)
+        K = torsio.solver._laplacian(asm, asm.w, asm.c)
+        assert isinstance(K, np.ndarray) is dense
+        K = K if dense else K.toarray()
+        np.testing.assert_allclose(K, _free_laplacian_reference(spec), rtol=0, atol=1e-14)
+
+
+def test_dense_and_sparse_newton_agree(monkeypatch):
+    spec = dirichlet_grid(25, p=3.0)
+    sparse = solve_torsion(spec)
+    monkeypatch.setattr(torsio.solver, "DENSE_LIMIT", 10_000)
+    dense = solve_torsion(spec)
+    assert sparse.rigidity == pytest.approx(dense.rigidity, rel=1e-9)

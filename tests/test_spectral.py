@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from conftest import random_general_spec
+import torsio.solver
+from conftest import dirichlet_grid, random_general_spec
 from torsio import (
     DisconnectedError,
     IllPosedError,
     ProblemSpec,
     ScaleParams,
     build_graph,
+    gradient_Fp,
     lambda0,
     lambda1_p2,
     make_complete,
@@ -133,3 +135,30 @@ def test_lambda1_needs_connected():
     g = build_graph([("a", 1, 0), ("b", 1, 0), ("c", 1, 0)], [("a", "b", 1)])
     with pytest.raises(DisconnectedError):
         lambda1_p2(g)
+
+
+def test_lanczos_is_deterministic():
+    spec = dirichlet_grid(30)  # 784 free vertices: shift-invert Lanczos
+    runs = [lambda0(spec) for _ in range(4)]
+    assert runs[0].method == "lanczos"
+    assert len({r.lambda0 for r in runs}) == 1
+    assert all(r.ground_state == runs[0].ground_state for r in runs)
+
+
+def test_inverse_power_runs_no_gauss_seidel(monkeypatch):
+    def no_polish(*args, **kwargs):
+        raise AssertionError("inverse power ran a Gauss-Seidel sweep")
+
+    monkeypatch.setattr(torsio.solver, "_gs_sweeps", no_polish)
+    for spec in (dirichlet_grid(10, p=1.5), make_star(40, "unit", p=1.2)):
+        sol = lambda0(spec)
+        phi = sol.ground_state
+        grad = gradient_Fp(spec, phi)  # m L_p phi - m on free vertices
+        m = spec.graph.measure
+        barta = min(
+            (grad[v] + m[v]) / m[v] / phi[v] ** (spec.p - 1.0) for v in spec.free_vertices
+        )
+        rayleigh = rayleigh_quotient(spec, phi)
+        assert barta <= sol.lambda0 * (1.0 + 1e-12)
+        assert sol.lambda0 <= rayleigh * (1.0 + 1e-12)
+        assert (rayleigh - barta) / rayleigh <= 1e-5
