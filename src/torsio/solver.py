@@ -18,8 +18,10 @@ potential is somewhere positive).  Three methods are available:
 A problem is assembled once into arrays.  The p = 2 matrix, the Newton
 Hessian and the p = 2 eigenproblems of ``spectral`` are all one reweighted
 Laplacian on the free vertices (``_laplacian``): a dense array up to
-DENSE_LIMIT free vertices and a sparse CSC matrix above, solved by
-``_linsolve`` with dense or sparse LU to match.
+DENSE_LIMIT free vertices and a sparse CSC matrix above.  Each is symmetric
+positive definite and ``_linsolve`` factors it as such: LAPACK Cholesky on
+the dense side, SuperLU with a symmetric minimum-degree ordering and
+diagonal pivots (``_factor``) on the sparse side.
 
 Convergence is always measured on the pointwise residual
 max_v |L_p u(v) - 1| (not on step sizes), because on finite graphs the weak
@@ -42,6 +44,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dposv
 
 from .energy import check_vertex_function, functional_Fp, phi_p
 from .errors import (
@@ -192,14 +195,30 @@ def _laplacian(asm: _Assembled, w_e: np.ndarray, c_v: np.ndarray) -> np.ndarray 
     return sp.csc_matrix((vals, (asm.lap_row, asm.lap_col)), shape=(nf, nf))
 
 
-def _linsolve(A: np.ndarray | sp.csc_matrix, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for a matrix from _laplacian; LinAlgError if A is singular."""
-    if isinstance(A, np.ndarray):
-        return np.linalg.solve(A, b)
+def _factor(A: sp.csc_matrix) -> spla.SuperLU:
+    """Sparse LU of a symmetric positive definite A with a symmetric
+    ordering and pivots on the diagonal (a Cholesky factor in LU form);
+    LinAlgError if A is exactly singular."""
     try:
-        return spla.splu(A).solve(b)
+        return spla.splu(
+            A,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
     except RuntimeError as exc:  # SuperLU reports an exactly singular factor
         raise np.linalg.LinAlgError(str(exc)) from exc
+
+
+def _linsolve(A: np.ndarray | sp.csc_matrix, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b for a matrix from _laplacian; LinAlgError if A is singular."""
+    if not isinstance(A, np.ndarray):
+        return _factor(A).solve(b)
+    # A.T equals A and is F-contiguous, the layout LAPACK takes
+    _, x, info = dposv(A.T, b)
+    if info != 0:  # not numerically positive definite: general LU
+        return np.linalg.solve(A, b)
+    return x
 
 
 def _curvature(asm: _Assembled, p: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -6,7 +6,8 @@ K phi = lambda M phi with K the weighted Laplacian plus potential restricted
 to the free vertices (the solver's ``_laplacian``) and M = diag(m); it is
 solved exactly by a dense symmetric eigensolver up to the solver's
 DENSE_LIMIT free vertices and by shift-invert Lanczos, from a fixed positive
-start vector, above.
+start vector, above; Lanczos inverts K through the solver's sparse
+symmetric factor (``_factor``), the one its Newton steps use.
 
 For p != 2 a nonlinear inverse power iteration is used on the problem
 assembled and checked once: each step runs one damped Newton leg on
@@ -26,12 +27,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .energy import phi_p
-from .errors import DisconnectedError, IllPosedError, NoConvergenceError
+from .errors import DisconnectedError, NoConvergenceError
 from .graphs import ProblemSpec, VertexId, WeightedGraph
 from .solver import (
     SolverOptions,
     _assemble,
     _check_bounded,
+    _factor,
     _grad_full,
     _laplacian,
     _newton_leg,
@@ -85,7 +87,8 @@ def _lambda0_p2(asm) -> tuple[float, np.ndarray, str]:
         # orthogonal to it, and repeated calls give identical results
         M = sp.diags(m_free).tocsc()
         start = np.ones(len(m_free))
-        vals, vecs = spla.eigsh(K, k=1, M=M, sigma=0.0, which="LM", v0=start)
+        inv_K = spla.LinearOperator(K.shape, matvec=_factor(K).solve, dtype=float)
+        vals, vecs = spla.eigsh(K, k=1, M=M, sigma=0.0, which="LM", v0=start, OPinv=inv_K)
         method = "lanczos"
     lam = float(vals[0])
     vec = vecs[:, 0]
@@ -101,15 +104,13 @@ def lambda0(
 
     ``method`` is 'auto' (exact eigensolver for p = 2, inverse power
     otherwise) or 'inverse_power' (force the nonlinear iteration, also for
-    p = 2, for cross-method validation).
+    p = 2, for cross-method validation).  Ill-posed specs and free
+    components with no anchor raise as in ``solve_torsion``.
     """
     if method not in ("auto", "inverse_power"):
         raise ValueError(f"method {method!r} not in ('auto', 'inverse_power')")
-    if not spec.well_posed:
-        raise IllPosedError("lambda0 needs a Dirichlet vertex or a positive potential")
     asm = _assemble(spec)
-    if len(asm.free) == 0:
-        raise IllPosedError("no free vertices")
+    _check_bounded(spec, asm)
     p = spec.p
 
     if p == 2.0 and method == "auto":
@@ -126,7 +127,6 @@ def lambda0(
             iterations=1,
         )
 
-    _check_bounded(spec, asm)
     cap = min((opts or SolverOptions()).max_iterations, 400)
     u = np.zeros(len(asm.ids))
     u[asm.free] = 1.0

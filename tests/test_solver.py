@@ -3,6 +3,8 @@ independent brute-force oracle for tiny graphs."""
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 
 import torsio.solver
 from conftest import dirichlet_grid, random_general_spec
@@ -14,6 +16,7 @@ from torsio import (
     UnboundedComponentError,
     balance_check,
     build_graph,
+    lambda0,
     make_path,
     make_star,
     pointwise_residual,
@@ -324,9 +327,53 @@ def test_laplacian_matches_networkx_on_both_sides_of_dense_limit():
         np.testing.assert_allclose(K, _free_laplacian_reference(spec), rtol=0, atol=1e-14)
 
 
+def _random_expander(n=800, degree=6, n_dirichlet=4, seed=5, p=2.0):
+    """Seeded sparse random graph: a random spanning tree on the free
+    vertices, each Dirichlet vertex tied to two free ones, and random extra
+    pairs up to the average degree; masses and weights U(0.5, 2)."""
+    rng = np.random.default_rng(seed)
+    names = [f"r{i}" for i in range(n)]
+    nf = n - n_dirichlet
+    order = rng.permutation(nf)
+    pairs = {tuple(sorted((int(order[k]), int(order[rng.integers(k)])))) for k in range(1, nf)}
+    for d in range(nf, n):
+        pairs.update((int(f), d) for f in rng.choice(nf, size=2, replace=False))
+    while len(pairs) < degree * n // 2:
+        a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
+        pairs.add((min(a, b), max(a, b)))
+    vertices = [(v, float(rng.uniform(0.5, 2.0)), 0.0) for v in names]
+    edges = [(names[a], names[b], float(rng.uniform(0.5, 2.0))) for a, b in sorted(pairs)]
+    return ProblemSpec(build_graph(vertices, edges), frozenset(names[nf:]), p)
+
+
 def test_dense_and_sparse_newton_agree(monkeypatch):
-    spec = dirichlet_grid(25, p=3.0)
-    sparse = solve_torsion(spec)
-    monkeypatch.setattr(torsio.solver, "DENSE_LIMIT", 10_000)
-    dense = solve_torsion(spec)
-    assert sparse.rigidity == pytest.approx(dense.rigidity, rel=1e-9)
+    for spec in (dirichlet_grid(25, p=3.0), _random_expander(p=3.0)):
+        sparse = solve_torsion(spec)
+        with monkeypatch.context() as patch:
+            patch.setattr(torsio.solver, "DENSE_LIMIT", 10_000)
+            dense = solve_torsion(spec)
+        assert sparse.rigidity == pytest.approx(dense.rigidity, rel=1e-9)
+
+
+def test_sparse_side_on_random_expander():
+    spec = _random_expander()
+    free = [v for v in spec.graph.vertices if v not in spec.dirichlet]
+    assert len(free) > torsio.solver.DENSE_LIMIT
+    K = _free_laplacian_reference(spec)
+    m = np.array([spec.graph.measure[v] for v in free])
+    ref = scipy.linalg.solve(K, m, assume_a="pos")
+    sol = solve_torsion(spec)
+    np.testing.assert_allclose([sol.tau[v] for v in free], ref, rtol=1e-10)
+    eig = lambda0(spec)
+    assert eig.method == "lanczos"
+    vals = scipy.linalg.eigh(K, np.diag(m), eigvals_only=True, subset_by_index=(0, 0))
+    assert eig.lambda0 == pytest.approx(float(vals[0]), rel=1e-10)
+
+
+def test_linsolve_falls_back_to_lu_and_factor_rejects_singular():
+    A = np.array([[1.0, 2.0], [2.0, 1.0]])  # symmetric indefinite: no Cholesky
+    b = np.array([1.0, -3.0])
+    np.testing.assert_array_equal(torsio.solver._linsolve(A, b), np.linalg.solve(A, b))
+    path = sp.csc_matrix(np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]]))
+    with pytest.raises(np.linalg.LinAlgError):
+        torsio.solver._factor(path)

@@ -9,6 +9,7 @@ from torsio import (
     DisconnectedError,
     IllPosedError,
     ProblemSpec,
+    UnboundedComponentError,
     ScaleParams,
     build_graph,
     gradient_Fp,
@@ -107,6 +108,18 @@ def test_lambda0_requires_well_posed():
     g = build_graph([("a", 1, 0), ("b", 1, 0)], [("a", "b", 1)])
     with pytest.raises(IllPosedError):
         lambda0(ProblemSpec(g, frozenset(), 2.0))
+
+
+def test_lambda0_rejects_loose_component_at_every_p():
+    for n in (10, 25):  # dense eigh and Lanczos at p = 2
+        grid = dirichlet_grid(n)
+        g = grid.graph
+        records = [(v, g.measure[v], g.potential[v]) for v in g.vertices]
+        loose = build_graph(records + [("x", 1, 0), ("y", 1, 0)], list(g.edges) + [("x", "y", 1)])
+        for p in (2.0, 3.0):
+            spec = ProblemSpec(loose, grid.dirichlet, p)
+            with pytest.raises(UnboundedComponentError, match=r"\['x'\]"):
+                lambda0(spec)
 
 
 def test_lambda0_neumann_with_potential():
