@@ -148,7 +148,8 @@ class UnboundedComponentError(TorsioError):
 
 
 class NoConvergenceError(TorsioError):
-    """Iteration budget exhausted before the residual target was met."""
+    """Iteration budget exhausted before the residual target was met, or a
+    stalled solve whose result could not be certified another way."""
 
     def __init__(self, message: str, iterations: int = 0, residual: float = float("nan")):
         super().__init__(message)

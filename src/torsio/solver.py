@@ -23,16 +23,23 @@ positive definite and ``_linsolve`` factors it as such: LAPACK Cholesky on
 the dense side, SuperLU with a symmetric minimum-degree ordering and
 diagonal pivots (``_factor``) on the sparse side.
 
-Convergence is always measured on the pointwise residual
-max_v |L_p u(v) - 1| (not on step sizes), because on finite graphs the weak
-and the pointwise formulations coincide.
+Convergence is measured on the pointwise residual max_v |L_p u(v) - 1|
+(not on step sizes), because on finite graphs the weak and the pointwise
+formulations coincide.  For p < 2 that residual has a rounding floor near
+(eps * ||tau||)^(p-1): the edge flux |d|^(p-1) is only (p-1)-Hoelder in the
+values, so edges with near-equal end values (mirror images on a symmetric
+grid, say) keep it above tight tolerances.  A Newton solve whose last leg
+stops above tol is therefore judged on T_p itself: the Polya quotient of the
+iterate bounds T_p from below, the Thomson energy of its flux, corrected by
+one p = 2 solve to divergence m, bounds it from above
+(``_rigidity_bracket``), and the iterate is accepted when the two agree to
+1e-12 relative.  Otherwise NoConvergenceError is raised at once, carrying
+the residual and the bracket.
 
-A caveat near p = 1: the edge flux |d|^(p-1) is only (p-1)-Hoelder in the
-values, so on instances whose solution has near-equal adjacent values the
-residual cannot be pushed below roughly (eps * ||tau||)^(p-1) in double
-precision (about 0.16 at p = 1.05).  Such solves raise NoConvergenceError
-carrying the achieved residual; monotone instances such as paths converge
-fine across the whole supported window.
+A caveat near p = 1: there the floor is about 0.16 at p = 1.05, and on
+instances whose solution has near-equal adjacent values the bracket stays
+wide too, so such solves raise; monotone instances such as paths converge
+across the whole supported window.
 """
 
 from __future__ import annotations
@@ -64,9 +71,11 @@ DENSE_LIMIT = 500
 @dataclass(frozen=True)
 class SolverOptions:
     """tol: absolute sup-norm target for the pointwise residual; None means
-    1e-10 * max(1, max m).  max_iterations caps Newton steps or Gauss-Seidel
-    sweeps.  method is one of 'auto', 'gauss_seidel', 'newton', 'direct_p2';
-    'auto' picks the exact solve for p = 2 and Newton otherwise."""
+    1e-10 * max(1, max m).  A Newton solve that stalls above it is accepted
+    when its Polya/Thomson bracket of T_p has relative width <= 1e-12.
+    max_iterations caps Newton steps or Gauss-Seidel sweeps.  method is one
+    of 'auto', 'gauss_seidel', 'newton', 'direct_p2'; 'auto' picks the exact
+    solve for p = 2 and Newton otherwise."""
 
     tol: float | None = None
     max_iterations: int = 1_000_000
@@ -81,7 +90,8 @@ class SolverOptions:
 class TorsionSolution:
     """tau: the torsion function (zero on the Dirichlet set); rigidity is
     (sum of tau * m over free vertices)^(p-1); residual_inf is the final
-    max_v |L_p tau(v) - 1|."""
+    max_v |L_p tau(v) - 1|, above tol only for a Newton solve accepted on
+    its rigidity bracket."""
 
     tau: dict[VertexId, float]
     rigidity: float
@@ -342,18 +352,51 @@ def _solve_newton(
         if final:
             break
     if res > tol:
-        # the terminal safeguard of solve_torsion: polish with exact
-        # coordinate solves (inverse power runs Newton legs only)
-        budget = min(max(max_iter - it, 0), 500)
-        u, sweeps, res = _gs_sweeps(asm, p, rhs, tol, budget, u, bail_on_stall=True)
-        it += sweeps
-        if res > tol:
+        # for p < 2 the residual has a rounding floor; accept the iterate
+        # when the Polya/Thomson bracket pins T_p down instead
+        lower, upper = _rigidity_bracket(asm, p, rhs, u)
+        if not upper - lower <= 1e-12 * upper:
             raise NoConvergenceError(
-                f"Newton/Gauss-Seidel stopped at residual {res:.3e} > tol {tol:.3e}",
+                f"Newton stopped at residual {res:.3e} > tol {tol:.3e} with "
+                f"T_p in [{lower:.17g}, {upper:.17g}]",
                 iterations=it,
                 residual=res,
             )
     return u, it, res
+
+
+def _rigidity_bracket(
+    asm: _Assembled, p: float, rhs: np.ndarray, u: np.ndarray
+) -> tuple[float, float]:
+    """Bracket lower <= T_p <= upper from any u vanishing on the Dirichlet
+    set.
+
+    Below, the Polya quotient (sum |u| m)^p / (sum w|du|^p + sum c|u|^p).
+    Above, the Thomson energy (sum w^(-1/(p-1)) |j|^p' + sum c^(-1/(p-1))
+    |k|^p')^(p-1) of the flux (j, k) = (w phi_p(du), c phi_p(u)) of u,
+    made admissible (divergence m at every free vertex) by subtracting the
+    p = 2 flux (w dz, c z) of the solution z of L z = residual.  Both sides
+    equal T_p at the torsion function and err to second order near it.  The
+    enclosure holds in exact arithmetic; in floats the upper side carries
+    the rounding of that correction, which grows with the distance of u
+    from tau.
+    """
+    d = u[asm.ei] - u[asm.ej]
+    energy = float(np.sum(asm.w * np.abs(d) ** p) + np.sum(asm.c * np.abs(u) ** p))
+    lower = float(np.dot(rhs, np.abs(u))) ** p / energy
+    z = np.zeros(len(u))
+    z[asm.free] = _linsolve(
+        _laplacian(asm, asm.w, asm.c), _grad_full(asm, p, rhs, u)[asm.free]
+    )
+    j = asm.w * (phi_p(d, p) - (z[asm.ei] - z[asm.ej]))
+    k = asm.c * (phi_p(u, p) - z)
+    q = p / (p - 1.0)
+    loaded = asm.c > 0.0
+    dual = float(
+        np.sum(asm.w ** (-1.0 / (p - 1.0)) * np.abs(j) ** q)
+        + np.sum(asm.c[loaded] ** (-1.0 / (p - 1.0)) * np.abs(k[loaded]) ** q)
+    )
+    return lower, dual ** (p - 1.0)
 
 
 def _scalar_solve(
@@ -406,6 +449,8 @@ def _scalar_solve(
         width = hi - lo
         if width <= 1e-16 * max(1.0, abs(lo), abs(hi)):
             return t
+        if np.nextafter(lo, hi) >= hi:  # no float left strictly inside
+            return 0.5 * (lo + hi)
         with np.errstate(divide="ignore"):
             # an exact hit on a neighbor value gives an infinite derivative
             # for p < 2; the finiteness check below falls back to bisection
@@ -428,9 +473,10 @@ def _gs_sweeps(
     tol: float,
     max_sweeps: int,
     u: np.ndarray,
-    bail_on_stall: bool = False,
 ) -> tuple[np.ndarray, int, float]:
-    """Cyclic exact scalar solves in ascending internal vertex order."""
+    """Cyclic exact scalar solves in ascending internal vertex order: the
+    gauss_seidel method and the fallback of direct_p2.  Newton and inverse
+    power never call it."""
     n = len(asm.ids)
     nbr_idx: list[list[int]] = [[] for _ in range(n)]
     nbr_w: list[list[float]] = [[] for _ in range(n)]
@@ -444,21 +490,11 @@ def _gs_sweeps(
 
     res = _residual_inf(asm, p, rhs, u)
     sweeps = 0
-    best = res
-    stale = 0
     while res > tol and sweeps < max_sweeps:
         sweeps += 1
         for i in asm.free:
             u[i] = _scalar_solve(u[nbi[i]], nbw[i], float(asm.c[i]), float(rhs[i]), float(u[i]), p)
         res = _residual_inf(asm, p, rhs, u)
-        if bail_on_stall:
-            if res < 0.99 * best:
-                best = res
-                stale = 0
-            else:
-                stale += 1
-                if stale >= 50:
-                    break
     return u, sweeps, res
 
 
@@ -472,7 +508,7 @@ def solve_torsion(spec: ProblemSpec, opts: SolverOptions | None = None) -> Torsi
     Raises IllPosedError for specs with no Dirichlet vertex and zero
     potential, UnboundedComponentError when a free component is detached
     from every anchor, and NoConvergenceError when the iteration budget runs
-    out.
+    out or a stalled Newton solve has no certified rigidity bracket.
     """
     opts = opts or SolverOptions()
     asm = _assemble(spec)

@@ -8,6 +8,8 @@ import scipy.sparse as sp
 
 import torsio.solver
 from conftest import dirichlet_grid, random_general_spec
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from torsio import (
     IllPosedError,
     NoConvergenceError,
@@ -24,7 +26,7 @@ from torsio import (
     rigidity_via_min,
     solve_torsion,
 )
-from torsio.closed_forms import PathSpecParams, path_torsion
+from torsio.closed_forms import PathSpecParams, path_torsion, path_torsion_values
 
 TIGHT = SolverOptions(tol=1e-12)
 
@@ -377,3 +379,71 @@ def test_linsolve_falls_back_to_lu_and_factor_rejects_singular():
     path = sp.csc_matrix(np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]]))
     with pytest.raises(np.linalg.LinAlgError):
         torsio.solver._factor(path)
+
+
+def _no_polish(*args, **kwargs):
+    raise AssertionError("solve_torsion ran a Gauss-Seidel sweep")
+
+
+def test_stalled_newton_is_certified_without_gauss_seidel(monkeypatch):
+    monkeypatch.setattr(torsio.solver, "_gs_sweeps", _no_polish)
+    n = 20
+    grid = dirichlet_grid(n, p=1.5)
+    sol = solve_torsion(grid)
+    assert min(sol.tau[v] for v in grid.free_vertices) > 0.0
+    assert polya_quotient(grid, sol.tau) == pytest.approx(sol.rigidity, rel=1e-12)
+    for i in range(n):
+        for j in range(n):
+            t = sol.tau[f"g{i}_{j}"]
+            for mirror in (f"g{n - 1 - i}_{j}", f"g{i}_{n - 1 - j}", f"g{j}_{i}"):
+                assert sol.tau[mirror] == pytest.approx(t, rel=1e-12, abs=0.0)
+    rand = _random_expander(n=30, degree=4, n_dirichlet=2, seed=1, p=1.2)
+    sol = solve_torsion(rand)
+    assert sol.residual_inf > torsio.solver.default_tolerance(rand)  # stalled above tol
+    assert min(sol.tau[v] for v in rand.free_vertices) > 0.0
+    assert polya_quotient(rand, sol.tau) == pytest.approx(sol.rigidity, rel=1e-12)
+
+
+def test_uncertified_stop_fails_fast_and_typed(monkeypatch):
+    monkeypatch.setattr(torsio.solver, "_gs_sweeps", _no_polish)
+    with pytest.raises(NoConvergenceError, match="T_p in") as info:
+        solve_torsion(dirichlet_grid(10, p=1.5), SolverOptions(max_iterations=2))
+    assert np.isfinite(info.value.residual)
+    assert info.value.iterations > 0
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    p=st.floats(1.2, 8.0),
+    edges=st.lists(st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)), min_size=2, max_size=12),
+    size=st.floats(1e-8, 1e-2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rigidity_bracket_on_paths(p, edges, size, seed):
+    # path v0 - v1 - ... - vF with v0 Dirichlet; at least two free vertices,
+    # since with one the Polya quotient is exact for every u.  On a path the
+    # admissible flux is unique, so the Thomson side equals T_p up to the
+    # rounding of the p = 2 correction; far from tau that correction cancels
+    # primal fluxes many times larger than the admissible one (5e-9 below
+    # T_p at p = 8 and size 0.5), so perturbations stay in the near-solution
+    # range where the solver uses the bracket
+    masses, weights = zip(*edges)
+    ids = [f"v{k}" for k in range(len(edges) + 1)]
+    g = build_graph(
+        [("v0", 1.0, 0.0)] + [(v, mk, 0.0) for v, mk in zip(ids[1:], masses)],
+        [(a, b, wk) for a, b, wk in zip(ids, ids[1:], weights)],
+    )
+    spec = ProblemSpec(g, frozenset({"v0"}), p)
+    tau = path_torsion_values(masses, weights, p)
+    exact = float(np.dot(tau, masses)) ** (p - 1.0)
+    asm = torsio.solver._assemble(spec)
+    rhs = np.zeros(len(asm.ids))
+    rhs[asm.free] = asm.m[asm.free]
+    values = dict(zip(ids, [0.0, *tau]))
+    u = np.array([values[v] for v in asm.ids])
+    lower, upper = torsio.solver._rigidity_bracket(asm, p, rhs, u)
+    assert upper - lower <= 1e-13 * upper
+    u[asm.free] *= 1.0 + size * np.random.default_rng(seed).uniform(-1.0, 1.0, len(asm.free))
+    lower, upper = torsio.solver._rigidity_bracket(asm, p, rhs, u)
+    assert lower <= exact * (1.0 + 1e-13)
+    assert exact <= upper * (1.0 + 1e-13)
