@@ -101,7 +101,9 @@ class WeightedGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        # build_graph stores each edge once in either direction and has no
+        # self loops, so halving the adjacency size is exact
+        return sum(len(nbrs) for nbrs in self._adj.values()) // 2
 
     def total_measure(self, subset: Iterable[VertexId] | None = None) -> float:
         if subset is None:

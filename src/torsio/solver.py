@@ -10,7 +10,7 @@ potential is somewhere positive).  Three methods are available:
 * ``direct_p2``    exact symmetric positive definite solve (p = 2);
 * ``newton``       damped Newton on the full system with curvature
                    regularization and an Armijo line search on F_p, started
-                   from the p = 2 solution;
+                   from the p = 2 solution and continued in s = 1/(p-1);
 * ``gauss_seidel`` cyclic exact scalar solves per free vertex, each a
                    strictly monotone one-dimensional equation handled by
                    safeguarded Newton/bisection.
@@ -36,10 +36,18 @@ one p = 2 solve to divergence m, bounds it from above
 1e-12 relative.  Otherwise NoConvergenceError is raised at once, carrying
 the residual and the bracket.
 
-A caveat near p = 1: there the floor is about 0.16 at p = 1.05, and on
-instances whose solution has near-equal adjacent values the bracket stays
-wide too, so such solves raise; monotone instances such as paths converge
-across the whole supported window.
+The continuation toward p > 2 is path following: each intermediate leg
+takes one damped Newton (corrector) step, because the power transform of
+the next leg discards whatever accuracy a leg reaches, and only the final
+leg runs to tol.  Legs toward p < 2 are each run to 1e-6 * max|u|: with
+one step per leg there, the final leg inherits a worse start, takes more
+steps in all and fails more often near p = 1.
+
+A caveat near p = 1: there the floor is about 0.16 at p = 1.05, and the
+bracket often stays wide too, so such solves raise even on paths and
+stars.  Of 34 paths (11 lengths from 1 to 100 free vertices) and stars
+(6 sizes from 2 to 40 edges) with unit and degree masses, 22 raise at
+p = 1.05 and 14 at p = 1.1.
 """
 
 from __future__ import annotations
@@ -331,9 +339,13 @@ def _solve_newton(
     max_iter: int,
 ) -> tuple[np.ndarray, int, float]:
     """Newton driver.  Walks a continuation in the exponent s = 1/(p-1) from
-    the exact p = 2 solution to the target, transforming the iterate by the
-    matching elementwise power at each leg; this keeps every leg inside
-    Newton's fast local regime."""
+    the exact p = 2 solution to the target, changing s by a ratio in
+    [3/4, 4/3] per leg and transforming the iterate by the matching
+    elementwise power; this keeps every leg inside Newton's fast local
+    regime.  Toward p > 2 it follows the path with one corrector step per
+    intermediate leg; toward p < 2 each intermediate leg runs to
+    1e-6 * max|u|.  The final leg runs to tol, and a final leg that stops
+    above tol is judged on its rigidity bracket."""
     u = np.zeros(len(asm.ids))
     u[asm.free] = _linsolve(_laplacian(asm, asm.w, asm.c), rhs[asm.free])
     it = 0
@@ -346,8 +358,16 @@ def _solve_newton(
         u[asm.free] = phi_p(u[asm.free], 1.0 + ratio)
         final = abs(np.log(s_tgt / s_cur)) < 1e-12
         leg_p = 1.0 + 1.0 / s_cur
-        leg_tol = tol if final else 1e-6 * max(1.0, float(np.max(np.abs(u))))
-        u, leg_it, res = _newton_leg(asm, leg_p, rhs, u, leg_tol, cap)
+        if final:
+            leg_tol, leg_cap = tol, cap
+        elif p > 2.0:
+            # path following: the next power transform discards the leg's
+            # accuracy, so one corrector step is enough to keep the iterate
+            # in Newton's contraction region for the final leg
+            leg_tol, leg_cap = 0.0, min(cap, 1)
+        else:
+            leg_tol, leg_cap = 1e-6 * max(1.0, float(np.max(np.abs(u)))), cap
+        u, leg_it, res = _newton_leg(asm, leg_p, rhs, u, leg_tol, leg_cap)
         it += leg_it
         if final:
             break

@@ -43,6 +43,22 @@ def test_build_graph_merges_parallel_edges():
     assert g.edge_count == 1
 
 
+def test_edge_count_matches_edges_with_parallel_records():
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 30))
+        ids = [f"x{i}" for i in range(n)]
+        records = []
+        for _ in range(int(rng.integers(0, 3 * n))):
+            a, b = rng.choice(n, size=2, replace=False)
+            records.append((ids[a], ids[b], float(rng.uniform(0.5, 2.0))))
+        # parallel records in both orientations, merged by build_graph
+        records += [(b, a, w) for a, b, w in records[: len(records) // 3]]
+        g = build_graph([(v, 1.0, 0.0) for v in ids], records)
+        assert g.edge_count == len(g.edges)
+        assert g.edge_count == len({frozenset(r[:2]) for r in records})
+
+
 def test_build_graph_isolated_vertex():
     g = build_graph([("a", 1, 0)], [])
     assert g.vertex_count == 1

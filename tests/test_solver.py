@@ -26,7 +26,7 @@ from torsio import (
     rigidity_via_min,
     solve_torsion,
 )
-from torsio.closed_forms import PathSpecParams, path_torsion, path_torsion_values
+from torsio.closed_forms import PathSpecParams, path_torsion, path_torsion_values, star_torsion
 
 TIGHT = SolverOptions(tol=1e-12)
 
@@ -412,6 +412,20 @@ def test_uncertified_stop_fails_fast_and_typed(monkeypatch):
     assert info.value.iterations > 0
 
 
+def test_p_above_two_continuation_takes_one_corrector_step_per_leg():
+    # only the final leg runs to tol, so the count stays near the number of
+    # continuation legs (7 at p = 8, 11 at p = 20) plus a few final steps
+    for spec, budget in (
+        (dirichlet_grid(20, p=8.0), 16),
+        (_random_expander(p=8.0), 16),
+        (dirichlet_grid(20, p=20.0), 30),
+    ):
+        sol = solve_torsion(spec)
+        assert sol.iterations <= budget
+        assert sol.residual_inf <= torsio.solver.default_tolerance(spec)
+        assert polya_quotient(spec, sol.tau) == pytest.approx(sol.rigidity, rel=1e-12)
+
+
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(
     p=st.floats(1.2, 8.0),
@@ -447,3 +461,30 @@ def test_rigidity_bracket_on_paths(p, edges, size, seed):
     lower, upper = torsio.solver._rigidity_bracket(asm, p, rhs, u)
     assert lower <= exact * (1.0 + 1e-13)
     assert exact <= upper * (1.0 + 1e-13)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    star=st.booleans(),
+    p=st.floats(2.05, 20.0),
+    data=st.lists(st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)), min_size=1, max_size=40),
+)
+def test_closed_forms_above_two_with_random_masses_and_weights(star, p, data):
+    # F = len(data) free vertices; on a star the first weight is that of the
+    # Dirichlet edge v1 - v0 and the others those of the leaves v2..vF
+    masses, weights = zip(*data)
+    F = len(data)
+    ids = [f"v{k}" for k in range(F + 1)]
+    if star:
+        edges = [("v1", v, wk) for v, wk in zip(["v0", *ids[2:]], weights)]
+        exact = star_torsion(F, masses, weights, p)
+    else:
+        edges = [(a, b, wk) for a, b, wk in zip(ids, ids[1:], weights)]
+        exact = dict(zip(ids[1:], path_torsion_values(masses, weights, p)))
+    g = build_graph([("v0", 1.0, 0.0)] + [(v, mk, 0.0) for v, mk in zip(ids[1:], masses)], edges)
+    spec = ProblemSpec(g, frozenset({"v0"}), p)
+    sol = solve_torsion(spec)
+    for v in ids[1:]:
+        assert sol.tau[v] == pytest.approx(exact[v], rel=1e-9)
+    T = sum(exact[v] * mk for v, mk in zip(ids[1:], masses)) ** (p - 1.0)
+    assert sol.rigidity == pytest.approx(T, rel=1e-9)
