@@ -151,10 +151,6 @@ class _Ctx:
         return all(c == 0.0 for c in self.g.potential.values())
 
     @cached_property
-    def is_tree(self) -> bool:
-        return self.connected and self.g.edge_count == self.g.vertex_count - 1
-
-    @cached_property
     def is_path_end_dirichlet(self) -> bool:
         degs = [len(self.g.neighbors(v)) for v in self.g.vertices]
         if self.g.vertex_count < 2 or not self.connected:
@@ -198,8 +194,9 @@ class _Ctx:
         )
         records = []
         if self.spec.dirichlet:
-            m0 = sum(self.g.measure[v] for v in self.spec.dirichlet)
-            c0 = sum(self.g.potential[v] for v in self.spec.dirichlet) if keep_potential else 0.0
+            pinned = [v for v in self.g.vertices if v in self.spec.dirichlet]
+            m0 = sum(self.g.measure[v] for v in pinned)
+            c0 = sum(self.g.potential[v] for v in pinned) if keep_potential else 0.0
             records.append(("p0", m0, c0))
         for j, v in enumerate(free, start=1 if self.spec.dirichlet else 0):
             records.append((f"p{j}", self.g.measure[v], self.g.potential[v] if keep_potential else 0.0))
@@ -215,15 +212,11 @@ class _Ctx:
         """T_p of a path spec built by sorted_path_spec (vertices in path
         order); closed form when the potential vanishes, solver otherwise."""
         if all(c == 0.0 for c in spec.graph.potential.values()) and spec.dirichlet:
-            order = list(spec.graph.vertices)
-            free = [v for v in order if v not in spec.dirichlet]
+            free = spec.free_vertices
             params = PathSpecParams(
                 free_count=len(free),
                 masses=tuple(spec.graph.measure[v] for v in free),
-                weights=tuple(
-                    spec.graph.edge_weight(order[i], order[i + 1])
-                    for i in range(len(order) - 1)
-                ),
+                weights=tuple(spec.graph.w.tolist()),  # edges in path order
                 p=spec.p,
             )
             return path_rigidity(params)

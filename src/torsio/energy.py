@@ -1,9 +1,12 @@
 """Energy functional Q_p, torsion functional F_p and its gradient, and the
 Polya and Rayleigh quotients, all with Dirichlet restriction.
 
-Vertex functions are plain mappings id -> value defined on the whole vertex
-set; for specs with a Dirichlet set they must vanish there (enforced, not
-assumed).
+The energy and its gradient have one implementation, the array kernels
+``_qp`` (Q_p(u)) and ``_mlp`` (m * L_p u at every vertex) over the graph's
+arrays, with u a vector in vertex order.  The solver, ``spectral`` and the
+public functions below all call them.  The public functions take vertex
+functions as mappings id -> value on the whole vertex set; for specs with a
+Dirichlet set they must vanish there (enforced, not assumed).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .errors import (
     ZeroEnergyError,
     ZeroFunctionError,
 )
-from .graphs import ProblemSpec, VertexId
+from .graphs import ProblemSpec, VertexId, WeightedGraph
 
 VertexFunction = Mapping[VertexId, float]
 
@@ -27,6 +30,32 @@ VertexFunction = Mapping[VertexId, float]
 def phi_p(x, p: float):
     """sign(x) |x|^(p-1), the derivative of |x|^p / p; equals 0 at x = 0."""
     return np.sign(x) * np.abs(x) ** (p - 1.0)
+
+
+def _qp(g: WeightedGraph, p: float, u: np.ndarray) -> float:
+    """Q_p(u), with each undirected edge (ei, ej, w) counted once."""
+    d = u[g.ei] - u[g.ej]
+    val = float(np.sum(g.w * np.abs(d) ** p) / p)
+    val += float(np.sum(g.c * np.abs(u) ** p) / p)
+    return val
+
+
+def _mlp(g: WeightedGraph, p: float, u: np.ndarray) -> np.ndarray:
+    """m * L_p u, the gradient of Q_p, at every vertex."""
+    d = u[g.ei] - u[g.ej]
+    f = g.w * phi_p(d, p)
+    out = np.zeros(len(u))
+    np.add.at(out, g.ei, f)
+    np.add.at(out, g.ej, -f)
+    out += g.c * phi_p(u, p)
+    return out
+
+
+def _free(spec: ProblemSpec) -> np.ndarray:
+    """Indices of the free vertices, in vertex order."""
+    free = np.ones(spec.graph.vertex_count, dtype=bool)
+    free[[spec.graph.vertex_index(v) for v in spec.dirichlet]] = False
+    return np.flatnonzero(free)
 
 
 def check_vertex_function(spec: ProblemSpec, u: VertexFunction) -> None:
@@ -43,25 +72,21 @@ def check_vertex_function(spec: ProblemSpec, u: VertexFunction) -> None:
         raise DirichletViolationError(f"function must vanish on the Dirichlet set, is nonzero at {bad}")
 
 
-def energy_Qp(spec: ProblemSpec, u: VertexFunction) -> float:
-    """Q_p(u) = (1/2p) sum_{v,w} b(v,w) |u(v)-u(w)|^p + (1/p) sum_v c(v) |u(v)|^p.
-
-    The double sum runs over ordered pairs, so each undirected edge is
-    counted twice; the per-edge form below carries the resulting factor 2.
-    """
+def _values(spec: ProblemSpec, u: VertexFunction) -> tuple[np.ndarray, np.ndarray]:
+    """u, validated, as a vector in vertex order, and the free indices."""
     check_vertex_function(spec, u)
-    g = spec.graph
-    p = spec.p
-    grad = sum(b * abs(u[v] - u[w]) ** p for v, w, b in g.edges)
-    pot = sum(g.potential[v] * abs(u[v]) ** p for v in g.vertices)
-    return (2.0 * grad) / (2.0 * p) + pot / p
+    return np.array([u[v] for v in spec.graph.vertices], dtype=float), _free(spec)
+
+
+def energy_Qp(spec: ProblemSpec, u: VertexFunction) -> float:
+    """Q_p(u) = (1/2p) sum_{v,w} b(v,w) |u(v)-u(w)|^p + (1/p) sum_v c(v) |u(v)|^p."""
+    return _qp(spec.graph, spec.p, _values(spec, u)[0])
 
 
 def functional_Fp(spec: ProblemSpec, u: VertexFunction) -> float:
     """F_p(u) = Q_p(u) - sum over free vertices of u(v) m(v)."""
-    q = energy_Qp(spec, u)
-    m = spec.graph.measure
-    return q - sum(u[v] * m[v] for v in spec.free_vertices)
+    uv, free = _values(spec, u)
+    return _qp(spec.graph, spec.p, uv) - float(np.dot(uv[free], spec.graph.m[free]))
 
 
 def gradient_Fp(spec: ProblemSpec, u: VertexFunction) -> dict[VertexId, float]:
@@ -71,34 +96,21 @@ def gradient_Fp(spec: ProblemSpec, u: VertexFunction) -> dict[VertexId, float]:
 
     and 0 on the Dirichlet set.
     """
-    check_vertex_function(spec, u)
-    g = spec.graph
-    p = spec.p
-    out: dict[VertexId, float] = {}
-    for v in g.vertices:
-        if v in spec.dirichlet:
-            out[v] = 0.0
-            continue
-        acc = sum(b * float(phi_p(u[v] - u[w], p)) for w, b in g.neighbors(v))
-        acc += g.potential[v] * float(phi_p(u[v], p))
-        out[v] = acc - g.measure[v]
-    return out
-
-
-def _free_l1(spec: ProblemSpec, u: VertexFunction) -> float:
-    m = spec.graph.measure
-    return sum(abs(u[v]) * m[v] for v in spec.free_vertices)
+    uv, free = _values(spec, u)
+    grad = np.zeros(len(uv))
+    grad[free] = (_mlp(spec.graph, spec.p, uv) - spec.graph.m)[free]
+    return dict(zip(spec.graph.vertices, grad.tolist()))
 
 
 def polya_quotient(spec: ProblemSpec, u: VertexFunction) -> float:
     """(sum_{v free} |u(v)| m(v))^p / (p Q_p(u)); maximized by the torsion function."""
     if not spec.well_posed:
         raise IllPosedError("Polya quotient needs a Dirichlet vertex or a positive potential")
-    check_vertex_function(spec, u)
-    l1 = _free_l1(spec, u)
+    uv, free = _values(spec, u)
+    l1 = float(np.dot(np.abs(uv[free]), spec.graph.m[free]))
     if l1 == 0.0:
         raise ZeroFunctionError("function vanishes on all free vertices")
-    q = energy_Qp(spec, u)
+    q = _qp(spec.graph, spec.p, uv)
     if q == 0.0:
         raise ZeroEnergyError("function has zero energy; the quotient is undefined")
     return l1**spec.p / (spec.p * q)
@@ -108,9 +120,8 @@ def rayleigh_quotient(spec: ProblemSpec, u: VertexFunction) -> float:
     """p Q_p(u) / sum_{v free} |u(v)|^p m(v); its infimum is the bottom of the p-spectrum."""
     if not spec.well_posed:
         raise IllPosedError("Rayleigh quotient needs a Dirichlet vertex or a positive potential")
-    check_vertex_function(spec, u)
-    m = spec.graph.measure
-    lp = sum(abs(u[v]) ** spec.p * m[v] for v in spec.free_vertices)
+    uv, free = _values(spec, u)
+    lp = float(np.sum(np.abs(uv[free]) ** spec.p * spec.graph.m[free]))
     if lp == 0.0:
         raise ZeroFunctionError("function vanishes on all free vertices")
-    return spec.p * energy_Qp(spec, u) / lp
+    return spec.p * _qp(spec.graph, spec.p, uv) / lp

@@ -72,10 +72,7 @@ def q_distance(g: WeightedGraph, q: float, v: VertexId, w: VertexId) -> Distance
     Returns UNREACHABLE when v and w lie in different components.
     """
     q = _check_q(q)
-    if v not in g:
-        raise UnknownVertexError(f"unknown vertex {v!r}")
-    if w not in g:
-        raise UnknownVertexError(f"unknown vertex {w!r}")
+    g.vertex_index(v), g.vertex_index(w)  # raise for unknown vertices
     if v == w:
         return 0.0
     dist = _dijkstra(g, [v], q)
@@ -143,10 +140,8 @@ def min_cut_weight(g: WeightedGraph) -> float:
         return 0.0
 
     W = np.zeros((n, n))
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    for u, v, b in g.edges:
-        W[idx[u], idx[v]] = b
-        W[idx[v], idx[u]] = b
+    W[g.ei, g.ej] = g.w
+    W[g.ej, g.ei] = g.w
 
     active = list(range(n))
     members: list[set[int]] = [{i} for i in range(n)]
@@ -178,9 +173,9 @@ def min_cut_weight(g: WeightedGraph) -> float:
         active.remove(t)
     # re-sum the recorded bipartition in canonical edge order so the result
     # is bit-identical to direct enumeration
-    return float(
-        sum(b for u, v, b in g.edges if (idx[u] in best_side) != (idx[v] in best_side))
-    )
+    side = np.zeros(n, dtype=bool)
+    side[list(best_side)] = True
+    return float(sum(g.w[side[g.ei] != side[g.ej]].tolist()))
 
 
 @dataclass(frozen=True)

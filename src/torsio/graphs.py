@@ -2,17 +2,23 @@
 
 A graph is a finite vertex set with a positive vertex measure m, a
 nonnegative potential c and symmetric nonnegative edge weights b with
-b(v, v) = 0.  All values are immutable after construction; every operation
-here is a pure function returning a fresh graph or problem spec.
+b(v, v) = 0.  :func:`build_graph` validates the records and builds the
+graph's arrays once: m and c in vertex order, the edge list (ei, ej, w) and
+a CSR adjacency.  The solver, the spectral code and the energy kernels read
+those arrays; the id-based queries of :class:`WeightedGraph` are thin
+adapters over them.  All values are immutable after construction; every
+operation here is a pure function returning a fresh graph or problem spec.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 
 from .errors import (
     DirichletAttachmentError,
@@ -38,11 +44,16 @@ P_MAX = 20.0
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Finite weighted graph (V, m, b, c).
+    """Finite weighted graph (V, m, b, c), held as read-only arrays.
 
-    ``vertices`` fixes the internal indexing (input order); ``measure`` and
-    ``potential`` map every vertex to m(v) > 0 and c(v) >= 0; the adjacency
-    stores b symmetrically with absent pairs meaning b = 0.
+    ``vertices`` fixes the internal index of each vertex (input order); ``m``
+    and ``c`` are the measure and potential in that order.  The edges with
+    b > 0 are ``(ei[k], ej[k], w[k])``, ei < ej, sorted by (ei, ej), and
+    ``edges`` names them by id.  A CSR adjacency (``_indptr``, ``_nbr``,
+    ``_nbw``) backs ``neighbors(v)``, which lists v's neighbors in the order
+    their pair first appears in the edge records; its rows become (id, b)
+    tuples on the first id-based query.  Equality compares vertices,
+    measure, potential and edges, not the arrays behind them.
 
     Do not build instances directly: :func:`build_graph` enforces the
     invariants and merges parallel edge records.
@@ -51,12 +62,19 @@ class WeightedGraph:
     vertices: tuple[VertexId, ...]
     measure: Mapping[VertexId, float]
     potential: Mapping[VertexId, float]
-    _adj: Mapping[VertexId, Mapping[VertexId, float]] = field(repr=False)
-
-    # -- basic queries ---------------------------------------------------
+    edges: tuple[tuple[VertexId, VertexId, float], ...] = field(repr=False)
+    m: np.ndarray = field(repr=False, compare=False)
+    c: np.ndarray = field(repr=False, compare=False)
+    ei: np.ndarray = field(repr=False, compare=False)
+    ej: np.ndarray = field(repr=False, compare=False)
+    w: np.ndarray = field(repr=False, compare=False)
+    _indptr: np.ndarray = field(repr=False, compare=False)
+    _nbr: np.ndarray = field(repr=False, compare=False)
+    _nbw: np.ndarray = field(repr=False, compare=False)
+    _index: Mapping[VertexId, int] = field(repr=False, compare=False)
 
     def __contains__(self, v: VertexId) -> bool:
-        return v in self.measure
+        return v in self._index
 
     @property
     def vertex_count(self) -> int:
@@ -69,41 +87,23 @@ class WeightedGraph:
         except KeyError:
             raise UnknownVertexError(f"unknown vertex {v!r}") from None
 
-    @property
-    def _index(self) -> dict[VertexId, int]:
-        idx = self.__dict__.get("_index_cache")
-        if idx is None:
-            idx = {v: i for i, v in enumerate(self.vertices)}
-            object.__setattr__(self, "_index_cache", idx)
-        return idx
+    @cached_property
+    def _rows(self) -> tuple[tuple[tuple[VertexId, float], ...], ...]:
+        pairs = list(zip(map(self.vertices.__getitem__, self._nbr.tolist()), self._nbw.tolist()))
+        bounds = self._indptr.tolist()
+        return tuple(tuple(pairs[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
     def edge_weight(self, v: VertexId, w: VertexId) -> float:
-        if v not in self or w not in self:
-            raise UnknownVertexError(f"unknown vertex {v if v not in self else w!r}")
-        return self._adj[v].get(w, 0.0)
+        row = dict(self.neighbors(v))
+        self.vertex_index(w)  # raises for an unknown w
+        return row.get(w, 0.0)
 
     def neighbors(self, v: VertexId) -> tuple[tuple[VertexId, float], ...]:
-        if v not in self:
-            raise UnknownVertexError(f"unknown vertex {v!r}")
-        return tuple(self._adj[v].items())
-
-    @property
-    def edges(self) -> tuple[tuple[VertexId, VertexId, float], ...]:
-        """Undirected edges as (u, v, b) with u before v in input order."""
-        idx = self._index
-        out = []
-        for u, nbrs in self._adj.items():
-            for v, b in nbrs.items():
-                if idx[u] < idx[v]:
-                    out.append((u, v, b))
-        out.sort(key=lambda e: (idx[e[0]], idx[e[1]]))
-        return tuple(out)
+        return self._rows[self.vertex_index(v)]
 
     @property
     def edge_count(self) -> int:
-        # build_graph stores each edge once in either direction and has no
-        # self loops, so halving the adjacency size is exact
-        return sum(len(nbrs) for nbrs in self._adj.values()) // 2
+        return len(self.w)
 
     def total_measure(self, subset: Iterable[VertexId] | None = None) -> float:
         if subset is None:
@@ -112,17 +112,11 @@ class WeightedGraph:
 
     @property
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        seen = {self.vertices[0]}
-        queue = deque(seen)
-        while queue:
-            v = queue.popleft()
-            for w in self._adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == len(self.vertices)
+        n = self.vertex_count
+        adjacency = sp.csr_array((self._nbw, self._nbr, self._indptr), shape=(n, n))
+        # both directions of every edge are stored, so the strong components
+        # are the connected components
+        return csgraph.connected_components(adjacency, connection="strong")[0] <= 1
 
 
 def build_graph(
@@ -132,49 +126,69 @@ def build_graph(
     """Build a graph from (id, m, c) vertex records and (u, v, b) edge records.
 
     Parallel edge records between the same unordered pair are merged by
-    summing their weights.  Raises the named error for the first offending
-    record: duplicate ids, unknown endpoints, self loops, m <= 0, c < 0 or
-    b <= 0.
+    summing their weights in record order.  Raises the named error for the
+    first offending record: duplicate ids, unknown endpoints, self loops,
+    m <= 0, c < 0 or b <= 0 (vertex records are checked before edge
+    records, and values are converted to float before any check).
     """
-    vertices: list[VertexId] = []
-    measure: dict[VertexId, float] = {}
-    potential: dict[VertexId, float] = {}
-    for vid, m, c in vertex_records:
-        vid = str(vid)
-        if vid in measure:
+    vrec = [(str(v), float(m), float(c)) for v, m, c in vertex_records]
+    erec = [(str(u), str(v), float(b)) for u, v, b in edge_records]
+    vertices = tuple(r[0] for r in vrec)
+    n = len(vertices)
+    m, c = (np.array([r[k] for r in vrec], dtype=float) for k in (1, 2))
+    # the first record of each id; any later record of it is a duplicate
+    index = dict(zip(reversed(vertices), range(n - 1, -1, -1)))
+    dup = np.ones(n, dtype=bool)
+    dup[list(index.values())] = False
+    bad_m, bad_c = ~(m > 0.0) | ~np.isfinite(m), ~(c >= 0.0) | ~np.isfinite(c)
+    bad = np.flatnonzero(dup | bad_m | bad_c)
+    if len(bad):
+        k = bad[0]
+        vid, mk, ck = vrec[k]
+        if dup[k]:
             raise DuplicateVertexError(f"duplicate vertex record {vid!r}")
-        m = float(m)
-        c = float(c)
-        if not m > 0.0 or not np.isfinite(m):
-            raise NonpositiveMassError(f"vertex {vid!r} has m = {m}, needs m > 0")
-        if c < 0.0 or not np.isfinite(c):
-            raise NegativePotentialError(f"vertex {vid!r} has c = {c}, needs c >= 0")
-        vertices.append(vid)
-        measure[vid] = m
-        potential[vid] = c
+        if bad_m[k]:
+            raise NonpositiveMassError(f"vertex {vid!r} has m = {mk}, needs m > 0")
+        raise NegativePotentialError(f"vertex {vid!r} has c = {ck}, needs c >= 0")
 
-    adj: dict[VertexId, dict[VertexId, float]] = {v: {} for v in vertices}
-    for u, v, b in edge_records:
-        u, v = str(u), str(v)
-        if u not in measure:
+    ia = np.array([index.get(r[0], -1) for r in erec], dtype=int)
+    ib = np.array([index.get(r[1], -1) for r in erec], dtype=int)
+    wt = np.array([r[2] for r in erec], dtype=float)
+    bad_w = ~(wt > 0.0) | ~np.isfinite(wt)
+    bad = np.flatnonzero((ia < 0) | (ib < 0) | (ia == ib) | bad_w)
+    if len(bad):
+        k = bad[0]
+        u, v, bk = erec[k]
+        if ia[k] < 0:
             raise UnknownEndpointError(f"edge ({u!r}, {v!r}) references unknown vertex {u!r}")
-        if v not in measure:
+        if ib[k] < 0:
             raise UnknownEndpointError(f"edge ({u!r}, {v!r}) references unknown vertex {v!r}")
-        if u == v:
+        if ia[k] == ib[k]:
             raise SelfLoopError(f"edge ({u!r}, {v!r}) is a self loop")
-        b = float(b)
-        if not b > 0.0 or not np.isfinite(b):
-            raise NegativeWeightError(f"edge ({u!r}, {v!r}) has b = {b}, needs b > 0")
-        adj[u][v] = adj[u].get(v, 0.0) + b
-        adj[v][u] = adj[v].get(u, 0.0) + b
+        raise NegativeWeightError(f"edge ({u!r}, {v!r}) has b = {bk}, needs b > 0")
 
-    return WeightedGraph(tuple(vertices), measure, potential, adj)
+    lo, hi = np.minimum(ia, ib), np.maximum(ia, ib)
+    _, first, pair = np.unique(lo * n + hi, return_index=True, return_inverse=True)
+    # bincount adds the parallel records of a pair in record order
+    w = np.bincount(pair, weights=wt, minlength=len(first))
+    ei, ej = lo[first], hi[first]
+    src = np.concatenate((ei, ej))
+    order = np.lexsort((np.concatenate((first, first)), src))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+    nbr = np.concatenate((ej, ei))[order]
+    nbw = np.concatenate((w, w))[order]
+    for arr in (m, c, ei, ej, w, indptr, nbr, nbw):
+        arr.flags.writeable = False
+    ids = vertices.__getitem__
+    edges = tuple(zip(map(ids, ei.tolist()), map(ids, ej.tolist()), w.tolist()))
+    measure, potential = dict(zip(vertices, m.tolist())), dict(zip(vertices, c.tolist()))
+    return WeightedGraph(
+        vertices, measure, potential, edges, m, c, ei, ej, w, indptr, nbr, nbw, index
+    )
 
 
 def degree(g: WeightedGraph, v: VertexId) -> float:
     """deg(v) = sum of incident edge weights plus the potential c(v)."""
-    if v not in g:
-        raise UnknownVertexError(f"unknown vertex {v!r}")
     return float(sum(b for _, b in g.neighbors(v)) + g.potential[v])
 
 
@@ -269,22 +283,19 @@ def merge_dirichlet(spec: ProblemSpec) -> ProblemSpec:
         fresh = f"v0_{k}"
 
     free = spec.free_vertices
-    m0 = sum(g.measure[v] for v in spec.dirichlet)
-    c0 = sum(g.potential[v] for v in spec.dirichlet)
+    # summed in vertex order, so the result does not depend on set order
+    m0 = sum(g.measure[v] for v in g.vertices if v in spec.dirichlet)
+    c0 = sum(g.potential[v] for v in g.vertices if v in spec.dirichlet)
     vertex_records = [(fresh, m0, c0)]
     vertex_records += [(v, g.measure[v], g.potential[v]) for v in free]
 
-    edge_records: list[tuple[VertexId, VertexId, float]] = []
-    for u, v, b in g.edges:
-        u_d, v_d = u in spec.dirichlet, v in spec.dirichlet
-        if u_d and v_d:
-            continue
-        if u_d:
-            edge_records.append((fresh, v, b))
-        elif v_d:
-            edge_records.append((u, fresh, b))
-        else:
-            edge_records.append((u, v, b))
+    # edges keep their canonical order; their ends in V0 become the fresh vertex
+    to_fresh = dict.fromkeys(spec.dirichlet, fresh)
+    edge_records = [
+        (to_fresh.get(u, u), to_fresh.get(v, v), b)
+        for u, v, b in g.edges
+        if not (u in to_fresh and v in to_fresh)
+    ]
 
     merged = build_graph(vertex_records, edge_records)
     return ProblemSpec(merged, frozenset({fresh}), spec.p)
@@ -310,6 +321,7 @@ def weaken(
             raise WeightIncreasedError(f"conflicting weights for pair ({u!r}, {v!r})")
         new_edges[key] = float(b)
 
+    edge_records = []
     for key, b in new_edges.items():
         u, v = sorted(key, key=g.vertex_index)
         old = g.edge_weight(u, v)
@@ -317,24 +329,14 @@ def weaken(
             raise WeightIncreasedError(
                 f"pair ({u!r}, {v!r}): new weight {b} outside [0, {old}]"
             )
-
-    new_pot: dict[VertexId, float] = {}
-    for v in g.vertices:
-        c = float(c_new.get(v, 0.0))
-        if c < 0.0 or c > g.potential[v]:
-            raise WeightIncreasedError(
-                f"vertex {v!r}: new potential {c} outside [0, {g.potential[v]}]"
-            )
-        new_pot[v] = c
-
-    edge_records = []
-    for key, b in new_edges.items():
         if b > 0.0:
-            u, v = sorted(key, key=g.vertex_index)
             edge_records.append((u, v, b))
-    return build_graph(
-        [(v, g.measure[v], new_pot[v]) for v in g.vertices], edge_records
-    )
+
+    vertex_records = [(v, g.measure[v], float(c_new.get(v, 0.0))) for v in g.vertices]
+    for (v, _, c), old in zip(vertex_records, g.c.tolist()):
+        if c < 0.0 or c > old:
+            raise WeightIncreasedError(f"vertex {v!r}: new potential {c} outside [0, {old}]")
+    return build_graph(vertex_records, edge_records)
 
 
 def insert_graph(
@@ -379,19 +381,27 @@ def insert_graph(
 # -- generators ----------------------------------------------------------
 
 
-def _masses(ids: Sequence[VertexId], g_edges, m_mode, b_map):
-    """Resolve an m_mode ('unit', 'degree' or an explicit map) to a dict."""
+def _generated(n: int, ei, ej, b, m_mode, dirichlet, p: float) -> ProblemSpec:
+    """Spec on the vertices v0..v{n-1} with the edges (v_ei, v_ej, b) and the
+    Dirichlet set {v_k : k in dirichlet}.
+
+    ``m_mode`` is 'unit', 'degree' (weighted degree on the full graph) or an
+    explicit id -> mass map.
+    """
+    ids = [f"v{j}" for j in range(n)]
     if m_mode == "unit":
-        return {v: 1.0 for v in ids}
-    if m_mode == "degree":
-        deg = {v: 0.0 for v in ids}
-        for u, v, b in g_edges:
-            deg[u] += b
-            deg[v] += b
-        return deg
-    if isinstance(m_mode, Mapping):
-        return {v: float(m_mode[v]) for v in ids}
-    raise InvalidSizeError(f"unknown m_mode {m_mode!r}")
+        masses = [1.0] * n
+    elif m_mode == "degree":
+        # in every generator the edges listing a vertex second precede those
+        # listing it first, so this adds each degree up in edge order
+        masses = np.bincount(np.concatenate((ej, ei)), np.concatenate((b, b)), n).tolist()
+    elif isinstance(m_mode, Mapping):
+        masses = [float(m_mode[v]) for v in ids]
+    else:
+        raise InvalidSizeError(f"unknown m_mode {m_mode!r}")
+    edges = zip(map(ids.__getitem__, ei.tolist()), map(ids.__getitem__, ej.tolist()), b.tolist())
+    g = build_graph([(v, mv, 0.0) for v, mv in zip(ids, masses)], list(edges))
+    return ProblemSpec(g, frozenset(ids[k] for k in dirichlet), p)
 
 
 def make_path(F: int, m_mode="unit", b: float = 1.0, p: float = 2.0) -> ProblemSpec:
@@ -402,11 +412,7 @@ def make_path(F: int, m_mode="unit", b: float = 1.0, p: float = 2.0) -> ProblemS
     """
     if F < 1:
         raise InvalidSizeError(f"path needs F >= 1 free vertices, got {F}")
-    ids = [f"v{j}" for j in range(F + 1)]
-    edges = [(ids[j - 1], ids[j], float(b)) for j in range(1, F + 1)]
-    m = _masses(ids, edges, m_mode, None)
-    g = build_graph([(v, m[v], 0.0) for v in ids], edges)
-    return ProblemSpec(g, frozenset({ids[0]}), p)
+    return _generated(F + 1, np.arange(F), np.arange(1, F + 1), np.full(F, float(b)), m_mode, [0], p)
 
 
 def make_star(n: int, m_mode="unit", b: float = 1.0, p: float = 2.0) -> ProblemSpec:
@@ -417,23 +423,16 @@ def make_star(n: int, m_mode="unit", b: float = 1.0, p: float = 2.0) -> ProblemS
     """
     if n < 1:
         raise InvalidSizeError(f"star needs n >= 1 edges, got {n}")
-    ids = [f"v{j}" for j in range(n + 1)]
-    center = ids[1] if n >= 1 else ids[0]
-    edges = [(center, v, float(b)) for v in ids if v != center]
-    m = _masses(ids, edges, m_mode, None)
-    g = build_graph([(v, m[v], 0.0) for v in ids], edges)
-    return ProblemSpec(g, frozenset({ids[0]}), p)
+    leaves = np.r_[0, 2 : n + 1]
+    return _generated(n + 1, np.ones(n, dtype=int), leaves, np.full(n, float(b)), m_mode, [0], p)
 
 
 def make_complete(n: int, m_mode="unit", b: float = 1.0, p: float = 2.0) -> ProblemSpec:
     """Complete graph on n vertices with Dirichlet set {v0}."""
     if n < 2:
         raise InvalidSizeError(f"complete graph needs n >= 2 vertices, got {n}")
-    ids = [f"v{j}" for j in range(n)]
-    edges = [(ids[i], ids[j], float(b)) for i in range(n) for j in range(i + 1, n)]
-    m = _masses(ids, edges, m_mode, None)
-    g = build_graph([(v, m[v], 0.0) for v in ids], edges)
-    return ProblemSpec(g, frozenset({ids[0]}), p)
+    ei, ej = np.triu_indices(n, 1)
+    return _generated(n, ei, ej, np.full(len(ei), float(b)), m_mode, [0], p)
 
 
 def make_random_connected(
@@ -462,30 +461,15 @@ def make_random_connected(
         raise InvalidSizeError(f"dirichlet_count = {dirichlet_count} outside [0, {n})")
 
     rng = np.random.default_rng(seed)
-    ids = [f"v{j}" for j in range(n)]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pair_i, pair_j = np.triu_indices(n, 1)  # the pairs i < j in row-major order
     for _ in range(10000):
-        mask = rng.random(len(pairs)) < edge_prob
-        chosen = [pairs[k] for k in range(len(pairs)) if mask[k]]
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i, j in chosen:
-            parent[find(i)] = find(j)
-        if len({find(i) for i in range(n)}) == 1:
-            weights = rng.uniform(lo, hi, size=len(chosen))
-            edges = [
-                (ids[i], ids[j], float(w)) for (i, j), w in zip(chosen, weights)
-            ]
-            m = _masses(ids, edges, m_mode, None)
-            g = build_graph([(v, m[v], 0.0) for v in ids], edges)
+        mask = rng.random(len(pair_i)) < edge_prob
+        ei, ej = pair_i[mask], pair_j[mask]
+        adjacency = sp.coo_matrix((np.ones(len(ei)), (ei, ej)), shape=(n, n))
+        if csgraph.connected_components(adjacency, directed=False)[0] == 1:
+            b = rng.uniform(lo, hi, size=len(ei))
             d_idx = rng.choice(n, size=dirichlet_count, replace=False)
-            return ProblemSpec(g, frozenset(ids[int(i)] for i in d_idx), p)
+            return _generated(n, ei, ej, b, m_mode, d_idx.tolist(), p)
     raise InvalidSizeError(
         f"could not draw a connected graph with n = {n}, edge_prob = {edge_prob}"
     )

@@ -15,13 +15,15 @@ potential is somewhere positive).  Three methods are available:
                    strictly monotone one-dimensional equation handled by
                    safeguarded Newton/bisection.
 
-A problem is assembled once into arrays.  The p = 2 matrix, the Newton
-Hessian and the p = 2 eigenproblems of ``spectral`` are all one reweighted
-Laplacian on the free vertices (``_laplacian``): a dense array up to
-DENSE_LIMIT free vertices and a sparse CSC matrix above.  Each is symmetric
-positive definite and ``_linsolve`` factors it as such: LAPACK Cholesky on
-the dense side, SuperLU with a symmetric minimum-degree ordering and
-diagonal pivots (``_factor``) on the sparse side.
+A problem is assembled once: ``_assemble`` reads the graph's arrays and
+derives only the free vertices and the triplets of the Laplacian on them;
+objective and gradient are the array kernels of ``energy``.  The p = 2
+matrix, the Newton Hessian and the p = 2 eigenproblems of ``spectral`` are
+all one reweighted Laplacian on the free vertices (``_laplacian``): a dense
+array up to DENSE_LIMIT free vertices and a sparse CSC matrix above.  Each
+is symmetric positive definite and ``_linsolve`` factors it as such: LAPACK
+Cholesky on the dense side, SuperLU with a symmetric minimum-degree ordering
+and diagonal pivots (``_factor``) on the sparse side.
 
 Convergence is measured on the pointwise residual max_v |L_p u(v) - 1|
 (not on step sizes), because on finite graphs the weak and the pointwise
@@ -61,14 +63,14 @@ import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dposv
 
-from .energy import check_vertex_function, functional_Fp, phi_p
+from .energy import _free, _mlp, _qp, _values, functional_Fp, phi_p
 from .errors import (
     IllPosedError,
     NoConvergenceError,
     UnboundedComponentError,
     UnsupportedCombinationError,
 )
-from .graphs import ProblemSpec, VertexId
+from .graphs import ProblemSpec, VertexId, WeightedGraph
 
 _METHODS = ("auto", "gauss_seidel", "newton", "direct_p2")
 
@@ -81,9 +83,11 @@ class SolverOptions:
     """tol: absolute sup-norm target for the pointwise residual; None means
     1e-10 * max(1, max m).  A Newton solve that stalls above it is accepted
     when its Polya/Thomson bracket of T_p has relative width <= 1e-12.
-    max_iterations caps Newton steps or Gauss-Seidel sweeps.  method is one
-    of 'auto', 'gauss_seidel', 'newton', 'direct_p2'; 'auto' picks the exact
-    solve for p = 2 and Newton otherwise."""
+    max_iterations caps the Newton steps of a solve, summed over its
+    continuation legs (each leg takes at most 400), or its Gauss-Seidel
+    sweeps; for lambda0 it caps each inner Newton leg (again at most 400).
+    method is one of 'auto', 'gauss_seidel', 'newton', 'direct_p2'; 'auto'
+    picks the exact solve for p = 2 and Newton otherwise."""
 
     tol: float | None = None
     max_iterations: int = 1_000_000
@@ -109,14 +113,9 @@ class TorsionSolution:
 
 
 class _Assembled(NamedTuple):
-    ids: tuple[VertexId, ...]
-    m: np.ndarray
-    c: np.ndarray
+    g: WeightedGraph
     free: np.ndarray          # indices of free vertices, input order
     pos: np.ndarray           # vertex index -> position among free, -1 if Dirichlet
-    ei: np.ndarray
-    ej: np.ndarray
-    w: np.ndarray
     # the Laplacian on the free vertices as triplets: entry k adds
     # concat(w_e, -w_e, c_v)[lap_src[k]] at (lap_row[k], lap_col[k])
     lap_src: np.ndarray
@@ -126,26 +125,17 @@ class _Assembled(NamedTuple):
 
 def _assemble(spec: ProblemSpec) -> _Assembled:
     g = spec.graph
-    ids = g.vertices
-    n = len(ids)
-    idx = {v: i for i, v in enumerate(ids)}
-    m = np.array([g.measure[v] for v in ids])
-    c = np.array([g.potential[v] for v in ids])
-    free = np.array([i for i, v in enumerate(ids) if v not in spec.dirichlet], dtype=int)
-    pos = np.full(n, -1, dtype=int)
+    free = _free(spec)
+    pos = np.full(g.vertex_count, -1, dtype=int)
     pos[free] = np.arange(len(free))
-    edges = g.edges
-    ei = np.array([idx[u] for u, _, _ in edges], dtype=int)
-    ej = np.array([idx[v] for _, v, _ in edges], dtype=int)
-    w = np.array([b for _, _, b in edges])
-    ne = len(edges)
-    pa, pb = pos[ei], pos[ej]
+    ne = g.edge_count
+    pa, pb = pos[g.ei], pos[g.ej]
     ka, kb = np.flatnonzero(pa >= 0), np.flatnonzero(pb >= 0)
     kab = np.flatnonzero((pa >= 0) & (pb >= 0))
     lap_src = np.concatenate([ka, kb, ne + kab, ne + kab, 2 * ne + free])
     lap_row = np.concatenate([pa[ka], pb[kb], pa[kab], pb[kab], pos[free]])
     lap_col = np.concatenate([pa[ka], pb[kb], pb[kab], pa[kab], pos[free]])
-    return _Assembled(ids, m, c, free, pos, ei, ej, w, lap_src, lap_row, lap_col)
+    return _Assembled(g, free, pos, lap_src, lap_row, lap_col)
 
 
 def _check_bounded(spec: ProblemSpec, asm: _Assembled) -> None:
@@ -155,7 +145,7 @@ def _check_bounded(spec: ProblemSpec, asm: _Assembled) -> None:
     nf = len(asm.free)
     if nf == 0:
         raise IllPosedError("no free vertices to solve for")
-    pa, pb = asm.pos[asm.ei], asm.pos[asm.ej]
+    pa, pb = asm.pos[asm.g.ei], asm.pos[asm.g.ej]
     inner = (pa >= 0) & (pb >= 0)
     adjacency = sp.coo_matrix(
         (np.ones(int(inner.sum())), (pa[inner], pb[inner])), shape=(nf, nf)
@@ -164,38 +154,25 @@ def _check_bounded(spec: ProblemSpec, asm: _Assembled) -> None:
     anchored = np.zeros(ncomp, dtype=bool)
     anchored[label[pa[(pa >= 0) & (pb < 0)]]] = True
     anchored[label[pb[(pb >= 0) & (pa < 0)]]] = True
-    anchored[label[asm.c[asm.free] > 0.0]] = True
+    anchored[label[asm.g.c[asm.free] > 0.0]] = True
     # free positions follow vertex order, so the first position of each
     # component is its smallest-index vertex
     _, first = np.unique(label, return_index=True)
     loose = np.sort(first[~anchored])
     if len(loose):
-        names = [asm.ids[asm.free[k]] for k in loose]
+        names = [asm.g.vertices[asm.free[k]] for k in loose]
         raise UnboundedComponentError(
             f"free components at {names} have no Dirichlet link and no potential"
         )
 
 
 def _objective(asm: _Assembled, p: float, rhs: np.ndarray, u: np.ndarray) -> float:
-    d = u[asm.ei] - u[asm.ej]
-    val = float(np.sum(asm.w * np.abs(d) ** p) / p)
-    val += float(np.sum(asm.c * np.abs(u) ** p) / p)
-    return val - float(np.dot(rhs, u))
-
-
-def _grad_full(asm: _Assembled, p: float, rhs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    d = u[asm.ei] - u[asm.ej]
-    f = asm.w * phi_p(d, p)
-    g = np.zeros(len(u))
-    np.add.at(g, asm.ei, f)
-    np.add.at(g, asm.ej, -f)
-    g += asm.c * phi_p(u, p)
-    return g - rhs
+    return _qp(asm.g, p, u) - float(np.dot(rhs, u))
 
 
 def _residual_inf(asm: _Assembled, p: float, rhs: np.ndarray, u: np.ndarray) -> float:
-    g = _grad_full(asm, p, rhs, u)
-    return float(np.max(np.abs(g[asm.free]) / asm.m[asm.free]))
+    r = _mlp(asm.g, p, u) - rhs
+    return float(np.max(np.abs(r[asm.free]) / asm.g.m[asm.free]))
 
 
 def _laplacian(asm: _Assembled, w_e: np.ndarray, c_v: np.ndarray) -> np.ndarray | sp.csc_matrix:
@@ -250,7 +227,7 @@ def _curvature(asm: _Assembled, p: float, u: np.ndarray) -> tuple[np.ndarray, np
     direction for the exact F_p.
     """
     scale = max(1.0, float(np.max(np.abs(u))) if len(u) else 1.0)
-    d = u[asm.ei] - u[asm.ej]
+    d = u[asm.g.ei] - u[asm.g.ej]
     ad = np.abs(d)
     au = np.abs(u)
     if p >= 2.0:
@@ -263,7 +240,7 @@ def _curvature(asm: _Assembled, p: float, u: np.ndarray) -> tuple[np.ndarray, np
         floor = 64.0 * np.finfo(float).eps * scale
         we = np.maximum(ad, floor) ** (p - 2.0)
         wu = np.maximum(au, floor) ** (p - 2.0)
-    return asm.w * (p - 1.0) * we, asm.c * (p - 1.0) * wu
+    return asm.g.w * (p - 1.0) * we, asm.g.c * (p - 1.0) * wu
 
 
 def _newton_leg(
@@ -284,7 +261,7 @@ def _newton_leg(
     stale = 0
     while res > tol and it < cap:
         it += 1
-        g = _grad_full(asm, p, rhs, u)[asm.free]
+        g = (_mlp(asm.g, p, u) - rhs)[asm.free]
         ce, cc = _curvature(asm, p, u)
         H = _laplacian(asm, ce, cc)
         try:
@@ -345,11 +322,11 @@ def _solve_newton(
     regime.  Toward p > 2 it follows the path with one corrector step per
     intermediate leg; toward p < 2 each intermediate leg runs to
     1e-6 * max|u|.  The final leg runs to tol, and a final leg that stops
-    above tol is judged on its rigidity bracket."""
-    u = np.zeros(len(asm.ids))
-    u[asm.free] = _linsolve(_laplacian(asm, asm.w, asm.c), rhs[asm.free])
+    above tol is judged on its rigidity bracket.  max_iter caps the Newton
+    steps of all legs together."""
+    u = np.zeros(asm.g.vertex_count)
+    u[asm.free] = _linsolve(_laplacian(asm, asm.g.w, asm.g.c), rhs[asm.free])
     it = 0
-    cap = min(max_iter, 400)
     s_cur = 1.0
     s_tgt = 1.0 / (p - 1.0)
     while True:
@@ -358,6 +335,7 @@ def _solve_newton(
         u[asm.free] = phi_p(u[asm.free], 1.0 + ratio)
         final = abs(np.log(s_tgt / s_cur)) < 1e-12
         leg_p = 1.0 + 1.0 / s_cur
+        cap = min(400, max_iter - it)
         if final:
             leg_tol, leg_cap = tol, cap
         elif p > 2.0:
@@ -401,20 +379,20 @@ def _rigidity_bracket(
     the rounding of that correction, which grows with the distance of u
     from tau.
     """
-    d = u[asm.ei] - u[asm.ej]
-    energy = float(np.sum(asm.w * np.abs(d) ** p) + np.sum(asm.c * np.abs(u) ** p))
+    d = u[asm.g.ei] - u[asm.g.ej]
+    energy = float(np.sum(asm.g.w * np.abs(d) ** p) + np.sum(asm.g.c * np.abs(u) ** p))
     lower = float(np.dot(rhs, np.abs(u))) ** p / energy
     z = np.zeros(len(u))
     z[asm.free] = _linsolve(
-        _laplacian(asm, asm.w, asm.c), _grad_full(asm, p, rhs, u)[asm.free]
+        _laplacian(asm, asm.g.w, asm.g.c), (_mlp(asm.g, p, u) - rhs)[asm.free]
     )
-    j = asm.w * (phi_p(d, p) - (z[asm.ei] - z[asm.ej]))
-    k = asm.c * (phi_p(u, p) - z)
+    j = asm.g.w * (phi_p(d, p) - (z[asm.g.ei] - z[asm.g.ej]))
+    k = asm.g.c * (phi_p(u, p) - z)
     q = p / (p - 1.0)
-    loaded = asm.c > 0.0
+    loaded = asm.g.c > 0.0
     dual = float(
-        np.sum(asm.w ** (-1.0 / (p - 1.0)) * np.abs(j) ** q)
-        + np.sum(asm.c[loaded] ** (-1.0 / (p - 1.0)) * np.abs(k[loaded]) ** q)
+        np.sum(asm.g.w ** (-1.0 / (p - 1.0)) * np.abs(j) ** q)
+        + np.sum(asm.g.c[loaded] ** (-1.0 / (p - 1.0)) * np.abs(k[loaded]) ** q)
     )
     return lower, dual ** (p - 1.0)
 
@@ -497,23 +475,15 @@ def _gs_sweeps(
     """Cyclic exact scalar solves in ascending internal vertex order: the
     gauss_seidel method and the fallback of direct_p2.  Newton and inverse
     power never call it."""
-    n = len(asm.ids)
-    nbr_idx: list[list[int]] = [[] for _ in range(n)]
-    nbr_w: list[list[float]] = [[] for _ in range(n)]
-    for a, b, wt in zip(asm.ei, asm.ej, asm.w):
-        nbr_idx[a].append(int(b))
-        nbr_w[a].append(float(wt))
-        nbr_idx[b].append(int(a))
-        nbr_w[b].append(float(wt))
-    nbi = [np.array(ix, dtype=int) for ix in nbr_idx]
-    nbw = [np.array(ws) for ws in nbr_w]
+    cut = asm.g._indptr[1:-1]
+    nbi, nbw = np.split(asm.g._nbr, cut), np.split(asm.g._nbw, cut)
 
     res = _residual_inf(asm, p, rhs, u)
     sweeps = 0
     while res > tol and sweeps < max_sweeps:
         sweeps += 1
         for i in asm.free:
-            u[i] = _scalar_solve(u[nbi[i]], nbw[i], float(asm.c[i]), float(rhs[i]), float(u[i]), p)
+            u[i] = _scalar_solve(u[nbi[i]], nbw[i], float(asm.g.c[i]), float(rhs[i]), float(u[i]), p)
         res = _residual_inf(asm, p, rhs, u)
     return u, sweeps, res
 
@@ -535,8 +505,8 @@ def solve_torsion(spec: ProblemSpec, opts: SolverOptions | None = None) -> Torsi
     _check_bounded(spec, asm)
     p = spec.p
     tol = opts.tol if opts.tol is not None else default_tolerance(spec)
-    rhs = np.zeros(len(asm.ids))
-    rhs[asm.free] = asm.m[asm.free]
+    rhs = np.zeros(asm.g.vertex_count)
+    rhs[asm.free] = asm.g.m[asm.free]
 
     method = opts.method
     if method == "auto":
@@ -544,8 +514,8 @@ def solve_torsion(spec: ProblemSpec, opts: SolverOptions | None = None) -> Torsi
     if method == "direct_p2":
         if p != 2.0:
             raise UnsupportedCombinationError("direct_p2 requires p = 2")
-        u = np.zeros(len(asm.ids))
-        u[asm.free] = _linsolve(_laplacian(asm, asm.w, asm.c), rhs[asm.free])
+        u = np.zeros(asm.g.vertex_count)
+        u[asm.free] = _linsolve(_laplacian(asm, asm.g.w, asm.g.c), rhs[asm.free])
         iterations = 1
         res = _residual_inf(asm, p, rhs, u)
         if res > tol:
@@ -559,7 +529,7 @@ def solve_torsion(spec: ProblemSpec, opts: SolverOptions | None = None) -> Torsi
     elif method == "newton":
         u, iterations, res = _solve_newton(asm, p, rhs, tol, opts.max_iterations)
     else:
-        u = np.zeros(len(asm.ids))
+        u = np.zeros(asm.g.vertex_count)
         u, iterations, res = _gs_sweeps(asm, p, rhs, tol, opts.max_iterations, u)
         if res > tol:
             raise NoConvergenceError(
@@ -568,8 +538,8 @@ def solve_torsion(spec: ProblemSpec, opts: SolverOptions | None = None) -> Torsi
                 iterations=iterations,
                 residual=res,
             )
-    tau = {v: (0.0 if asm.pos[i] < 0 else float(u[i])) for i, v in enumerate(asm.ids)}
-    l1 = float(np.dot(np.abs(u[asm.free]), asm.m[asm.free]))
+    tau = {v: (0.0 if asm.pos[i] < 0 else float(u[i])) for i, v in enumerate(asm.g.vertices)}
+    l1 = float(np.dot(np.abs(u[asm.free]), asm.g.m[asm.free]))
     return TorsionSolution(
         tau=tau,
         rigidity=l1 ** (p - 1.0),
@@ -584,13 +554,10 @@ def pointwise_residual(spec: ProblemSpec, u: Mapping[VertexId, float]) -> dict[V
 
     L_p u(v) = (1/m(v)) [ sum_w b(v,w) phi_p(u(v)-u(w)) + c(v) phi_p(u(v)) ].
     """
-    check_vertex_function(spec, u)
-    asm = _assemble(spec)
-    uv = np.array([u[v] for v in asm.ids])
-    rhs = np.zeros(len(asm.ids))
-    rhs[asm.free] = asm.m[asm.free]
-    g = _grad_full(asm, spec.p, rhs, uv)
-    return {asm.ids[i]: float(g[i] / asm.m[i]) for i in asm.free}
+    g = spec.graph
+    uv, free = _values(spec, u)
+    res = (_mlp(g, spec.p, uv) - g.m)[free] / g.m[free]
+    return dict(zip([g.vertices[i] for i in free], res.tolist()))
 
 
 class BalanceResult(NamedTuple):

@@ -26,7 +26,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .energy import phi_p
+from .energy import _mlp, _qp, phi_p
 from .errors import DisconnectedError, NoConvergenceError
 from .graphs import ProblemSpec, VertexId, WeightedGraph
 from .solver import (
@@ -34,10 +34,8 @@ from .solver import (
     _assemble,
     _check_bounded,
     _factor,
-    _grad_full,
     _laplacian,
     _newton_leg,
-    _objective,
 )
 
 
@@ -59,26 +57,28 @@ class SpectralSolution:
 
 
 def _eigen_residual(asm, p: float, lam: float, u: np.ndarray) -> float:
-    zero = np.zeros(len(asm.ids))
-    op = _grad_full(asm, p, zero, u)  # m * L_p u on each vertex
-    res = op[asm.free] / asm.m[asm.free] - lam * phi_p(u[asm.free], p)
+    res = _mlp(asm.g, p, u)[asm.free] / asm.g.m[asm.free] - lam * phi_p(u[asm.free], p)
     return float(np.max(np.abs(res))) if len(res) else 0.0
 
 
 def _normalize(asm, p: float, u: np.ndarray) -> np.ndarray:
-    norm = float(np.sum(np.abs(u[asm.free]) ** p * asm.m[asm.free])) ** (1.0 / p)
+    norm = float(np.sum(np.abs(u[asm.free]) ** p * asm.g.m[asm.free])) ** (1.0 / p)
     return u / norm
 
 
 def _rayleigh(asm, p: float, u: np.ndarray) -> float:
-    q = _objective(asm, p, np.zeros(len(u)), u)  # Q_p(u)
-    lp = float(np.sum(np.abs(u[asm.free]) ** p * asm.m[asm.free]))
-    return p * q / lp
+    lp = float(np.sum(np.abs(u[asm.free]) ** p * asm.g.m[asm.free]))
+    return p * _qp(asm.g, p, u) / lp
+
+
+def _solution(asm, p: float, lam: float, u: np.ndarray, method: str, iterations: int):
+    ground_state = dict(zip(asm.g.vertices, u.tolist()))
+    return SpectralSolution(lam, ground_state, _eigen_residual(asm, p, lam, u), method, iterations)
 
 
 def _lambda0_p2(asm) -> tuple[float, np.ndarray, str]:
-    K = _laplacian(asm, asm.w, asm.c)
-    m_free = asm.m[asm.free]
+    K = _laplacian(asm, asm.g.w, asm.g.c)
+    m_free = asm.g.m[asm.free]
     if isinstance(K, np.ndarray):
         vals, vecs = scipy.linalg.eigh(K, np.diag(m_free))
         method = "dense_eigh"
@@ -115,29 +115,23 @@ def lambda0(
 
     if p == 2.0 and method == "auto":
         lam, vec, method = _lambda0_p2(asm)
-        u = np.zeros(len(asm.ids))
+        u = np.zeros(asm.g.vertex_count)
         u[asm.free] = vec
         u = _normalize(asm, p, u)
         lam = _rayleigh(asm, p, u)
-        return SpectralSolution(
-            lambda0=lam,
-            ground_state={v: float(u[i]) for i, v in enumerate(asm.ids)},
-            residual=_eigen_residual(asm, p, lam, u),
-            method=method,
-            iterations=1,
-        )
+        return _solution(asm, p, lam, u, method, 1)
 
     cap = min((opts or SolverOptions()).max_iterations, 400)
-    u = np.zeros(len(asm.ids))
+    u = np.zeros(asm.g.vertex_count)
     u[asm.free] = 1.0
     u = _normalize(asm, p, u)
     lam = _rayleigh(asm, p, u)
     gap = max(1e-6 * lam, 1e-12)
-    rhs = np.zeros(len(asm.ids))
+    rhs = np.zeros(asm.g.vertex_count)
     max_outer = 500
     for it in range(1, max_outer + 1):
         inner_tol = max(1e-12, 1e-2 * gap)
-        rhs[asm.free] = lam * phi_p(u[asm.free], p) * asm.m[asm.free]
+        rhs[asm.free] = lam * phi_p(u[asm.free], p) * asm.g.m[asm.free]
         # one Newton leg from the current iterate, best effort: any iterate
         # yields a valid Rayleigh value, and for p < 2 near-tied values put
         # the pointwise residual floor above tight tolerances; the outer gap
@@ -149,13 +143,7 @@ def lambda0(
         u = v
         lam = lam_new
         if gap <= 1e-10 * max(lam, 1e-30):
-            return SpectralSolution(
-                lambda0=lam,
-                ground_state={w: float(u[i]) for i, w in enumerate(asm.ids)},
-                residual=_eigen_residual(asm, p, lam, u),
-                method="inverse_power",
-                iterations=it,
-            )
+            return _solution(asm, p, lam, u, "inverse_power", it)
     raise NoConvergenceError(
         f"inverse power iteration did not settle within {max_outer} steps",
         iterations=max_outer,
@@ -171,9 +159,8 @@ def lambda1_p2(g: WeightedGraph) -> float:
     """
     if not g.is_connected:
         raise DisconnectedError("lambda1 needs a connected graph")
-    spec = ProblemSpec(g, frozenset(), 2.0)
-    asm = _assemble(spec)
-    K = _laplacian(asm, asm.w, asm.c)
+    asm = _assemble(ProblemSpec(g, frozenset(), 2.0))
+    K = _laplacian(asm, asm.g.w, asm.g.c)
     K = K if isinstance(K, np.ndarray) else K.toarray()
-    vals = scipy.linalg.eigh(K, np.diag(asm.m), eigvals_only=True, subset_by_index=(0, 1))
+    vals = scipy.linalg.eigh(K, np.diag(asm.g.m), eigvals_only=True, subset_by_index=(0, 1))
     return float(vals[1])

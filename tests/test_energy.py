@@ -1,5 +1,7 @@
 """Energy functional, torsion functional, gradient and the two quotients."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -186,3 +188,43 @@ def test_functional_is_convex_on_segments():
             fm = functional_Fp(spec, mid)
             avg = 0.5 * (functional_Fp(spec, u) + functional_Fp(spec, w))
             assert fm <= avg + 1e-10 * (1.0 + abs(avg))
+
+
+def _loop_oracle(spec, u):
+    """Q_p, the gradient of F_p (with the size of its terms) and both
+    quotients as plain loops over the edge and vertex dicts."""
+    g, p = spec.graph, spec.p
+    m, c = g.measure, g.potential
+    nbrs = {v: [] for v in g.vertices}
+    for a, b, w in g.edges:
+        nbrs[a].append((b, w))
+        nbrs[b].append((a, w))
+
+    def phi(x):
+        return math.copysign(abs(x) ** (p - 1.0), x)
+
+    q = sum(w * abs(u[a] - u[b]) ** p for a, b, w in g.edges) / p
+    q += sum(c[v] * abs(u[v]) ** p for v in g.vertices) / p
+    grad = {}
+    for v in g.vertices:
+        terms = [w * phi(u[v] - u[x]) for x, w in nbrs[v]] + [c[v] * phi(u[v]), -m[v]]
+        grad[v] = (0.0, 0.0) if v in spec.dirichlet else (sum(terms), sum(map(abs, terms)))
+    free = [v for v in g.vertices if v not in spec.dirichlet]
+    l1 = sum(abs(u[v]) * m[v] for v in free)
+    lp = sum(abs(u[v]) ** p * m[v] for v in free)
+    return q, grad, l1**p / (p * q), p * q / lp
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 8.0])
+def test_array_kernels_match_loop_oracle(p):
+    rng = np.random.default_rng(int(p * 10))
+    for seed in range(8):
+        spec = random_general_spec(seed, p=p, with_potential=True)
+        u = as_unit_function(spec, rng)
+        q, grad, polya, rayleigh = _loop_oracle(spec, u)
+        assert energy_Qp(spec, u) == pytest.approx(q, rel=1e-13)
+        assert polya_quotient(spec, u) == pytest.approx(polya, rel=1e-13)
+        assert rayleigh_quotient(spec, u) == pytest.approx(rayleigh, rel=1e-13)
+        got = gradient_Fp(spec, u)
+        for v, (value, size) in grad.items():
+            assert got[v] == pytest.approx(value, rel=1e-13, abs=1e-13 * size)

@@ -1,9 +1,13 @@
 """Graph model, surgery operations and generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from conftest import random_general_spec
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from torsio import (
     DirichletAttachmentError,
     DuplicateVertexError,
@@ -315,3 +319,95 @@ def test_random_generator_deterministic():
     assert a.dirichlet == b.dirichlet
     c = make_random_connected(8, 0.4, (0.5, 2.0), seed=8)
     assert a.graph.edges != c.graph.edges
+
+
+@pytest.mark.parametrize(
+    "n, edge_prob, seed, m_mode, dirichlet_count, digest",
+    [
+        (8, 0.5, 1, "unit", 1, "941ece3cec6426c6"),
+        (30, 0.15, 7, "degree", 3, "7cebfa7787d24856"),
+        (60, 0.08, 123, "degree", 5, "6f5cdcda0c904692"),
+        (200, 0.03, 2024, "unit", 2, "4773a7bc9e1e9718"),
+        (5, 1.0, 0, "degree", 0, "52dfd9745842c64e"),
+    ],
+)
+def test_random_generator_stream_is_pinned(n, edge_prob, seed, m_mode, dirichlet_count, digest):
+    # pinned digests: a seed must keep drawing the same edges, weights,
+    # masses and Dirichlet set
+    spec = make_random_connected(n, edge_prob, (0.5, 2.0), seed, m_mode, 2.0, dirichlet_count)
+    g = spec.graph
+    text = repr(g.edges) + repr(sorted(spec.dirichlet)) + repr([g.measure[v] for v in g.vertices])
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    n=st.integers(1, 12),
+    records=st.lists(
+        st.tuples(st.integers(0, 11), st.integers(0, 11), st.floats(0.1, 4.0), st.booleans()),
+        max_size=40,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_graph_queries_match_dict_of_dicts_reference(n, records, seed):
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(seed)
+    # vertex order differs from the order of the ids, and unused vertices
+    # stay isolated
+    ids = [f"u{k}" for k in rng.permutation(n)]
+    edge_records = []
+    for i, j, b, flip in records:
+        if i % n == j % n:
+            continue
+        edge_records.append((ids[i % n], ids[j % n], b))
+        if flip:  # a parallel record in the other orientation
+            edge_records.append((ids[j % n], ids[i % n], b / 3.0))
+    pot = {v: float(rng.uniform(0.0, 1.0)) for v in ids}
+    g = build_graph([(v, 1.0, pot[v]) for v in ids], edge_records)
+
+    adj = {v: {} for v in ids}
+    for u, v, b in edge_records:
+        adj[u][v] = adj[u].get(v, 0.0) + b
+        adj[v][u] = adj[v].get(u, 0.0) + b
+    idx = {v: k for k, v in enumerate(ids)}
+    ref_edges = sorted(
+        ((u, v, b) for u in ids for v, b in adj[u].items() if idx[u] < idx[v]),
+        key=lambda e: (idx[e[0]], idx[e[1]]),
+    )
+    assert g.edges == tuple(ref_edges)
+    assert g.edge_count == len(ref_edges)
+    for v in ids:
+        assert set(g.neighbors(v)) == set(adj[v].items())
+        # documented order: as the pair first appears in the edge records
+        assert list(g.neighbors(v)) == list(adj[v].items())
+        assert degree(g, v) == pytest.approx(sum(adj[v].values()) + pot[v], rel=1e-14)
+        for w in ids:
+            assert g.edge_weight(v, w) == adj[v].get(w, 0.0)
+    G = nx.Graph()
+    G.add_nodes_from(ids)
+    G.add_edges_from((u, v) for u, v, _ in edge_records)
+    assert g.is_connected == nx.is_connected(G)
+
+
+def test_graph_arrays_are_read_only_and_equality_follows_the_data():
+    g = random_general_spec(3, with_potential=True).graph
+    for arr in (g.m, g.c, g.ei, g.ej, g.w):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    records = [(v, g.measure[v], g.potential[v]) for v in g.vertices]
+    assert build_graph(records, list(g.edges)) == g
+    lighter = [(u, v, b * 0.5) for u, v, b in g.edges]
+    assert build_graph(records, lighter) != g
+
+
+def test_merge_dirichlet_sums_in_vertex_order():
+    # (0.1 + 0.2) + 0.3 differs from 0.1 + (0.2 + 0.3) in the last bit; the
+    # fresh vertex must not depend on the iteration order of the Dirichlet set
+    g = build_graph(
+        [("a", 0.1, 0.1), ("b", 0.2, 0.2), ("c", 0.3, 0.3), ("x", 1.0, 0.0)],
+        [("a", "x", 1.0), ("b", "x", 1.0), ("c", "x", 1.0)],
+    )
+    merged = merge_dirichlet(ProblemSpec(g, frozenset({"a", "b", "c"}), 2.0))
+    assert merged.graph.measure["v0"] == 0.1 + 0.2 + 0.3
+    assert merged.graph.potential["v0"] == 0.1 + 0.2 + 0.3

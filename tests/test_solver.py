@@ -209,14 +209,14 @@ def test_uniqueness_from_distinct_starts():
     ref = solve_torsion(spec, TIGHT)
     asm = _assemble(spec)
     rng = np.random.default_rng(0)
-    rhs = np.zeros(len(asm.ids))
-    rhs[asm.free] = asm.m[asm.free]
+    rhs = np.zeros(asm.g.vertex_count)
+    rhs[asm.free] = asm.g.m[asm.free]
     for _ in range(5):
-        u = np.zeros(len(asm.ids))
+        u = np.zeros(asm.g.vertex_count)
         u[asm.free] = rng.uniform(-3.0, 3.0, size=len(asm.free))
         u, _, res = _gs_sweeps(asm, spec.p, rhs, 1e-11, 100000, u)
         assert res <= 1e-11
-        for i, v in enumerate(asm.ids):
+        for i, v in enumerate(asm.g.vertices):
             assert u[i] == pytest.approx(ref.tau[v], abs=1e-8, rel=1e-8)
 
 
@@ -323,7 +323,7 @@ def test_laplacian_matches_networkx_on_both_sides_of_dense_limit():
     grid = dirichlet_grid(25)  # 529 free vertices
     for spec, dense in ((small, True), (grid, False)):
         asm = torsio.solver._assemble(spec)
-        K = torsio.solver._laplacian(asm, asm.w, asm.c)
+        K = torsio.solver._laplacian(asm, asm.g.w, asm.g.c)
         assert isinstance(K, np.ndarray) is dense
         K = K if dense else K.toarray()
         np.testing.assert_allclose(K, _free_laplacian_reference(spec), rtol=0, atol=1e-14)
@@ -451,10 +451,10 @@ def test_rigidity_bracket_on_paths(p, edges, size, seed):
     tau = path_torsion_values(masses, weights, p)
     exact = float(np.dot(tau, masses)) ** (p - 1.0)
     asm = torsio.solver._assemble(spec)
-    rhs = np.zeros(len(asm.ids))
-    rhs[asm.free] = asm.m[asm.free]
+    rhs = np.zeros(asm.g.vertex_count)
+    rhs[asm.free] = asm.g.m[asm.free]
     values = dict(zip(ids, [0.0, *tau]))
-    u = np.array([values[v] for v in asm.ids])
+    u = np.array([values[v] for v in asm.g.vertices])
     lower, upper = torsio.solver._rigidity_bracket(asm, p, rhs, u)
     assert upper - lower <= 1e-13 * upper
     u[asm.free] *= 1.0 + size * np.random.default_rng(seed).uniform(-1.0, 1.0, len(asm.free))
@@ -488,3 +488,11 @@ def test_closed_forms_above_two_with_random_masses_and_weights(star, p, data):
         assert sol.tau[v] == pytest.approx(exact[v], rel=1e-9)
     T = sum(exact[v] * mk for v, mk in zip(ids[1:], masses)) ** (p - 1.0)
     assert sol.rigidity == pytest.approx(T, rel=1e-9)
+
+
+@pytest.mark.parametrize("p", [1.5, 8.0])
+def test_max_iterations_caps_the_whole_newton_solve(p):
+    # the budget is shared by all continuation legs, not granted to each
+    with pytest.raises(NoConvergenceError) as info:
+        solve_torsion(dirichlet_grid(20, p=p), SolverOptions(max_iterations=3))
+    assert info.value.iterations <= 3
