@@ -310,12 +310,15 @@ def weaken(
 
     Both maps are total replacements: pairs or vertices absent from them get
     0.  Requires 0 <= b_new <= b and 0 <= c_new <= c pointwise on the same
-    vertex set; a violating pair raises WeightIncreasedError naming it.
+    vertex set; a violating pair raises WeightIncreasedError naming it, a
+    pair (v, v) SelfLoopError and an unknown vertex UnknownVertexError.
     """
     new_edges: dict[frozenset[VertexId], float] = {}
     for (u, v), b in b_new.items():
         if u not in g or v not in g:
             raise UnknownVertexError(f"unknown vertex in pair ({u!r}, {v!r})")
+        if u == v:
+            raise SelfLoopError(f"pair ({u!r}, {v!r}) is a self loop")
         key = frozenset((u, v))
         if key in new_edges and new_edges[key] != float(b):
             raise WeightIncreasedError(f"conflicting weights for pair ({u!r}, {v!r})")
@@ -332,6 +335,9 @@ def weaken(
         if b > 0.0:
             edge_records.append((u, v, b))
 
+    for v in c_new:
+        if v not in g:
+            raise UnknownVertexError(f"unknown vertex {v!r} in the new potential")
     vertex_records = [(v, g.measure[v], float(c_new.get(v, 0.0))) for v in g.vertices]
     for (v, _, c), old in zip(vertex_records, g.c.tolist()):
         if c < 0.0 or c > old:

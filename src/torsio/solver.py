@@ -7,7 +7,9 @@ The torsion function is the unique minimizer of
 over functions vanishing on the Dirichlet set (over all functions when the
 potential is somewhere positive).  Three methods are available:
 
-* ``direct_p2``    exact symmetric positive definite solve (p = 2);
+* ``direct_p2``    one symmetric positive definite solve (p = 2): a
+                   factor, or Jacobi-PCG on the Krylov side (below); a
+                   result above tol is judged on its rigidity bracket;
 * ``newton``       damped Newton on the full system with curvature
                    regularization and an Armijo line search on F_p, started
                    from the p = 2 solution and continued in s = 1/(p-1);
@@ -25,6 +27,19 @@ is symmetric positive definite and ``_linsolve`` factors it as such: LAPACK
 Cholesky on the dense side, SuperLU with a symmetric minimum-degree ordering
 and diagonal pivots (``_factor``) on the sparse side.
 
+The fill of a sparse factor follows the size of the graph's separators
+(nested dissection), so grids, paths and trees factor cheaply while on
+expanders L+U fills in (1.15e6 nonzeros for the 2.1e4 of a random
+3000-vertex graph of degree 6).  So ``_assemble`` decides once, from the
+graph, whether a sparse-side problem is on the Krylov side: at least
+KRYLOV_EDGE_RATIO edges between free vertices per free vertex, and one
+unweighted search from the first free vertex reaching them all within
+KRYLOV_HOPS * log2(free vertices) hops.  There the p = 2 solves (direct_p2,
+the start of Newton, the shift-invert of ``spectral``) run Jacobi-PCG
+(``_p2_solve``), which takes 40-135 steps on such graphs and factors only if
+PCG_MAX_ITERATIONS run out.  Newton Hessians and the rigidity bracket, whose
+corrected flux must be admissible to rounding, always factor.
+
 Convergence is measured on the pointwise residual max_v |L_p u(v) - 1|
 (not on step sizes), because on finite graphs the weak and the pointwise
 formulations coincide.  For p < 2 that residual has a rounding floor near
@@ -36,7 +51,9 @@ iterate bounds T_p from below, the Thomson energy of its flux, corrected by
 one p = 2 solve to divergence m, bounds it from above
 (``_rigidity_bracket``), and the iterate is accepted when the two agree to
 1e-12 relative.  Otherwise NoConvergenceError is raised at once, carrying
-the residual and the bracket.
+the residual and the bracket.  A p = 2 solve is judged the same way: its
+residual has the rounding floor eps * ||L|| * ||tau||, above the default tol
+on long paths (2.3e-10 for a path of 2000 free vertices).
 
 The continuation toward p > 2 is path following: each intermediate leg
 takes one damped Newton (corrector) step, because the power transform of
@@ -76,6 +93,12 @@ _METHODS = ("auto", "gauss_seidel", "newton", "direct_p2")
 
 # free vertices up to which the Laplacian is a dense array; sparse above
 DENSE_LIMIT = 500
+# the Krylov-side test (module docstring): inner edges per free vertex, and
+# hops from the first free vertex in units of log2(free vertices)
+KRYLOV_EDGE_RATIO = 1.25
+KRYLOV_HOPS = 4.0
+# PCG steps after which _p2_solve gives up and factors instead
+PCG_MAX_ITERATIONS = 1000
 
 
 @dataclass(frozen=True)
@@ -87,7 +110,7 @@ class SolverOptions:
     continuation legs (each leg takes at most 400), or its Gauss-Seidel
     sweeps; for lambda0 it caps each inner Newton leg (again at most 400).
     method is one of 'auto', 'gauss_seidel', 'newton', 'direct_p2'; 'auto'
-    picks the exact solve for p = 2 and Newton otherwise."""
+    picks direct_p2 for p = 2 and Newton otherwise."""
 
     tol: float | None = None
     max_iterations: int = 1_000_000
@@ -102,8 +125,8 @@ class SolverOptions:
 class TorsionSolution:
     """tau: the torsion function (zero on the Dirichlet set); rigidity is
     (sum of tau * m over free vertices)^(p-1); residual_inf is the final
-    max_v |L_p tau(v) - 1|, above tol only for a Newton solve accepted on
-    its rigidity bracket."""
+    max_v |L_p tau(v) - 1|, above tol only for a direct_p2 or Newton solve
+    accepted on its rigidity bracket."""
 
     tau: dict[VertexId, float]
     rigidity: float
@@ -121,6 +144,29 @@ class _Assembled(NamedTuple):
     lap_src: np.ndarray
     lap_row: np.ndarray
     lap_col: np.ndarray
+    krylov: bool              # p = 2 solves run _p2_solve, not a factor
+
+
+def _inner_adjacency(nf: int, pa: np.ndarray, pb: np.ndarray) -> sp.csr_matrix:
+    """One entry per edge between free vertices, at the free positions pa,
+    pb of its ends (-1 marks a Dirichlet end)."""
+    inner = (pa >= 0) & (pb >= 0)
+    return sp.csr_matrix((np.ones(int(inner.sum())), (pa[inner], pb[inner])), shape=(nf, nf))
+
+
+def _on_krylov_side(nf: int, pa: np.ndarray, pb: np.ndarray) -> bool:
+    """The Krylov-side test of KRYLOV_EDGE_RATIO and KRYLOV_HOPS."""
+    if nf <= DENSE_LIMIT:
+        return False
+    adjacency = _inner_adjacency(nf, pa, pb)
+    if adjacency.nnz < KRYLOV_EDGE_RATIO * nf:
+        return False
+    # one unweighted search from the first free vertex, cut at the hop limit
+    hops = csgraph.dijkstra(
+        adjacency, directed=False, indices=0, unweighted=True,
+        limit=KRYLOV_HOPS * np.log2(nf),
+    )
+    return bool(np.isfinite(hops).all())
 
 
 def _assemble(spec: ProblemSpec) -> _Assembled:
@@ -135,7 +181,9 @@ def _assemble(spec: ProblemSpec) -> _Assembled:
     lap_src = np.concatenate([ka, kb, ne + kab, ne + kab, 2 * ne + free])
     lap_row = np.concatenate([pa[ka], pb[kb], pa[kab], pb[kab], pos[free]])
     lap_col = np.concatenate([pa[ka], pb[kb], pb[kab], pa[kab], pos[free]])
-    return _Assembled(g, free, pos, lap_src, lap_row, lap_col)
+    return _Assembled(
+        g, free, pos, lap_src, lap_row, lap_col, _on_krylov_side(len(free), pa, pb)
+    )
 
 
 def _check_bounded(spec: ProblemSpec, asm: _Assembled) -> None:
@@ -146,11 +194,7 @@ def _check_bounded(spec: ProblemSpec, asm: _Assembled) -> None:
     if nf == 0:
         raise IllPosedError("no free vertices to solve for")
     pa, pb = asm.pos[asm.g.ei], asm.pos[asm.g.ej]
-    inner = (pa >= 0) & (pb >= 0)
-    adjacency = sp.coo_matrix(
-        (np.ones(int(inner.sum())), (pa[inner], pb[inner])), shape=(nf, nf)
-    )
-    ncomp, label = csgraph.connected_components(adjacency, directed=False)
+    ncomp, label = csgraph.connected_components(_inner_adjacency(nf, pa, pb), directed=False)
     anchored = np.zeros(ncomp, dtype=bool)
     anchored[label[pa[(pa >= 0) & (pb < 0)]]] = True
     anchored[label[pb[(pb >= 0) & (pa < 0)]]] = True
@@ -214,6 +258,50 @@ def _linsolve(A: np.ndarray | sp.csc_matrix, b: np.ndarray) -> np.ndarray:
     if info != 0:  # not numerically positive definite: general LU
         return np.linalg.solve(A, b)
     return x
+
+
+def _p2_solve(asm: _Assembled, K: sp.csc_matrix, b: np.ndarray, target: float) -> np.ndarray:
+    """Solve K x = b for the sparse p = 2 matrix K of a Krylov-side problem
+    by Jacobi-preconditioned conjugate gradients, to max|b - K x| / m <=
+    target over the free vertices.
+
+    When the recursive residual meets the target, the true residual is
+    computed; if the recursion drifted from it, CG restarts from the true
+    residual (residual replacement).  After PCG_MAX_ITERATIONS steps K is
+    factored instead."""
+    m = asm.g.m[asm.free]
+    inv_diag = 1.0 / K.diagonal()
+    x = np.zeros(len(b))
+    r = b.copy()
+    d = None
+    for _ in range(PCG_MAX_ITERATIONS):
+        if np.max(np.abs(r) / m) <= target:
+            r = b - K @ x
+            if np.max(np.abs(r) / m) <= target:
+                return x
+            d = None
+        z = inv_diag * r
+        rz_new = float(np.dot(r, z))
+        d = z if d is None else z + (rz_new / rz) * d
+        rz = rz_new
+        q = K @ d
+        alpha = rz / float(np.dot(d, q))
+        x += alpha * d
+        r -= alpha * q
+    return _factor(K).solve(b)
+
+
+def _torsion_p2(asm: _Assembled, rhs: np.ndarray, tol: float) -> np.ndarray:
+    """The p = 2 solution of L u = rhs on the free vertices (zero on the
+    Dirichlet set): PCG to residual tol on the Krylov side, a factor
+    otherwise."""
+    K = _laplacian(asm, asm.g.w, asm.g.c)
+    u = np.zeros(asm.g.vertex_count)
+    if asm.krylov:
+        u[asm.free] = _p2_solve(asm, K, rhs[asm.free], tol)
+    else:
+        u[asm.free] = _linsolve(K, rhs[asm.free])
+    return u
 
 
 def _curvature(asm: _Assembled, p: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -316,7 +404,7 @@ def _solve_newton(
     max_iter: int,
 ) -> tuple[np.ndarray, int, float]:
     """Newton driver.  Walks a continuation in the exponent s = 1/(p-1) from
-    the exact p = 2 solution to the target, changing s by a ratio in
+    the p = 2 solution to the target, changing s by a ratio in
     [3/4, 4/3] per leg and transforming the iterate by the matching
     elementwise power; this keeps every leg inside Newton's fast local
     regime.  Toward p > 2 it follows the path with one corrector step per
@@ -324,8 +412,7 @@ def _solve_newton(
     1e-6 * max|u|.  The final leg runs to tol, and a final leg that stops
     above tol is judged on its rigidity bracket.  max_iter caps the Newton
     steps of all legs together."""
-    u = np.zeros(asm.g.vertex_count)
-    u[asm.free] = _linsolve(_laplacian(asm, asm.g.w, asm.g.c), rhs[asm.free])
+    u = _torsion_p2(asm, rhs, tol)
     it = 0
     s_cur = 1.0
     s_tgt = 1.0 / (p - 1.0)
@@ -350,17 +437,26 @@ def _solve_newton(
         if final:
             break
     if res > tol:
-        # for p < 2 the residual has a rounding floor; accept the iterate
-        # when the Polya/Thomson bracket pins T_p down instead
-        lower, upper = _rigidity_bracket(asm, p, rhs, u)
-        if not upper - lower <= 1e-12 * upper:
-            raise NoConvergenceError(
-                f"Newton stopped at residual {res:.3e} > tol {tol:.3e} with "
-                f"T_p in [{lower:.17g}, {upper:.17g}]",
-                iterations=it,
-                residual=res,
-            )
+        _certify(asm, p, rhs, u, "Newton", it, res, tol)
     return u, it, res
+
+
+def _certify(
+    asm: _Assembled, p: float, rhs: np.ndarray, u: np.ndarray,
+    what: str, iterations: int, res: float, tol: float,
+) -> None:
+    """Accept an iterate that stopped at residual res > tol when its
+    Polya/Thomson bracket pins T_p down to 1e-12 relative; the residual has
+    a rounding floor (for p < 2, and at p = 2 for large tau).  Otherwise
+    raise NoConvergenceError at once."""
+    lower, upper = _rigidity_bracket(asm, p, rhs, u)
+    if not upper - lower <= 1e-12 * upper:
+        raise NoConvergenceError(
+            f"{what} stopped at residual {res:.3e} > tol {tol:.3e} with "
+            f"T_p in [{lower:.17g}, {upper:.17g}]",
+            iterations=iterations,
+            residual=res,
+        )
 
 
 def _rigidity_bracket(
@@ -473,8 +569,7 @@ def _gs_sweeps(
     u: np.ndarray,
 ) -> tuple[np.ndarray, int, float]:
     """Cyclic exact scalar solves in ascending internal vertex order: the
-    gauss_seidel method and the fallback of direct_p2.  Newton and inverse
-    power never call it."""
+    gauss_seidel method.  No other method calls it."""
     cut = asm.g._indptr[1:-1]
     nbi, nbw = np.split(asm.g._nbr, cut), np.split(asm.g._nbw, cut)
 
@@ -514,18 +609,11 @@ def solve_torsion(spec: ProblemSpec, opts: SolverOptions | None = None) -> Torsi
     if method == "direct_p2":
         if p != 2.0:
             raise UnsupportedCombinationError("direct_p2 requires p = 2")
-        u = np.zeros(asm.g.vertex_count)
-        u[asm.free] = _linsolve(_laplacian(asm, asm.g.w, asm.g.c), rhs[asm.free])
+        u = _torsion_p2(asm, rhs, tol)
         iterations = 1
         res = _residual_inf(asm, p, rhs, u)
         if res > tol:
-            u, sweeps, res = _gs_sweeps(asm, p, rhs, tol, opts.max_iterations, u)
-            if res > tol:
-                raise NoConvergenceError(
-                    f"direct solve residual {res:.3e} > tol {tol:.3e}",
-                    iterations=1 + sweeps,
-                    residual=res,
-                )
+            _certify(asm, p, rhs, u, "direct solve", iterations, res, tol)
     elif method == "newton":
         u, iterations, res = _solve_newton(asm, p, rhs, tol, opts.max_iterations)
     else:

@@ -6,8 +6,11 @@ K phi = lambda M phi with K the weighted Laplacian plus potential restricted
 to the free vertices (the solver's ``_laplacian``) and M = diag(m); it is
 solved exactly by a dense symmetric eigensolver up to the solver's
 DENSE_LIMIT free vertices and by shift-invert Lanczos, from a fixed positive
-start vector, above; Lanczos inverts K through the solver's sparse
-symmetric factor (``_factor``), the one its Newton steps use.
+start vector, above.  Lanczos inverts K as the solver's p = 2 solve does:
+on the Krylov side (graphs without small separators) by Jacobi-PCG
+(``_p2_solve``) to a residual of 1e-11 * max|b/m| for each right-hand side
+b, which keeps lambda0 within 1e-12 of a dense eigensolve; otherwise by the
+solver's sparse symmetric factor (``_factor``), computed once.
 
 For p != 2 a nonlinear inverse power iteration is used on the problem
 assembled and checked once: each step runs one damped Newton leg on
@@ -36,6 +39,7 @@ from .solver import (
     _factor,
     _laplacian,
     _newton_leg,
+    _p2_solve,
 )
 
 
@@ -87,7 +91,12 @@ def _lambda0_p2(asm) -> tuple[float, np.ndarray, str]:
         # orthogonal to it, and repeated calls give identical results
         M = sp.diags(m_free).tocsc()
         start = np.ones(len(m_free))
-        inv_K = spla.LinearOperator(K.shape, matvec=_factor(K).solve, dtype=float)
+        if asm.krylov:
+            def solve(b: np.ndarray) -> np.ndarray:
+                return _p2_solve(asm, K, b, 1e-11 * float(np.max(np.abs(b) / m_free)))
+        else:
+            solve = _factor(K).solve
+        inv_K = spla.LinearOperator(K.shape, matvec=solve, dtype=float)
         vals, vecs = spla.eigsh(K, k=1, M=M, sigma=0.0, which="LM", v0=start, OPinv=inv_K)
         method = "lanczos"
     lam = float(vals[0])

@@ -22,6 +22,7 @@ from torsio import (
     SelfLoopError,
     SolverOptions,
     UnknownEndpointError,
+    UnknownVertexError,
     WeightIncreasedError,
     build_graph,
     degree,
@@ -229,6 +230,18 @@ def test_weaken_rejects_increase():
     g2 = build_graph([("a", 1, 0.5), ("b", 1, 0)], [("a", "b", 1)])
     with pytest.raises(WeightIncreasedError):
         weaken(g2, {("a", "b"): 1.0}, {"a": 0.7})
+
+
+def test_weaken_rejects_a_self_pair():
+    g = build_graph([("a", 1, 0), ("b", 1, 0)], [("a", "b", 1)])
+    with pytest.raises(SelfLoopError):
+        weaken(g, {("a", "a"): 1.0}, {})
+
+
+def test_weaken_rejects_an_unknown_potential_vertex():
+    g = build_graph([("a", 1, 0), ("b", 1, 0)], [("a", "b", 1)])
+    with pytest.raises(UnknownVertexError):
+        weaken(g, {("a", "b"): 1.0}, {"zz": 0.0})
 
 
 def test_weaken_never_decreases_rigidity():

@@ -7,6 +7,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 import torsio.solver
+import torsio.spectral
 from conftest import dirichlet_grid, random_general_spec
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +27,13 @@ from torsio import (
     rigidity_via_min,
     solve_torsion,
 )
-from torsio.closed_forms import PathSpecParams, path_torsion, path_torsion_values, star_torsion
+from torsio.closed_forms import (
+    PathSpecParams,
+    path_rigidity,
+    path_torsion,
+    path_torsion_values,
+    star_torsion,
+)
 
 TIGHT = SolverOptions(tol=1e-12)
 
@@ -357,7 +364,15 @@ def test_dense_and_sparse_newton_agree(monkeypatch):
         assert sparse.rigidity == pytest.approx(dense.rigidity, rel=1e-9)
 
 
-def test_sparse_side_on_random_expander():
+def _no_factor(*args, **kwargs):
+    raise AssertionError("a sparse factor was computed")
+
+
+def test_sparse_side_on_random_expander(monkeypatch):
+    # an expander is on the Krylov side: its p = 2 solve and the shift-invert
+    # Lanczos run Jacobi-PCG and never factor
+    monkeypatch.setattr(torsio.solver, "_factor", _no_factor)
+    monkeypatch.setattr(torsio.spectral, "_factor", _no_factor)
     spec = _random_expander()
     free = [v for v in spec.graph.vertices if v not in spec.dirichlet]
     assert len(free) > torsio.solver.DENSE_LIMIT
@@ -370,6 +385,56 @@ def test_sparse_side_on_random_expander():
     assert eig.method == "lanczos"
     vals = scipy.linalg.eigh(K, np.diag(m), eigvals_only=True, subset_by_index=(0, 0))
     assert eig.lambda0 == pytest.approx(float(vals[0]), rel=1e-10)
+
+
+def _no_pcg(*args, **kwargs):
+    raise AssertionError("a p = 2 solve ran PCG")
+
+
+@pytest.mark.parametrize("spec", [dirichlet_grid(25), make_path(600)], ids=["grid25", "path600"])
+def test_small_separator_graphs_keep_the_factor(monkeypatch, spec):
+    monkeypatch.setattr(torsio.solver, "_p2_solve", _no_pcg)
+    monkeypatch.setattr(torsio.spectral, "_p2_solve", _no_pcg)
+    assert len(spec.free_vertices) > torsio.solver.DENSE_LIMIT
+    solve_torsion(spec)
+    solve_torsion(ProblemSpec(spec.graph, spec.dirichlet, 3.0))  # the Newton start
+    assert lambda0(spec).method == "lanczos"
+
+
+def test_pcg_cap_falls_back_to_the_factor(monkeypatch):
+    spec = _random_expander()
+    asm = torsio.solver._assemble(spec)
+    K = torsio.solver._laplacian(asm, asm.g.w, asm.g.c)
+    factored = torsio.solver._factor(K).solve(asm.g.m[asm.free])
+    monkeypatch.setattr(torsio.solver, "PCG_MAX_ITERATIONS", 1)
+    sol = solve_torsion(spec)
+    tau = [sol.tau[spec.graph.vertices[i]] for i in asm.free]
+    np.testing.assert_allclose(tau, factored, rtol=1e-12, atol=0.0)
+
+
+def test_pcg_replaces_a_drifted_residual(monkeypatch):
+    # 1e-12 is about 7 times the rounding floor of the true residual on this
+    # graph: the recursive residual passes it first, and PCG must restart
+    # from the true residual instead of returning early or factoring
+    monkeypatch.setattr(torsio.solver, "_factor", _no_factor)
+    asm = torsio.solver._assemble(_random_expander())
+    assert asm.krylov
+    K = torsio.solver._laplacian(asm, asm.g.w, asm.g.c)
+    m = asm.g.m[asm.free]
+    x = torsio.solver._p2_solve(asm, K, m, 1e-12)
+    assert np.max(np.abs(m - K @ x) / m) <= 1e-12
+
+
+@pytest.mark.parametrize("F", [2000, 10000])
+def test_long_paths_at_p2_are_certified_without_gauss_seidel(monkeypatch, F):
+    # the residual of the factor sits at its rounding floor eps * ||L|| *
+    # ||tau||, above tol, so the rigidity bracket judges the solve
+    monkeypatch.setattr(torsio.solver, "_gs_sweeps", _no_polish)
+    spec = make_path(F)
+    sol = solve_torsion(spec)
+    assert sol.residual_inf > torsio.solver.default_tolerance(spec)
+    exact = path_rigidity(PathSpecParams(F, (1.0,) * F, (1.0,) * F, 2.0))
+    assert sol.rigidity == pytest.approx(exact, rel=1e-10)
 
 
 def test_linsolve_falls_back_to_lu_and_factor_rejects_singular():
