@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Literal
 
 import numpy as np
 
@@ -30,29 +31,6 @@ from .solver import SolverOptions, TorsionSolution, solve_torsion
 from .spectral import SpectralSolution, lambda0, lambda1_p2
 
 SLACK_RTOL = 1e-9
-
-_CHECK_ORDER = (
-    "saint_venant_general",
-    "saint_venant_p2_unit",
-    "symmetrization_upper",
-    "symmetrization_upper_mtilde",
-    "polya_szego_product",
-    "trivial_lower",
-    "path_inradius_lower",
-    "tree_inradius_lower",
-    "rayleigh_symmetrization_lower",
-    "mean_distance_lambda_lower",
-    "mean_distance_rigidity_upper",
-    "inradius_lambda_lower",
-    "inradius_rigidity_upper",
-    "landscape_lower",
-    "fiedler_dirichlet",
-    "fiedler_neumann_p2",
-    "kohler_jobin_modified",
-    "kohler_jobin_classical",
-    "kohler_jobin_classical_unit",
-    "normalized_saint_venant",
-)
 
 
 @dataclass(frozen=True)
@@ -74,22 +52,12 @@ class BoundCheck:
         return self.applicable and self.satisfied is None
 
 
-def _upper(cid: str, statement: str, lhs: float, rhs: float, note: str = "") -> BoundCheck:
-    slack = rhs - lhs
-    return BoundCheck(
-        id=cid,
-        statement=statement,
-        applicable=True,
-        reason=note,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        satisfied=bool(slack >= -SLACK_RTOL * (1.0 + abs(rhs))),
-        slack=float(slack),
-    )
-
-
-def _lower(cid: str, statement: str, lhs: float, rhs: float, note: str = "") -> BoundCheck:
-    slack = lhs - rhs
+def _bound(
+    cid: str, statement: str, lhs: float, sense: Literal["<=", ">="], rhs: float, note: str = ""
+) -> BoundCheck:
+    """An applicable check of lhs <= rhs (an upper bound) or lhs >= rhs (a
+    lower bound)."""
+    slack = rhs - lhs if sense == "<=" else lhs - rhs
     return BoundCheck(
         id=cid,
         statement=statement,
@@ -243,7 +211,7 @@ def saint_venant_general(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundChe
         return _stuck(cid, stmt, f"torsion solve failed: {c.torsion}")
     n = spec.free_count
     rhs = n ** (spec.p - 1.0) / c.eta * spec.free_measure() ** spec.p
-    return _upper(cid, stmt, c.torsion.rigidity, rhs)
+    return _bound(cid, stmt, c.torsion.rigidity, "<=", rhs)
 
 
 def saint_venant_p2_unit(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck:
@@ -263,7 +231,7 @@ def saint_venant_p2_unit(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundChe
         return _stuck(cid, stmt, f"torsion solve failed: {c.torsion}")
     n = spec.free_count
     rhs = n * (n + 1) * (2 * n + 1) / (6.0 * c.eta)
-    return _upper(cid, stmt, c.torsion.rigidity, rhs)
+    return _bound(cid, stmt, c.torsion.rigidity, "<=", rhs)
 
 
 def symmetrization_upper(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck:
@@ -287,7 +255,7 @@ def symmetrization_upper(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundChe
         rhs = c.path_rigidity_of(path_spec)
     except TorsioError as exc:
         return _stuck(cid, stmt, f"path comparison solve failed: {exc}")
-    return _upper(cid, stmt, c.torsion.rigidity, rhs)
+    return _bound(cid, stmt, c.torsion.rigidity, "<=", rhs)
 
 
 def symmetrization_upper_mtilde(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck:
@@ -315,7 +283,7 @@ def symmetrization_upper_mtilde(spec: ProblemSpec, ctx: _Ctx | None = None) -> B
         p=spec.p,
     )
     rhs = path_rigidity(params) / c.eta
-    return _upper(cid, stmt, c.torsion.rigidity, rhs)
+    return _bound(cid, stmt, c.torsion.rigidity, "<=", rhs)
 
 
 def polya_szego_product(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck:
@@ -333,7 +301,7 @@ def polya_szego_product(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundChec
     mass = spec.free_measure() if spec.dirichlet else spec.graph.total_measure()
     rhs = mass ** (spec.p - 1.0)
     lhs = c.spectral.lambda0 * c.torsion.rigidity
-    return _upper(cid, stmt, lhs, rhs, note=c.p_note)
+    return _bound(cid, stmt, lhs, "<=", rhs, note=c.p_note)
 
 
 # --- lower bounds ---------------------------------------------------------
@@ -358,7 +326,7 @@ def trivial_lower(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck:
         mass = g.total_measure()
     if denom <= 0.0:
         return _skip(cid, stmt, "denominator is zero")
-    return _lower(cid, stmt, c.torsion.rigidity, mass**spec.p / denom)
+    return _bound(cid, stmt, c.torsion.rigidity, ">=", mass**spec.p / denom)
 
 
 def path_inradius_lower(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck:
@@ -373,7 +341,7 @@ def path_inradius_lower(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundChec
     if isinstance(c.torsion, TorsioError):
         return _stuck(cid, stmt, f"torsion solve failed: {c.torsion}")
     inr = q_inradius(spec, spec.p)
-    return _lower(cid, stmt, c.torsion.rigidity, spec.free_measure() ** spec.p / inr)
+    return _bound(cid, stmt, c.torsion.rigidity, ">=", spec.free_measure() ** spec.p / inr)
 
 
 def tree_inradius_lower(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck:
@@ -403,7 +371,7 @@ def tree_inradius_lower(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundChec
         return _stuck(cid, stmt, f"torsion solve failed: {c.torsion}")
     inr = q_inradius(merged, spec.p)
     m_min = min(mg.measure[v] for v in merged.free_vertices)
-    return _lower(cid, stmt, c.torsion.rigidity, m_min**spec.p / inr)
+    return _bound(cid, stmt, c.torsion.rigidity, ">=", m_min**spec.p / inr)
 
 
 def rayleigh_symmetrization_lower(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck:
@@ -426,7 +394,7 @@ def rayleigh_symmetrization_lower(spec: ProblemSpec, ctx: _Ctx | None = None) ->
         lam_path = lambda0(path_spec, c.opts).lambda0
     except TorsioError as exc:
         return _stuck(cid, stmt, f"path comparison solve failed: {exc}")
-    return _lower(cid, stmt, c.spectral.lambda0, lam_path, note=c.p_note)
+    return _bound(cid, stmt, c.spectral.lambda0, ">=", lam_path, note=c.p_note)
 
 
 def mean_distance_bounds(spec: ProblemSpec, ctx: _Ctx | None = None) -> tuple[BoundCheck, ...]:
@@ -461,19 +429,23 @@ def mean_distance_bounds(spec: ProblemSpec, ctx: _Ctx | None = None) -> tuple[Bo
     if isinstance(c.spectral, TorsioError):
         out.append(_stuck(ids[0], stmts[0], f"spectral solve failed: {c.spectral}"))
     else:
-        out.append(_lower(ids[0], stmts[0], c.spectral.lambda0, 1.0 / (mass * mean), note=c.p_note))
+        out.append(
+            _bound(ids[0], stmts[0], c.spectral.lambda0, ">=", 1.0 / (mass * mean), note=c.p_note)
+        )
     if isinstance(c.torsion, TorsioError):
         out.append(_stuck(ids[1], stmts[1], f"torsion solve failed: {c.torsion}"))
     else:
-        out.append(_upper(ids[1], stmts[1], c.torsion.rigidity, mass**spec.p * mean))
+        out.append(_bound(ids[1], stmts[1], c.torsion.rigidity, "<=", mass**spec.p * mean))
     if isinstance(c.spectral, TorsioError):
         out.append(_stuck(ids[2], stmts[2], f"spectral solve failed: {c.spectral}"))
     else:
-        out.append(_lower(ids[2], stmts[2], c.spectral.lambda0, 1.0 / (mass * inr), note=c.p_note))
+        out.append(
+            _bound(ids[2], stmts[2], c.spectral.lambda0, ">=", 1.0 / (mass * inr), note=c.p_note)
+        )
     if isinstance(c.torsion, TorsioError):
         out.append(_stuck(ids[3], stmts[3], f"torsion solve failed: {c.torsion}"))
     else:
-        out.append(_upper(ids[3], stmts[3], c.torsion.rigidity, mass**spec.p * inr))
+        out.append(_bound(ids[3], stmts[3], c.torsion.rigidity, "<=", mass**spec.p * inr))
     return tuple(out)
 
 
@@ -489,7 +461,7 @@ def landscape_lower(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck:
     if isinstance(c.spectral, TorsioError):
         return _stuck(cid, stmt, f"spectral solve failed: {c.spectral}")
     sup = max(c.torsion.tau[v] for v in spec.free_vertices)
-    return _lower(cid, stmt, c.spectral.lambda0, sup ** (1.0 - spec.p), note=c.p_note)
+    return _bound(cid, stmt, c.spectral.lambda0, ">=", sup ** (1.0 - spec.p), note=c.p_note)
 
 
 def fiedler_dirichlet(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck:
@@ -511,7 +483,7 @@ def fiedler_dirichlet(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck:
     nfree = spec.free_count
     s = sum(k ** (1.0 / (spec.p - 1.0)) for k in range(1, nfree + 1))
     rhs = c.eta * s ** (1.0 - spec.p)
-    return _lower(cid, stmt, c.spectral.lambda0, rhs, note=c.p_note)
+    return _bound(cid, stmt, c.spectral.lambda0, ">=", rhs, note=c.p_note)
 
 
 def fiedler_neumann_p2(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck:
@@ -538,7 +510,7 @@ def fiedler_neumann_p2(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck
     n = nv // 2 + 1
     lam1 = lambda1_p2(spec.graph)
     s = sum(n - k for k in range(1, n))
-    return _lower(cid, stmt, lam1, c.eta / s)
+    return _bound(cid, stmt, lam1, ">=", c.eta / s)
 
 
 def _kj_gates(c: _Ctx, cid: str, stmt: str, need_degree: bool) -> BoundCheck | None:
@@ -580,7 +552,7 @@ def kohler_jobin_modified(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCh
     x = min(1.0, max(-1.0, 1.0 - lam))
     lhs = (c.torsion.rigidity + E / 3.0) ** (2.0 / 3.0) * np.arccos(x) ** 2
     rhs = (np.pi / 6.0 ** (1.0 / 3.0)) ** 2
-    return _lower(cid, stmt, lhs, rhs)
+    return _bound(cid, stmt, lhs, ">=", rhs)
 
 
 def kohler_jobin_classical(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck:
@@ -593,7 +565,7 @@ def kohler_jobin_classical(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundC
     if gate is not None:
         return gate
     lhs = c.torsion.rigidity ** (2.0 / 3.0) * c.spectral.lambda0
-    return _lower(cid, stmt, lhs, 1.0)
+    return _bound(cid, stmt, lhs, ">=", 1.0)
 
 
 def kohler_jobin_classical_unit(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck:
@@ -608,7 +580,7 @@ def kohler_jobin_classical_unit(spec: ProblemSpec, ctx: _Ctx | None = None) -> B
     degs = [degree(spec.graph, v) for v in spec.free_vertices]
     rhs = min(degs) / max(degs) ** (4.0 / 3.0)
     lhs = c.torsion.rigidity ** (2.0 / 3.0) * c.spectral.lambda0
-    return _lower(cid, stmt, lhs, rhs)
+    return _bound(cid, stmt, lhs, ">=", rhs)
 
 
 def normalized_saint_venant(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck:
@@ -637,7 +609,7 @@ def normalized_saint_venant(spec: ProblemSpec, ctx: _Ctx | None = None) -> Bound
         return _stuck(cid, stmt, f"torsion solve failed: {c.torsion}")
     dmax = max(degree(spec.graph, v) for v in spec.free_vertices)
     rhs = dmax**2 / c.eta * reference_values("path_T2", spec.free_count, "unit")
-    return _upper(cid, stmt, c.torsion.rigidity, rhs)
+    return _bound(cid, stmt, c.torsion.rigidity, "<=", rhs)
 
 
 def torsion_ordered_path(spec: ProblemSpec, opts: SolverOptions | None = None) -> ProblemSpec:
@@ -714,39 +686,39 @@ class BoundReport:
         return "\n".join(lines)
 
 
+# every check in report order; mean_distance_bounds yields four
+_CHECKS = (
+    saint_venant_general,
+    saint_venant_p2_unit,
+    symmetrization_upper,
+    symmetrization_upper_mtilde,
+    polya_szego_product,
+    trivial_lower,
+    path_inradius_lower,
+    tree_inradius_lower,
+    rayleigh_symmetrization_lower,
+    mean_distance_bounds,
+    landscape_lower,
+    fiedler_dirichlet,
+    fiedler_neumann_p2,
+    kohler_jobin_modified,
+    kohler_jobin_classical,
+    kohler_jobin_classical_unit,
+    normalized_saint_venant,
+)
+
+
 def check_all(spec: ProblemSpec, opts: SolverOptions | None = None) -> BoundReport:
     """Run every bound whose hypotheses can be verified on this spec.
 
     Solver failures surface as inconclusive per-check states; the report
-    itself always completes.  Check order is fixed and independent of
-    evaluation order.
+    itself always completes.  The checks come in the order of _CHECKS.
     """
     ctx = _Ctx(spec, opts)
-    produced: dict[str, BoundCheck] = {}
-    for fn in (
-        saint_venant_general,
-        saint_venant_p2_unit,
-        symmetrization_upper,
-        symmetrization_upper_mtilde,
-        polya_szego_product,
-        trivial_lower,
-        path_inradius_lower,
-        tree_inradius_lower,
-        rayleigh_symmetrization_lower,
-        landscape_lower,
-        fiedler_dirichlet,
-        fiedler_neumann_p2,
-        kohler_jobin_modified,
-        kohler_jobin_classical,
-        kohler_jobin_classical_unit,
-        normalized_saint_venant,
-    ):
-        chk = fn(spec, ctx)
-        produced[chk.id] = chk
-    for chk in mean_distance_bounds(spec, ctx):
-        produced[chk.id] = chk
-
-    checks = tuple(produced[cid] for cid in _CHECK_ORDER)
+    checks: list[BoundCheck] = []
+    for fn in _CHECKS:
+        out = fn(spec, ctx)
+        checks.extend(out if isinstance(out, tuple) else (out,))
     g = spec.graph
     summary = {
         "vertices": g.vertex_count,
@@ -775,4 +747,4 @@ def check_all(spec: ProblemSpec, opts: SolverOptions | None = None) -> BoundRepo
         diagnostics["lambda0_residual"] = ctx.spectral.residual
     if ctx.p_note:
         diagnostics["note"] = ctx.p_note
-    return BoundReport(summary=summary, checks=checks, diagnostics=diagnostics)
+    return BoundReport(summary=summary, checks=tuple(checks), diagnostics=diagnostics)

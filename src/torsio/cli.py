@@ -37,7 +37,7 @@ from .graphs import (
     merge_dirichlet,
     scale,
 )
-from .solver import SolverOptions, balance_check, solve_torsion
+from .solver import _METHODS, SolverOptions, balance_check, solve_torsion
 from .spectral import lambda0
 
 SCHEMA_VERSION = 1
@@ -371,11 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p", type=float, default=None, help="override the document exponent")
         if with_solver:
             p.add_argument("--tol", type=float, default=None, help="residual tolerance")
-            p.add_argument(
-                "--method",
-                choices=("auto", "gauss_seidel", "newton", "direct_p2"),
-                default=None,
-            )
+            p.add_argument("--method", choices=_METHODS, default=None)
 
     add_common(sub.add_parser("validate", help="parse and summarize a graph document"), False)
     add_common(sub.add_parser("torsion", help="torsion function and rigidity"))
@@ -424,10 +420,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except NoConvergenceError as exc:
-        print(render_json({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 2
-    except np.linalg.LinAlgError as exc:
+    except (NoConvergenceError, np.linalg.LinAlgError) as exc:
         print(render_json({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 2
     except (TorsioError, FileNotFoundError, ValueError) as exc:

@@ -1,20 +1,32 @@
 """Metric and connectivity quantities: q-distances, inradius, mean distance,
-diameter of the weight-inverted graph, and the global minimal cut weight."""
+diameter of the weight-inverted graph, and the global minimal cut weight.
+
+Distances run ``scipy.sparse.csgraph.dijkstra`` on the graph's CSR adjacency
+with each weight b replaced by the edge cost b^(1/(q-1)): one source for
+``q_distance``, the Dirichlet set at once (``min_only``) for the inradius and
+the mean distance, and every vertex, a block of rows at a time, for the
+diameter.  With positive costs any Dijkstra returns, for each vertex, the
+minimum over paths of the float sum of the costs along the path, so the
+values do not depend on the visit order.  The costs are computed with
+Python's float power, which calls libm ``pow``; numpy's array power may
+differ from it in the last bit, and these values reach CLI output.  Powers
+d^(q-1), maxima and the mass-weighted sum are Python float operations too.
+"""
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 
 from .errors import (
     DisconnectedError,
     EmptyDirichletSetError,
     InvalidQError,
     TooFewVerticesError,
-    UnknownVertexError,
 )
 from .graphs import ProblemSpec, VertexId, WeightedGraph, invert_edge_weights
 
@@ -35,6 +47,9 @@ class Unreachable:
 
 UNREACHABLE = Unreachable()
 
+# distances p_diameter_inverted holds at once: 2^22 doubles, 32 MB
+DIAMETER_BLOCK_ENTRIES = 1 << 22
+
 Distance = Union[float, Unreachable]
 
 
@@ -45,24 +60,14 @@ def _check_q(q: float) -> float:
     return q
 
 
-def _dijkstra(g: WeightedGraph, sources: Iterable[VertexId], q: float) -> dict[VertexId, float]:
-    """Shortest-path distances from a source set with per-edge cost b^(1/(q-1))."""
+def _cost_matrix(g: WeightedGraph, q: float) -> sp.csr_array:
+    """g's CSR adjacency with each weight b replaced by the cost b^(1/(q-1)).
+    A cost that underflows to 0.0 stays stored, and csgraph reads a stored
+    zero as an edge."""
     expo = 1.0 / (q - 1.0)
-    dist: dict[VertexId, float] = {}
-    heap: list[tuple[float, int, VertexId]] = []
-    for s in sources:
-        dist[s] = 0.0
-        heapq.heappush(heap, (0.0, g.vertex_index(s), s))
-    while heap:
-        d, _, v = heapq.heappop(heap)
-        if d > dist.get(v, np.inf):
-            continue
-        for w, b in g.neighbors(v):
-            nd = d + b**expo
-            if nd < dist.get(w, np.inf):
-                dist[w] = nd
-                heapq.heappush(heap, (nd, g.vertex_index(w), w))
-    return dist
+    cost = np.array([b**expo for b in g._nbw.tolist()], dtype=float)
+    n = g.vertex_count
+    return sp.csr_array((cost, g._nbr, g._indptr), shape=(n, n))
 
 
 def q_distance(g: WeightedGraph, q: float, v: VertexId, w: VertexId) -> Distance:
@@ -72,18 +77,21 @@ def q_distance(g: WeightedGraph, q: float, v: VertexId, w: VertexId) -> Distance
     Returns UNREACHABLE when v and w lie in different components.
     """
     q = _check_q(q)
-    g.vertex_index(v), g.vertex_index(w)  # raise for unknown vertices
+    i, j = g.vertex_index(v), g.vertex_index(w)  # raise for unknown vertices
     if v == w:
         return 0.0
-    dist = _dijkstra(g, [v], q)
-    return dist.get(w, UNREACHABLE)
+    d = float(csgraph.dijkstra(_cost_matrix(g, q), indices=i)[j])
+    return UNREACHABLE if d == np.inf else d
 
 
-def _free_distances(spec: ProblemSpec, q: float) -> dict[VertexId, float]:
+def _free_distances(spec: ProblemSpec, q: float) -> list[float]:
+    """dist_{q,b}(v, V0) for every vertex v, in vertex order."""
     if not spec.dirichlet:
         raise EmptyDirichletSetError("the inradius and mean distance need a Dirichlet set")
-    dist = _dijkstra(spec.graph, sorted(spec.dirichlet, key=spec.graph.vertex_index), q)
-    missing = [v for v in spec.graph.vertices if v not in dist]
+    g = spec.graph
+    sources = sorted(map(g.vertex_index, spec.dirichlet))
+    dist = csgraph.dijkstra(_cost_matrix(g, q), indices=sources, min_only=True).tolist()
+    missing = [v for v, d in zip(g.vertices, dist) if d == np.inf]
     if missing:
         raise DisconnectedError(f"vertices unreachable from the Dirichlet set: {missing}")
     return dist
@@ -93,34 +101,40 @@ def q_inradius(spec: ProblemSpec, q: float) -> float:
     """Inr_q = max over vertices of dist_{q,b}(v, V0)^(q-1)."""
     q = _check_q(q)
     dist = _free_distances(spec, q)
-    return float(max(d ** (q - 1.0) for d in dist.values()))
+    return float(max(d ** (q - 1.0) for d in dist))
 
 
 def q_mean_distance(spec: ProblemSpec, q: float) -> float:
     """Mean_q = m-weighted average of dist_{q,b}(v, V0)^(q-1) over free vertices."""
     q = _check_q(q)
     dist = _free_distances(spec, q)
-    m = spec.graph.measure
-    free = spec.free_vertices
-    total = sum(m[v] for v in free)
+    m = spec.graph.m.tolist()
+    free = [i for i, v in enumerate(spec.graph.vertices) if v not in spec.dirichlet]
+    total = sum(m[i] for i in free)
     if total == 0.0:
         return 0.0
-    return float(sum(dist[v] ** (q - 1.0) * m[v] for v in free) / total)
+    return float(sum(dist[i] ** (q - 1.0) * m[i] for i in free) / total)
 
 
 def p_diameter_inverted(g: WeightedGraph, p: float) -> Distance:
-    """max over vertex pairs of dist_{p, 1/b}(v, w)^(p-1), UNREACHABLE if disconnected."""
+    """max over vertex pairs of dist_{p, 1/b}(v, w)^(p-1), UNREACHABLE if disconnected.
+
+    The sources run in blocks of rows of at most DIAMETER_BLOCK_ENTRIES
+    distances, so memory stays O(n + m) beside that fixed block."""
     p = _check_q(p)
     gi = invert_edge_weights(g)
     n = g.vertex_count
     if n <= 1:
         return 0.0
+    cost = _cost_matrix(gi, p)
+    rows = max(1, DIAMETER_BLOCK_ENTRIES // n)
     worst = 0.0
-    for v in gi.vertices:
-        dist = _dijkstra(gi, [v], p)
-        if len(dist) < n:
+    for lo in range(0, n, rows):
+        block = csgraph.dijkstra(cost, indices=np.arange(lo, min(lo + rows, n)))
+        far = float(block.max())
+        if far == np.inf:
             return UNREACHABLE
-        worst = max(worst, max(dist.values()))
+        worst = max(worst, far)
     return float(worst ** (p - 1.0))
 
 

@@ -36,8 +36,9 @@ KRYLOV_EDGE_RATIO edges between free vertices per free vertex, and one
 unweighted search from the first free vertex reaching them all within
 KRYLOV_HOPS * log2(free vertices) hops.  There the p = 2 solves (direct_p2,
 the start of Newton, the shift-invert of ``spectral``) run Jacobi-PCG
-(``_p2_solve``), which takes 40-135 steps on such graphs and factors only if
-PCG_MAX_ITERATIONS run out.  Newton Hessians and the rigidity bracket, whose
+(``_p2_solve``), which takes 40-135 steps on such graphs, stops at the
+residual's rounding floor when that lies above the target, and factors only
+if PCG_MAX_ITERATIONS run out.  Newton Hessians and the rigidity bracket, whose
 corrected flux must be admissible to rounding, always factor.
 
 Convergence is measured on the pointwise residual max_v |L_p u(v) - 1|
@@ -267,18 +268,23 @@ def _p2_solve(asm: _Assembled, K: sp.csc_matrix, b: np.ndarray, target: float) -
 
     When the recursive residual meets the target, the true residual is
     computed; if the recursion drifted from it, CG restarts from the true
-    residual (residual replacement).  After PCG_MAX_ITERATIONS steps K is
-    factored instead."""
+    residual (residual replacement).  When a replacement does not lower the
+    true residual below the previous one's, the residual has reached its
+    rounding floor above the target and x is returned as it is; the caller
+    judges it.  After PCG_MAX_ITERATIONS steps K is factored instead."""
     m = asm.g.m[asm.free]
     inv_diag = 1.0 / K.diagonal()
     x = np.zeros(len(b))
     r = b.copy()
     d = None
+    floor = np.inf
     for _ in range(PCG_MAX_ITERATIONS):
         if np.max(np.abs(r) / m) <= target:
             r = b - K @ x
-            if np.max(np.abs(r) / m) <= target:
+            res = np.max(np.abs(r) / m)
+            if res <= target or res >= floor:
                 return x
+            floor = res
             d = None
         z = inv_diag * r
         rz_new = float(np.dot(r, z))

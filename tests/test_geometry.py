@@ -1,14 +1,17 @@
 """Metric quantities and the global minimal cut.
 
-The Stoer-Wagner result is compared against exhaustive bipartition
+Distances are compared with networkx's Dijkstra for exact equality; the
+Stoer-Wagner result is compared against exhaustive bipartition
 enumeration, which serves as the oracle up to 12 vertices.
 """
 
 from itertools import combinations
 
+import networkx as nx
 import numpy as np
 import pytest
 
+import torsio.geometry
 from conftest import random_general_spec
 from torsio import (
     UNREACHABLE,
@@ -19,6 +22,7 @@ from torsio import (
     TooFewVerticesError,
     build_graph,
     geometry_summary,
+    invert_edge_weights,
     make_complete,
     make_path,
     make_random_connected,
@@ -124,6 +128,64 @@ def test_p_diameter_inverted():
     assert p_diameter_inverted(g, 2.0) == pytest.approx(2.0)
     gd = build_graph([("a", 1, 0), ("b", 1, 0), ("c", 1, 0)], [("a", "b", 1)])
     assert p_diameter_inverted(gd, 2.0) is UNREACHABLE
+
+
+def _nx_cost(q, invert):
+    """networkx weight function: edge cost b^(1/(q-1)), or (1/b)^(1/(q-1))."""
+    expo = 1.0 / (q - 1.0)
+    if invert:
+        return lambda u, v, e: (1.0 / e["b"]) ** expo
+    return lambda u, v, e: e["b"] ** expo
+
+
+@pytest.mark.parametrize("q", [1.2, 1.5, 2.0, 3.0, 8.0, 20.0])
+def test_distances_equal_networkx_dijkstra(q):
+    for seed in range(60):
+        spec = random_general_spec(seed, n_range=(3, 40), dirichlet_max=3)
+        g = spec.graph
+        G = nx.Graph()
+        G.add_nodes_from(g.vertices)
+        G.add_weighted_edges_from(g.edges, weight="b")
+        m = g.measure
+        free = spec.free_vertices
+        total = sum(m[v] for v in free)
+        v0 = g.vertices[seed % g.vertex_count]
+        one = nx.single_source_dijkstra_path_length(G, v0, weight=_nx_cost(q, False))
+        assert [q_distance(g, q, v0, w) for w in g.vertices] == [one[w] for w in g.vertices]
+        for invert in (False, True):
+            dist = nx.multi_source_dijkstra_path_length(G, spec.dirichlet, weight=_nx_cost(q, invert))
+            target = ProblemSpec(invert_edge_weights(g), spec.dirichlet, q) if invert else spec
+            assert q_inradius(target, q) == max(d ** (q - 1.0) for d in dist.values())
+            mean = sum(dist[v] ** (q - 1.0) * m[v] for v in free) / total
+            assert q_mean_distance(target, q) == mean
+        rows = nx.all_pairs_dijkstra_path_length(G, weight=_nx_cost(q, True))
+        worst = max(max(row.values()) for _, row in rows)
+        assert p_diameter_inverted(g, q) == worst ** (q - 1.0)
+
+
+def test_underflowing_edge_cost_is_still_an_edge():
+    # 1e-20^(1/(q-1)) = 1e-400 underflows to 0.0 at q = 1.05
+    g = build_graph([("a", 1, 0), ("b", 1, 0)], [("a", "b", 1e-20)])
+    spec = ProblemSpec(g, frozenset({"a"}), 1.05)
+    assert q_inradius(spec, 1.05) == 0.0
+    assert q_mean_distance(spec, 1.05) == 0.0
+    assert q_distance(g, 1.05, "a", "b") == 0.0
+
+
+def test_disconnected_error_names_vertices_in_vertex_order():
+    g = build_graph(
+        [("z", 1, 0), ("m", 1, 0), ("a", 1, 0), ("q", 1, 0), ("b", 1, 0)],
+        [("z", "q", 1.0), ("m", "a", 1.0)],
+    )
+    with pytest.raises(DisconnectedError, match=r"\['m', 'a', 'b'\]$"):
+        q_inradius(ProblemSpec(g, frozenset({"q"}), 2.0), 2.0)
+
+
+def test_diameter_in_several_blocks_of_sources(monkeypatch):
+    spec = random_general_spec(7, n_range=(30, 40))
+    whole = p_diameter_inverted(spec.graph, 3.0)
+    monkeypatch.setattr(torsio.geometry, "DIAMETER_BLOCK_ENTRIES", 3 * spec.graph.vertex_count)
+    assert p_diameter_inverted(spec.graph, 3.0) == whole
 
 
 def test_min_cut_examples():

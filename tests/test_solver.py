@@ -425,6 +425,20 @@ def test_pcg_replaces_a_drifted_residual(monkeypatch):
     assert np.max(np.abs(m - K @ x) / m) <= 1e-12
 
 
+def test_pcg_stops_at_its_residual_floor(monkeypatch):
+    # tol = 1e-13 lies below the rounding floor of the true residual on this
+    # graph: PCG returns at the floor instead of restarting until its cap and
+    # factoring; the one factor is the rigidity bracket that certifies it
+    spec = _random_expander()
+    reference = solve_torsion(spec).rigidity
+    factor = torsio.solver._factor
+    calls = []
+    monkeypatch.setattr(torsio.solver, "_factor", lambda A: calls.append(A) or factor(A))
+    sol = solve_torsion(spec, SolverOptions(tol=1e-13))
+    assert len(calls) == 1
+    assert sol.rigidity == pytest.approx(reference, rel=1e-12)
+
+
 @pytest.mark.parametrize("F", [2000, 10000])
 def test_long_paths_at_p2_are_certified_without_gauss_seidel(monkeypatch, F):
     # the residual of the factor sits at its rounding floor eps * ||L|| *
