@@ -1,27 +1,33 @@
 """Structured evaluation of the rigidity and spectral comparison bounds.
 
-Every bound is reported as a BoundCheck: hypothesis gates are machine
-checked and an inapplicable bound states its reason; solver failures make a
-check inconclusive, never a report failure.  Satisfaction allows a relative
-slack of -1e-9 * (1 + |rhs|) so solver noise cannot flip a proven
+Every bound is reported as a BoundCheck.  Each check names its hypotheses
+once, in one ``_gate`` call: ``_GATES`` maps each hypothesis (p = 2, unit or
+degree masses, standard weights, zero potential, a Dirichlet set, a
+connected graph with eta > 0, ...) to its machine check and to the reason an
+inapplicable bound states.  The same call names the torsion and spectral
+solves the bound reads: a solve that failed, with a typed error or with
+numpy's LinAlgError, makes the check inconclusive, never a report failure.
+``_bound`` turns the computed sides into the verdict.  Satisfaction allows a
+relative slack of -1e-9 * (1 + |rhs|) so solver noise cannot flip a proven
 inequality.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Literal
+from typing import Callable, Literal
 
 import numpy as np
 
 from .closed_forms import PathSpecParams, path_rigidity, reference_values
 from .energy import VertexFunction
 from .errors import TorsioError
-from .geometry import min_cut_weight, q_inradius, q_mean_distance
+from .geometry import min_cut_weight, q_inradius, q_inradius_and_mean
 from .graphs import (
     ProblemSpec,
     WeightedGraph,
+    boundary_entries,
     build_graph,
     degree,
     invert_edge_weights,
@@ -31,6 +37,10 @@ from .solver import SolverOptions, TorsionSolution, solve_torsion
 from .spectral import SpectralSolution, lambda0, lambda1_p2
 
 SLACK_RTOL = 1e-9
+
+# what a failed solve raises: a typed error, or numpy's LinAlgError from an
+# exactly singular factorization
+_FAILED = (TorsioError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -70,14 +80,6 @@ def _bound(
     )
 
 
-def _skip(cid: str, statement: str, reason: str) -> BoundCheck:
-    return BoundCheck(id=cid, statement=statement, applicable=False, reason=reason)
-
-
-def _stuck(cid: str, statement: str, reason: str) -> BoundCheck:
-    return BoundCheck(id=cid, statement=statement, applicable=True, reason=reason)
-
-
 class _Ctx:
     """Shared lazily computed ingredients for the individual checks."""
 
@@ -101,47 +103,45 @@ class _Ctx:
 
     @cached_property
     def m_unit(self) -> bool:
-        return all(m == 1.0 for m in self.g.measure.values())
+        return bool((self.g.m == 1.0).all())
 
     @cached_property
     def m_degree(self) -> bool:
-        return all(
-            abs(self.g.measure[v] - degree(self.g, v)) <= 1e-12 * max(1.0, degree(self.g, v))
-            for v in self.g.vertices
-        )
+        degs = (degree(self.g, v) for v in self.g.vertices)
+        return all(abs(m - d) <= 1e-12 * max(1.0, d) for m, d in zip(self.g.m.tolist(), degs))
 
     @cached_property
     def b_standard(self) -> bool:
-        return all(b == 1.0 for _, _, b in self.g.edges)
+        return bool((self.g.w == 1.0).all())
 
     @cached_property
     def c_zero(self) -> bool:
-        return all(c == 0.0 for c in self.g.potential.values())
+        return bool((self.g.c == 0.0).all())
 
     @cached_property
     def is_path_end_dirichlet(self) -> bool:
-        degs = [len(self.g.neighbors(v)) for v in self.g.vertices]
-        if self.g.vertex_count < 2 or not self.connected:
-            return False
-        if sorted(degs)[:2] != [1, 1] or any(d > 2 for d in degs):
-            return False
-        if len(self.spec.dirichlet) != 1:
-            return False
-        (d0,) = self.spec.dirichlet
-        return len(self.g.neighbors(d0)) == 1
+        degs = np.diff(self.g._indptr).tolist()  # neighbor counts
+        return (
+            self.g.vertex_count >= 2
+            and self.connected
+            and sorted(degs)[:2] == [1, 1]
+            and max(degs) <= 2
+            and len(self.spec.dirichlet) == 1
+            and degs[self.g.vertex_index(next(iter(self.spec.dirichlet)))] == 1
+        )
 
     @cached_property
-    def torsion(self) -> TorsionSolution | TorsioError:
+    def torsion(self) -> TorsionSolution | TorsioError | np.linalg.LinAlgError:
         try:
             return solve_torsion(self.spec, self.opts)
-        except TorsioError as exc:
+        except _FAILED as exc:
             return exc
 
     @cached_property
-    def spectral(self) -> SpectralSolution | TorsioError:
+    def spectral(self) -> SpectralSolution | TorsioError | np.linalg.LinAlgError:
         try:
             return lambda0(self.spec, self.opts)
-        except TorsioError as exc:
+        except _FAILED as exc:
             return exc
 
     @cached_property
@@ -195,20 +195,52 @@ def _ctx(spec: ProblemSpec, ctx: _Ctx | None) -> _Ctx:
     return ctx if ctx is not None else _Ctx(spec)
 
 
+# hypothesis -> (whether it holds, the reason a check gives when it does not)
+_GATES: dict[str, tuple[Callable[[_Ctx], bool], str]] = {
+    "p2": (lambda c: c.spec.p == 2.0, "needs p = 2"),
+    "p2_only": (lambda c: c.spec.p == 2.0, "implemented for p = 2 only"),
+    "m_unit": (lambda c: c.m_unit, "needs unit masses"),
+    "m_degree": (lambda c: c.m_degree, "needs m = deg"),
+    "b_standard": (lambda c: c.b_standard, "needs standard edge weights"),
+    "c_zero": (lambda c: c.c_zero, "needs zero potential"),
+    "dirichlet": (lambda c: bool(c.spec.dirichlet), "needs a Dirichlet set"),
+    "well_posed": (lambda c: c.spec.well_posed, "spec is not well posed"),
+    "connected": (lambda c: c.connected, "needs a connected graph"),
+    # the min cut runs only on a connected graph
+    "eta": (lambda c: c.connected and c.eta > 0.0, "needs a connected graph (eta > 0)"),
+    "path_end": (
+        lambda c: c.is_path_end_dirichlet,
+        "graph is not a path with a single Dirichlet endpoint",
+    ),
+}
+
+
+def _gate(c: _Ctx, cid: str, stmt: str, *needs: str) -> BoundCheck | None:
+    """The check's verdict on its first unmet need, or None when all hold.
+
+    The needs are walked in the order given and each is evaluated only when
+    the walk reaches it.  A hypothesis of _GATES that fails makes the check
+    not applicable; "torsion" or "spectral" whose solve failed makes it
+    inconclusive."""
+    for need in needs:
+        if need in ("torsion", "spectral"):
+            sol = getattr(c, need)
+            if isinstance(sol, _FAILED):
+                return BoundCheck(cid, stmt, True, f"{need} solve failed: {sol}")
+        elif not _GATES[need][0](c):
+            return BoundCheck(cid, stmt, False, _GATES[need][1])
+    return None
+
+
 # --- upper bounds ---------------------------------------------------------
 
 
 def saint_venant_general(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck:
     """T_p(G;V0) <= n^(p-1)/eta * m(V\\V0)^p with n the free vertex count."""
     c = _ctx(spec, ctx)
-    cid = "saint_venant_general"
-    stmt = "T_p <= n^(p-1)/eta * m_free^p"
-    if not spec.dirichlet:
-        return _skip(cid, stmt, "needs a Dirichlet set")
-    if not c.connected or c.eta <= 0.0:
-        return _skip(cid, stmt, "needs a connected graph (eta > 0)")
-    if isinstance(c.torsion, TorsioError):
-        return _stuck(cid, stmt, f"torsion solve failed: {c.torsion}")
+    cid, stmt = "saint_venant_general", "T_p <= n^(p-1)/eta * m_free^p"
+    if gate := _gate(c, cid, stmt, "dirichlet", "eta", "torsion"):
+        return gate
     n = spec.free_count
     rhs = n ** (spec.p - 1.0) / c.eta * spec.free_measure() ** spec.p
     return _bound(cid, stmt, c.torsion.rigidity, "<=", rhs)
@@ -217,18 +249,9 @@ def saint_venant_general(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundChe
 def saint_venant_p2_unit(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck:
     """T_2(G;V0) <= n(n+1)(2n+1)/(6 eta) for m = 1; equality exactly on paths."""
     c = _ctx(spec, ctx)
-    cid = "saint_venant_p2_unit"
-    stmt = "T_2 <= n(n+1)(2n+1)/(6 eta)  [m = 1]"
-    if spec.p != 2.0:
-        return _skip(cid, stmt, "needs p = 2")
-    if not c.m_unit:
-        return _skip(cid, stmt, "needs unit masses")
-    if not spec.dirichlet:
-        return _skip(cid, stmt, "needs a Dirichlet set")
-    if not c.connected or c.eta <= 0.0:
-        return _skip(cid, stmt, "needs a connected graph (eta > 0)")
-    if isinstance(c.torsion, TorsioError):
-        return _stuck(cid, stmt, f"torsion solve failed: {c.torsion}")
+    cid, stmt = "saint_venant_p2_unit", "T_2 <= n(n+1)(2n+1)/(6 eta)  [m = 1]"
+    if gate := _gate(c, cid, stmt, "p2", "m_unit", "dirichlet", "eta", "torsion"):
+        return gate
     n = spec.free_count
     rhs = n * (n + 1) * (2 * n + 1) / (6.0 * c.eta)
     return _bound(cid, stmt, c.torsion.rigidity, "<=", rhs)
@@ -242,19 +265,14 @@ def symmetrization_upper(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundChe
     path; with a potential only the eta-weighted form survives the scaling
     step of the comparison argument."""
     c = _ctx(spec, ctx)
-    cid = "symmetrization_upper"
-    stmt = "T_p <= T_p(eta-weight path with m, c ordered by tau)"
-    if not spec.well_posed:
-        return _skip(cid, stmt, "spec is not well posed")
-    if not c.connected or c.eta <= 0.0:
-        return _skip(cid, stmt, "needs a connected graph (eta > 0)")
-    if isinstance(c.torsion, TorsioError):
-        return _stuck(cid, stmt, f"torsion solve failed: {c.torsion}")
+    cid, stmt = "symmetrization_upper", "T_p <= T_p(eta-weight path with m, c ordered by tau)"
+    if gate := _gate(c, cid, stmt, "well_posed", "eta", "torsion"):
+        return gate
     path_spec = c.sorted_path_spec(c.torsion.tau, keep_potential=True, edge_weight=c.eta)
     try:
         rhs = c.path_rigidity_of(path_spec)
-    except TorsioError as exc:
-        return _stuck(cid, stmt, f"path comparison solve failed: {exc}")
+    except _FAILED as exc:
+        return BoundCheck(cid, stmt, True, f"path comparison solve failed: {exc}")
     return _bound(cid, stmt, c.torsion.rigidity, "<=", rhs)
 
 
@@ -263,14 +281,9 @@ def symmetrization_upper_mtilde(spec: ProblemSpec, ctx: _Ctx | None = None) -> B
     the minimum free mass everywhere except at the torsion argmax, which
     absorbs the excess; P has zero potential."""
     c = _ctx(spec, ctx)
-    cid = "symmetrization_upper_mtilde"
-    stmt = "T_p <= (1/eta) T_p(path with m_tilde, c = 0)"
-    if not spec.dirichlet:
-        return _skip(cid, stmt, "needs a Dirichlet set")
-    if not c.connected or c.eta <= 0.0:
-        return _skip(cid, stmt, "needs a connected graph (eta > 0)")
-    if isinstance(c.torsion, TorsioError):
-        return _stuck(cid, stmt, f"torsion solve failed: {c.torsion}")
+    cid, stmt = "symmetrization_upper_mtilde", "T_p <= (1/eta) T_p(path with m_tilde, c = 0)"
+    if gate := _gate(c, cid, stmt, "dirichlet", "eta", "torsion"):
+        return gate
     free = spec.free_vertices
     m = spec.graph.measure
     m_min = min(m[v] for v in free)
@@ -290,14 +303,9 @@ def polya_szego_product(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundChec
     """lambda_0,p * T_p <= m(V\\V0)^(p-1) (m(V)^(p-1) without Dirichlet set);
     strict whenever the torsion function is nonconstant on the free part."""
     c = _ctx(spec, ctx)
-    cid = "polya_szego_product"
-    stmt = "lambda0 * T_p <= m_free^(p-1)"
-    if not spec.well_posed:
-        return _skip(cid, stmt, "spec is not well posed")
-    if isinstance(c.torsion, TorsioError):
-        return _stuck(cid, stmt, f"torsion solve failed: {c.torsion}")
-    if isinstance(c.spectral, TorsioError):
-        return _stuck(cid, stmt, f"spectral solve failed: {c.spectral}")
+    cid, stmt = "polya_szego_product", "lambda0 * T_p <= m_free^(p-1)"
+    if gate := _gate(c, cid, stmt, "well_posed", "torsion", "spectral"):
+        return gate
     mass = spec.free_measure() if spec.dirichlet else spec.graph.total_measure()
     rhs = mass ** (spec.p - 1.0)
     lhs = c.spectral.lambda0 * c.torsion.rigidity
@@ -310,36 +318,28 @@ def polya_szego_product(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundChec
 def trivial_lower(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck:
     """T_p >= m_free^p / (boundary edge weight + free potential mass)."""
     c = _ctx(spec, ctx)
-    cid = "trivial_lower"
-    stmt = "T_p >= m_free^p / (sum b(free, V0) + sum c(free))"
-    if isinstance(c.torsion, TorsioError):
-        return _stuck(cid, stmt, f"torsion solve failed: {c.torsion}")
+    cid, stmt = "trivial_lower", "T_p >= m_free^p / (sum b(free, V0) + sum c(free))"
+    if gate := _gate(c, cid, stmt, "torsion"):
+        return gate
     g = spec.graph
     if spec.dirichlet:
-        denom = sum(
-            b for v in spec.free_vertices for w, b in g.neighbors(v) if w in spec.dirichlet
-        )
+        denom = sum(boundary_entries(spec)[1])
         denom += sum(g.potential[v] for v in spec.free_vertices)
         mass = spec.free_measure()
     else:
         denom = sum(g.potential.values())
         mass = g.total_measure()
     if denom <= 0.0:
-        return _skip(cid, stmt, "denominator is zero")
+        return BoundCheck(cid, stmt, False, "denominator is zero")
     return _bound(cid, stmt, c.torsion.rigidity, ">=", mass**spec.p / denom)
 
 
 def path_inradius_lower(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck:
     """For a path with one Dirichlet end and c = 0: T_p >= m_free^p / Inr_p."""
     c = _ctx(spec, ctx)
-    cid = "path_inradius_lower"
-    stmt = "T_p >= Inr_p(P;V0)^(-1) m_free^p  [path, Dirichlet end]"
-    if not c.is_path_end_dirichlet:
-        return _skip(cid, stmt, "graph is not a path with a single Dirichlet endpoint")
-    if not c.c_zero:
-        return _skip(cid, stmt, "needs zero potential")
-    if isinstance(c.torsion, TorsioError):
-        return _stuck(cid, stmt, f"torsion solve failed: {c.torsion}")
+    cid, stmt = "path_inradius_lower", "T_p >= Inr_p(P;V0)^(-1) m_free^p  [path, Dirichlet end]"
+    if gate := _gate(c, cid, stmt, "path_end", "c_zero", "torsion"):
+        return gate
     inr = q_inradius(spec, spec.p)
     return _bound(cid, stmt, c.torsion.rigidity, ">=", spec.free_measure() ** spec.p / inr)
 
@@ -357,18 +357,14 @@ def tree_inradius_lower(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundChec
     c = _ctx(spec, ctx)
     cid = "tree_inradius_lower"
     stmt = "T_p >= Inr_p(T;V0)^(-1) min(m_free)^p  [tree, merged Dirichlet vertex]"
-    if not spec.dirichlet:
-        return _skip(cid, stmt, "needs a Dirichlet set")
-    if not c.c_zero:
-        return _skip(cid, stmt, "needs zero potential")
-    if not c.connected:
-        return _skip(cid, stmt, "needs a connected graph")
+    if gate := _gate(c, cid, stmt, "dirichlet", "c_zero", "connected"):
+        return gate
     merged = merge_dirichlet(spec)
     mg = merged.graph
     if mg.edge_count != mg.vertex_count - 1:
-        return _skip(cid, stmt, "not a tree after identifying the Dirichlet set")
-    if isinstance(c.torsion, TorsioError):
-        return _stuck(cid, stmt, f"torsion solve failed: {c.torsion}")
+        return BoundCheck(cid, stmt, False, "not a tree after identifying the Dirichlet set")
+    if gate := _gate(c, cid, stmt, "torsion"):
+        return gate
     inr = q_inradius(merged, spec.p)
     m_min = min(mg.measure[v] for v in merged.free_vertices)
     return _bound(cid, stmt, c.torsion.rigidity, ">=", m_min**spec.p / inr)
@@ -381,19 +377,15 @@ def rayleigh_symmetrization_lower(spec: ProblemSpec, ctx: _Ctx | None = None) ->
     c = _ctx(spec, ctx)
     cid = "rayleigh_symmetrization_lower"
     stmt = "lambda0 >= lambda0(eta-weight path ordered by ground state)"
-    if not spec.well_posed:
-        return _skip(cid, stmt, "spec is not well posed")
-    if not c.connected or c.eta <= 0.0:
-        return _skip(cid, stmt, "needs a connected graph (eta > 0)")
-    if isinstance(c.spectral, TorsioError):
-        return _stuck(cid, stmt, f"spectral solve failed: {c.spectral}")
+    if gate := _gate(c, cid, stmt, "well_posed", "eta", "spectral"):
+        return gate
     path_spec = c.sorted_path_spec(
         c.spectral.ground_state, keep_potential=True, edge_weight=c.eta
     )
     try:
         lam_path = lambda0(path_spec, c.opts).lambda0
-    except TorsioError as exc:
-        return _stuck(cid, stmt, f"path comparison solve failed: {exc}")
+    except _FAILED as exc:
+        return BoundCheck(cid, stmt, True, f"path comparison solve failed: {exc}")
     return _bound(cid, stmt, c.spectral.lambda0, ">=", lam_path, note=c.p_note)
 
 
@@ -405,61 +397,36 @@ def mean_distance_bounds(spec: ProblemSpec, ctx: _Ctx | None = None) -> tuple[Bo
         T_p < m_free^p * Mean_p(G^-1;V0) <= m_free^p * Inr_p(G^-1;V0)
     """
     c = _ctx(spec, ctx)
-    ids = (
-        "mean_distance_lambda_lower",
-        "mean_distance_rigidity_upper",
-        "inradius_lambda_lower",
-        "inradius_rigidity_upper",
+    heads = (
+        ("mean_distance_lambda_lower", "lambda0 >= 1/(m_free * Mean_p(G^-1;V0))"),
+        ("mean_distance_rigidity_upper", "T_p < m_free^p * Mean_p(G^-1;V0)"),
+        ("inradius_lambda_lower", "lambda0 >= 1/(m_free * Inr_p(G^-1;V0))"),
+        ("inradius_rigidity_upper", "T_p <= m_free^p * Inr_p(G^-1;V0)"),
     )
-    stmts = (
-        "lambda0 >= 1/(m_free * Mean_p(G^-1;V0))",
-        "T_p < m_free^p * Mean_p(G^-1;V0)",
-        "lambda0 >= 1/(m_free * Inr_p(G^-1;V0))",
-        "T_p <= m_free^p * Inr_p(G^-1;V0)",
-    )
-    if not spec.dirichlet:
-        return tuple(_skip(i, s, "needs a Dirichlet set") for i, s in zip(ids, stmts))
-    if not c.connected:
-        return tuple(_skip(i, s, "needs a connected graph") for i, s in zip(ids, stmts))
+    if gate := _gate(c, *heads[0], "dirichlet", "connected"):
+        return tuple(replace(gate, id=cid, statement=stmt) for cid, stmt in heads)
     inv_spec = ProblemSpec(invert_edge_weights(spec.graph), spec.dirichlet, spec.p)
-    mean = q_mean_distance(inv_spec, spec.p)
-    inr = q_inradius(inv_spec, spec.p)
+    inr, mean = q_inradius_and_mean(inv_spec, spec.p)
     mass = spec.free_measure()
     out: list[BoundCheck] = []
-    if isinstance(c.spectral, TorsioError):
-        out.append(_stuck(ids[0], stmts[0], f"spectral solve failed: {c.spectral}"))
-    else:
-        out.append(
-            _bound(ids[0], stmts[0], c.spectral.lambda0, ">=", 1.0 / (mass * mean), note=c.p_note)
-        )
-    if isinstance(c.torsion, TorsioError):
-        out.append(_stuck(ids[1], stmts[1], f"torsion solve failed: {c.torsion}"))
-    else:
-        out.append(_bound(ids[1], stmts[1], c.torsion.rigidity, "<=", mass**spec.p * mean))
-    if isinstance(c.spectral, TorsioError):
-        out.append(_stuck(ids[2], stmts[2], f"spectral solve failed: {c.spectral}"))
-    else:
-        out.append(
-            _bound(ids[2], stmts[2], c.spectral.lambda0, ">=", 1.0 / (mass * inr), note=c.p_note)
-        )
-    if isinstance(c.torsion, TorsioError):
-        out.append(_stuck(ids[3], stmts[3], f"torsion solve failed: {c.torsion}"))
-    else:
-        out.append(_bound(ids[3], stmts[3], c.torsion.rigidity, "<=", mass**spec.p * inr))
+    rows = zip(heads, (mean, mean, inr, inr), ("spectral", "torsion", "spectral", "torsion"))
+    for (cid, stmt), dist, solve in rows:
+        if gate := _gate(c, cid, stmt, solve):
+            out.append(gate)
+        elif solve == "spectral":
+            lam_rhs = 1.0 / (mass * dist)
+            out.append(_bound(cid, stmt, c.spectral.lambda0, ">=", lam_rhs, note=c.p_note))
+        else:
+            out.append(_bound(cid, stmt, c.torsion.rigidity, "<=", mass**spec.p * dist))
     return tuple(out)
 
 
 def landscape_lower(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck:
     """lambda_0,p >= 1 / ||tau_p||_inf^(p-1), the landscape-function bound."""
     c = _ctx(spec, ctx)
-    cid = "landscape_lower"
-    stmt = "lambda0 >= ||tau||_inf^(1-p)"
-    if not spec.well_posed:
-        return _skip(cid, stmt, "spec is not well posed")
-    if isinstance(c.torsion, TorsioError):
-        return _stuck(cid, stmt, f"torsion solve failed: {c.torsion}")
-    if isinstance(c.spectral, TorsioError):
-        return _stuck(cid, stmt, f"spectral solve failed: {c.spectral}")
+    cid, stmt = "landscape_lower", "lambda0 >= ||tau||_inf^(1-p)"
+    if gate := _gate(c, cid, stmt, "well_posed", "torsion", "spectral"):
+        return gate
     sup = max(c.torsion.tau[v] for v in spec.free_vertices)
     return _bound(cid, stmt, c.spectral.lambda0, ">=", sup ** (1.0 - spec.p), note=c.p_note)
 
@@ -470,16 +437,8 @@ def fiedler_dirichlet(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck:
     c = _ctx(spec, ctx)
     cid = "fiedler_dirichlet"
     stmt = "lambda0 >= eta * (sum_k k^(1/(p-1)))^(1-p)  [m = 1, c = 0]"
-    if not spec.dirichlet:
-        return _skip(cid, stmt, "needs a Dirichlet set")
-    if not c.m_unit:
-        return _skip(cid, stmt, "needs unit masses")
-    if not c.c_zero:
-        return _skip(cid, stmt, "needs zero potential")
-    if not c.connected or c.eta <= 0.0:
-        return _skip(cid, stmt, "needs a connected graph (eta > 0)")
-    if isinstance(c.spectral, TorsioError):
-        return _stuck(cid, stmt, f"spectral solve failed: {c.spectral}")
+    if gate := _gate(c, cid, stmt, "dirichlet", "m_unit", "c_zero", "eta", "spectral"):
+        return gate
     nfree = spec.free_count
     s = sum(k ** (1.0 / (spec.p - 1.0)) for k in range(1, nfree + 1))
     rhs = c.eta * s ** (1.0 - spec.p)
@@ -494,46 +453,20 @@ def fiedler_neumann_p2(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck
     |V| before halving at its midpoint; taking n = |V|/2 on even counts is
     already falsified by the 4-vertex path (lambda1 = 2 - sqrt(2) < eta)."""
     c = _ctx(spec, ctx)
-    cid = "fiedler_neumann_p2"
-    stmt = "lambda1_2 >= eta * (sum_k (n-k))^(-1), n = |V|//2 + 1"
-    if spec.p != 2.0:
-        return _skip(cid, stmt, "implemented for p = 2 only")
-    if not c.m_unit:
-        return _skip(cid, stmt, "needs unit masses")
-    if not c.c_zero:
-        return _skip(cid, stmt, "needs zero potential")
-    if not c.connected or c.eta <= 0.0:
-        return _skip(cid, stmt, "needs a connected graph (eta > 0)")
+    cid, stmt = "fiedler_neumann_p2", "lambda1_2 >= eta * (sum_k (n-k))^(-1), n = |V|//2 + 1"
+    if gate := _gate(c, cid, stmt, "p2_only", "m_unit", "c_zero", "eta"):
+        return gate
     nv = spec.graph.vertex_count
     if nv < 3:
-        return _skip(cid, stmt, "degenerate two-vertex comparison")
+        return BoundCheck(cid, stmt, False, "degenerate two-vertex comparison")
     n = nv // 2 + 1
     lam1 = lambda1_p2(spec.graph)
     s = sum(n - k for k in range(1, n))
     return _bound(cid, stmt, lam1, ">=", c.eta / s)
 
 
-def _kj_gates(c: _Ctx, cid: str, stmt: str, need_degree: bool) -> BoundCheck | None:
-    spec = c.spec
-    if spec.p != 2.0:
-        return _skip(cid, stmt, "needs p = 2")
-    if need_degree and not c.m_degree:
-        return _skip(cid, stmt, "needs m = deg")
-    if not need_degree and not c.m_unit:
-        return _skip(cid, stmt, "needs unit masses")
-    if not c.b_standard:
-        return _skip(cid, stmt, "needs standard edge weights")
-    if not c.c_zero:
-        return _skip(cid, stmt, "needs zero potential")
-    if not spec.dirichlet:
-        return _skip(cid, stmt, "needs a Dirichlet set")
-    if not c.connected:
-        return _skip(cid, stmt, "needs a connected graph")
-    if isinstance(c.torsion, TorsioError):
-        return _stuck(cid, stmt, f"torsion solve failed: {c.torsion}")
-    if isinstance(c.spectral, TorsioError):
-        return _stuck(cid, stmt, f"spectral solve failed: {c.spectral}")
-    return None
+# the hypotheses of the Kohler-Jobin checks after p = 2 and their mass condition
+_KJ_NEEDS = ("b_standard", "c_zero", "dirichlet", "connected", "torsion", "spectral")
 
 
 def kohler_jobin_modified(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck:
@@ -542,12 +475,11 @@ def kohler_jobin_modified(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCh
     c = _ctx(spec, ctx)
     cid = "kohler_jobin_modified"
     stmt = "(T_2 + E/3)^(2/3) arccos(1 - lambda0)^2 >= (pi/6^(1/3))^2  [m = deg]"
-    gate = _kj_gates(c, cid, stmt, need_degree=True)
-    if gate is not None:
+    if gate := _gate(c, cid, stmt, "p2", "m_degree", *_KJ_NEEDS):
         return gate
     lam = c.spectral.lambda0
     if not -1e-9 <= lam <= 2.0 + 1e-9:
-        return _stuck(cid, stmt, f"lambda0 = {lam} outside [0, 2]")
+        return BoundCheck(cid, stmt, True, f"lambda0 = {lam} outside [0, 2]")
     E = spec.graph.edge_count
     x = min(1.0, max(-1.0, 1.0 - lam))
     lhs = (c.torsion.rigidity + E / 3.0) ** (2.0 / 3.0) * np.arccos(x) ** 2
@@ -559,10 +491,8 @@ def kohler_jobin_classical(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundC
     """T_2^(2/3) * lambda_0,2 >= 1 for m = deg, b standard, c = 0; equality
     exactly on the single-edge path."""
     c = _ctx(spec, ctx)
-    cid = "kohler_jobin_classical"
-    stmt = "T_2^(2/3) lambda0 >= 1  [m = deg]"
-    gate = _kj_gates(c, cid, stmt, need_degree=True)
-    if gate is not None:
+    cid, stmt = "kohler_jobin_classical", "T_2^(2/3) lambda0 >= 1  [m = deg]"
+    if gate := _gate(c, cid, stmt, "p2", "m_degree", *_KJ_NEEDS):
         return gate
     lhs = c.torsion.rigidity ** (2.0 / 3.0) * c.spectral.lambda0
     return _bound(cid, stmt, lhs, ">=", 1.0)
@@ -574,8 +504,7 @@ def kohler_jobin_classical_unit(spec: ProblemSpec, ctx: _Ctx | None = None) -> B
     c = _ctx(spec, ctx)
     cid = "kohler_jobin_classical_unit"
     stmt = "T_2^(2/3) lambda0 >= min(deg)/max(deg)^(4/3)  [m = 1]"
-    gate = _kj_gates(c, cid, stmt, need_degree=False)
-    if gate is not None:
+    if gate := _gate(c, cid, stmt, "p2", "m_unit", *_KJ_NEEDS):
         return gate
     degs = [degree(spec.graph, v) for v in spec.free_vertices]
     rhs = min(degs) / max(degs) ** (4.0 / 3.0)
@@ -593,20 +522,9 @@ def normalized_saint_venant(spec: ProblemSpec, ctx: _Ctx | None = None) -> Bound
     K4 and by paths with four or more free vertices.
     """
     c = _ctx(spec, ctx)
-    cid = "normalized_saint_venant"
-    stmt = "T_2 <= max(deg)^2/eta * T_2(unit path)  [m = deg]"
-    if spec.p != 2.0:
-        return _skip(cid, stmt, "needs p = 2")
-    if not c.m_degree:
-        return _skip(cid, stmt, "needs m = deg")
-    if not c.c_zero:
-        return _skip(cid, stmt, "needs zero potential")
-    if not spec.dirichlet:
-        return _skip(cid, stmt, "needs a Dirichlet set")
-    if not c.connected or c.eta <= 0.0:
-        return _skip(cid, stmt, "needs a connected graph (eta > 0)")
-    if isinstance(c.torsion, TorsioError):
-        return _stuck(cid, stmt, f"torsion solve failed: {c.torsion}")
+    cid, stmt = "normalized_saint_venant", "T_2 <= max(deg)^2/eta * T_2(unit path)  [m = deg]"
+    if gate := _gate(c, cid, stmt, "p2", "m_degree", "c_zero", "dirichlet", "eta", "torsion"):
+        return gate
     dmax = max(degree(spec.graph, v) for v in spec.free_vertices)
     rhs = dmax**2 / c.eta * reference_values("path_T2", spec.free_count, "unit")
     return _bound(cid, stmt, c.torsion.rigidity, "<=", rhs)
@@ -617,7 +535,7 @@ def torsion_ordered_path(spec: ProblemSpec, opts: SolverOptions | None = None) -
     vertices ordered by ascending torsion values (ties by internal index),
     masses and potentials carried along, Dirichlet data merged at one end."""
     ctx = _Ctx(spec, opts)
-    if isinstance(ctx.torsion, TorsioError):
+    if isinstance(ctx.torsion, _FAILED):
         raise ctx.torsion
     return ctx.sorted_path_spec(ctx.torsion.tau, keep_potential=True)
 
@@ -734,13 +652,13 @@ def check_all(spec: ProblemSpec, opts: SolverOptions | None = None) -> BoundRepo
         "c_zero": ctx.c_zero,
     }
     diagnostics: dict = {}
-    if isinstance(ctx.torsion, TorsioError):
+    if isinstance(ctx.torsion, _FAILED):
         diagnostics["torsion_error"] = str(ctx.torsion)
     else:
         diagnostics["torsion_iterations"] = ctx.torsion.iterations
         diagnostics["torsion_residual"] = ctx.torsion.residual_inf
         diagnostics["torsion_method"] = ctx.torsion.method
-    if isinstance(ctx.spectral, TorsioError):
+    if isinstance(ctx.spectral, _FAILED):
         diagnostics["lambda0_error"] = str(ctx.spectral)
     else:
         diagnostics["lambda0_method"] = ctx.spectral.method

@@ -104,7 +104,8 @@ class NonzeroGuestPotentialError(TorsioError):
 
 
 class InvalidQError(TorsioError):
-    """The metric exponent q must satisfy q > 1."""
+    """The metric exponent q is unusable: q <= 1, or an edge cost
+    b^(1/(q-1)) overflows a float at this q."""
 
 
 class DisconnectedError(TorsioError):

@@ -63,9 +63,17 @@ def _check_q(q: float) -> float:
 def _cost_matrix(g: WeightedGraph, q: float) -> sp.csr_array:
     """g's CSR adjacency with each weight b replaced by the cost b^(1/(q-1)).
     A cost that underflows to 0.0 stays stored, and csgraph reads a stored
-    zero as an edge."""
+    zero as an edge; one that overflows raises InvalidQError."""
     expo = 1.0 / (q - 1.0)
-    cost = np.array([b**expo for b in g._nbw.tolist()], dtype=float)
+    weights = g._nbw.tolist()
+    try:
+        cost = np.array([b**expo for b in weights], dtype=float)
+    except OverflowError:
+        # b^expo grows with b, so the largest weight overflows first
+        raise InvalidQError(
+            f"q = {q}: the edge cost b^(1/(q-1)) of the weight b = {max(weights)} "
+            "overflows a float"
+        ) from None
     n = g.vertex_count
     return sp.csr_array((cost, g._nbr, g._indptr), shape=(n, n))
 
@@ -97,23 +105,30 @@ def _free_distances(spec: ProblemSpec, q: float) -> list[float]:
     return dist
 
 
+def _inradius(dist: list[float], q: float) -> float:
+    return float(max(d ** (q - 1.0) for d in dist))
+
+
 def q_inradius(spec: ProblemSpec, q: float) -> float:
     """Inr_q = max over vertices of dist_{q,b}(v, V0)^(q-1)."""
     q = _check_q(q)
-    dist = _free_distances(spec, q)
-    return float(max(d ** (q - 1.0) for d in dist))
+    return _inradius(_free_distances(spec, q), q)
 
 
 def q_mean_distance(spec: ProblemSpec, q: float) -> float:
     """Mean_q = m-weighted average of dist_{q,b}(v, V0)^(q-1) over free vertices."""
+    return q_inradius_and_mean(spec, q)[1]
+
+
+def q_inradius_and_mean(spec: ProblemSpec, q: float) -> tuple[float, float]:
+    """(Inr_q, Mean_q) from one search of the Dirichlet set."""
     q = _check_q(q)
     dist = _free_distances(spec, q)
     m = spec.graph.m.tolist()
     free = [i for i, v in enumerate(spec.graph.vertices) if v not in spec.dirichlet]
     total = sum(m[i] for i in free)
-    if total == 0.0:
-        return 0.0
-    return float(sum(dist[i] ** (q - 1.0) * m[i] for i in free) / total)
+    mean = float(sum(dist[i] ** (q - 1.0) * m[i] for i in free) / total) if total else 0.0
+    return _inradius(dist, q), mean
 
 
 def p_diameter_inverted(g: WeightedGraph, p: float) -> Distance:
@@ -209,10 +224,11 @@ def geometry_summary(spec: ProblemSpec, q: float | None = None) -> GeometrySumma
     ``q`` defaults to the spec's exponent p.
     """
     q = spec.p if q is None else _check_q(q)
+    inradius, mean_distance = q_inradius_and_mean(spec, q)
     return GeometrySummary(
         q=q,
-        inradius=q_inradius(spec, q),
-        mean_distance=q_mean_distance(spec, q),
+        inradius=inradius,
+        mean_distance=mean_distance,
         diameter_inverted=p_diameter_inverted(spec.graph, q),
         min_cut_weight=min_cut_weight(spec.graph),
     )

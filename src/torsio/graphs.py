@@ -188,8 +188,11 @@ def build_graph(
 
 
 def degree(g: WeightedGraph, v: VertexId) -> float:
-    """deg(v) = sum of incident edge weights plus the potential c(v)."""
-    return float(sum(b for _, b in g.neighbors(v)) + g.potential[v])
+    """deg(v) = sum of incident edge weights plus the potential c(v), the
+    weights added in the order ``neighbors`` lists them."""
+    i = g.vertex_index(v)
+    lo, hi = g._indptr[i : i + 2].tolist()
+    return float(sum(g._nbw[lo:hi].tolist()) + g.potential[v])
 
 
 @dataclass(frozen=True)
@@ -231,6 +234,18 @@ class ProblemSpec:
 
     def free_measure(self) -> float:
         return self.graph.total_measure(self.free_vertices)
+
+
+def boundary_entries(spec: ProblemSpec) -> tuple[list[int], list[float]]:
+    """Rows i and weights b of the adjacency entries from a free vertex i to
+    a Dirichlet vertex: free vertices in vertex order, each row in the order
+    ``neighbors`` lists it."""
+    g = spec.graph
+    pinned = np.zeros(g.vertex_count, dtype=bool)
+    pinned[[g.vertex_index(v) for v in spec.dirichlet]] = True
+    rows = np.repeat(np.arange(g.vertex_count), np.diff(g._indptr))
+    hit = ~pinned[rows] & pinned[g._nbr]
+    return rows[hit].tolist(), g._nbw[hit].tolist()
 
 
 @dataclass(frozen=True)

@@ -88,7 +88,7 @@ from .errors import (
     UnboundedComponentError,
     UnsupportedCombinationError,
 )
-from .graphs import ProblemSpec, VertexId, WeightedGraph
+from .graphs import ProblemSpec, VertexId, WeightedGraph, boundary_entries
 
 _METHODS = ("auto", "gauss_seidel", "newton", "direct_p2")
 
@@ -671,12 +671,8 @@ def balance_check(spec: ProblemSpec, sol: TorsionSolution) -> BalanceResult:
     p = spec.p
     tau = sol.tau
     if spec.dirichlet:
-        lhs = sum(
-            b * float(phi_p(tau[v], p))
-            for v in spec.free_vertices
-            for w, b in g.neighbors(v)
-            if w in spec.dirichlet
-        )
+        rows, weights = boundary_entries(spec)
+        lhs = sum(b * float(phi_p(tau[g.vertices[i]], p)) for i, b in zip(rows, weights))
         lhs += sum(g.potential[v] * float(phi_p(tau[v], p)) for v in spec.free_vertices)
         rhs = spec.free_measure()
     else:

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+import torsio.bounds as bounds
+
 from conftest import random_general_spec
 from torsio import (
+    NoConvergenceError,
     ProblemSpec,
     build_graph,
     check_all,
@@ -292,6 +295,20 @@ def test_check_all_disconnected_graph_completes():
     assert by_id["landscape_lower"].inconclusive
 
 
+def test_check_all_completes_when_a_solve_raises_linalg_error():
+    # 1 + 1e16 == 1e16 in floats, so the p = 2 start matrix of the solve is
+    # exactly singular and numpy raises LinAlgError
+    g = build_graph(
+        [("a", 1, 0), ("b", 1, 0), ("c", 1, 0)], [("a", "b", 1.0), ("b", "c", 1e16)]
+    )
+    report = check_all(ProblemSpec(g, frozenset({"a"}), 1.05))
+    assert tuple(c.id for c in report.checks) == ALL_IDS
+    assert "torsion_error" in report.diagnostics
+    trivial = {c.id: c for c in report.checks}["trivial_lower"]
+    assert trivial.inconclusive
+    assert trivial.reason == f"torsion solve failed: {report.diagnostics['torsion_error']}"
+
+
 def test_report_serialization():
     report = check_all(make_path(2))
     d = report.to_dict()
@@ -358,3 +375,112 @@ def test_lambda1_consistency_with_fiedler_check():
     assert lambda1_p2(g) == pytest.approx(5.0, abs=1e-10)
     chk = fiedler_neumann_p2(make_complete(5))
     assert chk.lhs == pytest.approx(5.0, abs=1e-10)
+
+
+def _three_path(potential=0.0, dirichlet=("a",)):
+    g = build_graph(
+        [("a", 1, 0), ("b", 1, potential), ("c", 1, 0)], [("a", "b", 1), ("b", "c", 1)]
+    )
+    return ProblemSpec(g, frozenset(dirichlet), 2.0)
+
+
+def _two_edges():
+    g = build_graph(
+        [("a", 1, 0), ("b", 1, 0), ("c", 1, 0), ("d", 1, 0)],
+        [("a", "b", 1), ("c", "d", 1)],
+    )
+    return ProblemSpec(g, frozenset({"a"}), 2.0)
+
+
+_GATE_CASES = {
+    "p2": (lambda: make_path(3, p=3.0), saint_venant_p2_unit, "needs p = 2"),
+    "p2 only": (lambda: make_path(3, p=3.0), fiedler_neumann_p2, "implemented for p = 2 only"),
+    "m unit": (lambda: make_path(3, "degree"), saint_venant_p2_unit, "needs unit masses"),
+    "m degree": (lambda: make_path(3), kohler_jobin_classical, "needs m = deg"),
+    "b standard": (
+        lambda: make_path(3, "degree", b=2.0),
+        kohler_jobin_classical,
+        "needs standard edge weights",
+    ),
+    "c zero": (lambda: _three_path(potential=0.5), path_inradius_lower, "needs zero potential"),
+    "dirichlet": (
+        lambda: _three_path(potential=0.5, dirichlet=()),
+        saint_venant_general,
+        "needs a Dirichlet set",
+    ),
+    "well posed": (
+        lambda: _three_path(dirichlet=()),
+        symmetrization_upper,
+        "spec is not well posed",
+    ),
+    "connected": (_two_edges, tree_inradius_lower, "needs a connected graph"),
+    "eta": (_two_edges, saint_venant_general, "needs a connected graph (eta > 0)"),
+    "path end": (
+        lambda: make_star(3),
+        path_inradius_lower,
+        "graph is not a path with a single Dirichlet endpoint",
+    ),
+    "tree": (
+        lambda: make_complete(4),
+        tree_inradius_lower,
+        "not a tree after identifying the Dirichlet set",
+    ),
+    "two vertices": (lambda: make_path(1), fiedler_neumann_p2, "degenerate two-vertex comparison"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GATE_CASES))
+def test_gate_reason_not_applicable(case):
+    make, check, reason = _GATE_CASES[case]
+    chk = check(make())
+    assert (chk.applicable, chk.reason) == (False, reason)
+    assert (chk.lhs, chk.rhs, chk.satisfied, chk.slack) == (None, None, None, None)
+
+
+@pytest.mark.parametrize(
+    "make, reason",
+    [
+        (lambda: _three_path(potential=0.5, dirichlet=()), "needs a Dirichlet set"),
+        (_two_edges, "needs a connected graph"),
+    ],
+)
+def test_gate_reason_of_every_mean_distance_row(make, reason):
+    checks = mean_distance_bounds(make())
+    assert [(c.applicable, c.reason) for c in checks] == [(False, reason)] * 4
+
+
+def _stub_failure(*args, **kwargs):
+    raise NoConvergenceError("stub failure")
+
+
+@pytest.mark.parametrize(
+    "target, check, reason",
+    [
+        ("solve_torsion", saint_venant_general, "torsion solve failed: stub failure"),
+        ("solve_torsion", trivial_lower, "torsion solve failed: stub failure"),
+        ("lambda0", landscape_lower, "spectral solve failed: stub failure"),
+        ("lambda0", kohler_jobin_classical_unit, "spectral solve failed: stub failure"),
+    ],
+)
+def test_gate_reason_of_a_failed_solve(monkeypatch, target, check, reason):
+    monkeypatch.setattr(bounds, target, _stub_failure)
+    chk = check(make_path(3))
+    assert (chk.applicable, chk.reason, chk.satisfied) == (True, reason, None)
+    assert chk.inconclusive
+
+
+@pytest.mark.parametrize(
+    "make, target, check",
+    [
+        (lambda: _three_path(potential=0.5), "solve_torsion", symmetrization_upper),
+        (lambda: make_path(3), "lambda0", rayleigh_symmetrization_lower),
+    ],
+)
+def test_gate_reason_of_a_failed_path_comparison(monkeypatch, make, target, check):
+    spec = make()
+    ctx = bounds._Ctx(spec)
+    assert not isinstance(ctx.torsion, Exception) and not isinstance(ctx.spectral, Exception)
+    monkeypatch.setattr(bounds, target, _stub_failure)
+    chk = check(spec, ctx)
+    assert (chk.applicable, chk.reason) == (True, "path comparison solve failed: stub failure")
+    assert chk.inconclusive

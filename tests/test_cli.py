@@ -220,6 +220,38 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert err["error"] == "NoConvergenceError"
 
 
+def _stiff_path(b):
+    """a - b - c with edge weights 1 and b, Dirichlet set {a}, at p = 1.05."""
+    return {
+        "version": 1,
+        "vertices": [{"id": v, "m": 1} for v in "abc"],
+        "edges": [{"u": "a", "v": "b", "b": 1}, {"u": "b", "v": "c", "b": b}],
+        "dirichlet": ["a"],
+        "p": 1.05,
+    }
+
+
+@pytest.mark.parametrize("command, b", [("metrics", 1e16), ("bounds", 1e-16)])
+def test_cli_overflowing_edge_cost_is_an_input_error(tmp_path, capsys, command, b):
+    # the edge cost 1e16^(1/(p-1)) = 1e320 overflows; bounds meets it on the
+    # weight-inverted graph of its mean-distance checks
+    assert main([command, write(tmp_path, _stiff_path(b))]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "InvalidQError"
+    assert err["message"].startswith("q = 1.05: ") and "b = 1e+16" in err["message"]
+
+
+def test_cli_bounds_reports_a_singular_torsion_solve(tmp_path, capsys):
+    # 1 + 1e16 == 1e16 in floats, so the torsion solve meets an exactly
+    # singular matrix; the report still completes
+    assert main(["bounds", write(tmp_path, _stiff_path(1e16)), "--format", "csv"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 21
+    assert "trivial_lower,true,,,,,torsion solve failed: Singular matrix" in rows
+
+
 def test_cli_input_errors(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["torsion", missing]) == 1

@@ -155,9 +155,11 @@ def test_distances_equal_networkx_dijkstra(q):
         for invert in (False, True):
             dist = nx.multi_source_dijkstra_path_length(G, spec.dirichlet, weight=_nx_cost(q, invert))
             target = ProblemSpec(invert_edge_weights(g), spec.dirichlet, q) if invert else spec
-            assert q_inradius(target, q) == max(d ** (q - 1.0) for d in dist.values())
+            inradius = max(d ** (q - 1.0) for d in dist.values())
+            assert q_inradius(target, q) == inradius
             mean = sum(dist[v] ** (q - 1.0) * m[v] for v in free) / total
             assert q_mean_distance(target, q) == mean
+            assert torsio.geometry.q_inradius_and_mean(target, q) == (inradius, mean)
         rows = nx.all_pairs_dijkstra_path_length(G, weight=_nx_cost(q, True))
         worst = max(max(row.values()) for _, row in rows)
         assert p_diameter_inverted(g, q) == worst ** (q - 1.0)
@@ -170,6 +172,20 @@ def test_underflowing_edge_cost_is_still_an_edge():
     assert q_inradius(spec, 1.05) == 0.0
     assert q_mean_distance(spec, 1.05) == 0.0
     assert q_distance(g, 1.05, "a", "b") == 0.0
+
+
+def test_overflowing_edge_cost_is_an_invalid_q():
+    # 1e16^(1/(q-1)) = 1e320 overflows a float at q = 1.05
+    g = build_graph([("a", 1, 0), ("b", 1, 0), ("c", 1, 0)], [("a", "b", 1.0), ("b", "c", 1e16)])
+    spec = ProblemSpec(g, frozenset({"a"}), 1.05)
+    for metric in (q_inradius, q_mean_distance, torsio.geometry.q_inradius_and_mean):
+        with pytest.raises(InvalidQError, match=r"^q = 1.05: .* b = 1e\+16 overflows a float$"):
+            metric(spec, 1.05)
+    with pytest.raises(InvalidQError):
+        q_distance(g, 1.05, "a", "c")
+    # the inverted weight 1/1e-16 of the diameter overflows the same way
+    with pytest.raises(InvalidQError):
+        p_diameter_inverted(build_graph([("a", 1, 0), ("b", 1, 0)], [("a", "b", 1e-16)]), 1.05)
 
 
 def test_disconnected_error_names_vertices_in_vertex_order():
