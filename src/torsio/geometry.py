@@ -105,8 +105,16 @@ def _free_distances(spec: ProblemSpec, q: float) -> list[float]:
     return dist
 
 
+def _power(d: float, q: float) -> float:
+    """d^(q-1) for a distance d; InvalidQError if it overflows a float."""
+    try:
+        return d ** (q - 1.0)
+    except OverflowError:
+        raise InvalidQError(f"q = {q}: the power d^(q-1) of the distance d = {d} overflows a float") from None
+
+
 def _inradius(dist: list[float], q: float) -> float:
-    return float(max(d ** (q - 1.0) for d in dist))
+    return float(max(_power(d, q) for d in dist))
 
 
 def q_inradius(spec: ProblemSpec, q: float) -> float:
@@ -127,7 +135,7 @@ def q_inradius_and_mean(spec: ProblemSpec, q: float) -> tuple[float, float]:
     m = spec.graph.m.tolist()
     free = [i for i, v in enumerate(spec.graph.vertices) if v not in spec.dirichlet]
     total = sum(m[i] for i in free)
-    mean = float(sum(dist[i] ** (q - 1.0) * m[i] for i in free) / total) if total else 0.0
+    mean = float(sum(_power(dist[i], q) * m[i] for i in free) / total) if total else 0.0
     return _inradius(dist, q), mean
 
 
@@ -150,7 +158,7 @@ def p_diameter_inverted(g: WeightedGraph, p: float) -> Distance:
         if far == np.inf:
             return UNREACHABLE
         worst = max(worst, far)
-    return float(worst ** (p - 1.0))
+    return float(_power(worst, p))
 
 
 def min_cut_weight(g: WeightedGraph) -> float:

@@ -21,11 +21,12 @@ A problem is assembled once: ``_assemble`` reads the graph's arrays and
 derives only the free vertices and the triplets of the Laplacian on them;
 objective and gradient are the array kernels of ``energy``.  The p = 2
 matrix, the Newton Hessian and the p = 2 eigenproblems of ``spectral`` are
-all one reweighted Laplacian on the free vertices (``_laplacian``): a dense
-array up to DENSE_LIMIT free vertices and a sparse CSC matrix above.  Each
-is symmetric positive definite and ``_linsolve`` factors it as such: LAPACK
-Cholesky on the dense side, SuperLU with a symmetric minimum-degree ordering
-and diagonal pivots (``_factor``) on the sparse side.
+all one symmetric positive definite reweighted Laplacian on the free
+vertices, a ``_System`` with one solve policy: a dense array up to
+DENSE_LIMIT free vertices, solved by LAPACK Cholesky (general LU on a
+non-positive pivot), and a CSC matrix above, solved by one SuperLU factor
+per matrix with a symmetric minimum-degree ordering and diagonal pivots
+(``_factor``), or by Jacobi-PCG where a solve names a residual target.
 
 The fill of a sparse factor follows the size of the graph's separators
 (nested dissection), so grids, paths and trees factor cheaply while on
@@ -34,12 +35,12 @@ expanders L+U fills in (1.15e6 nonzeros for the 2.1e4 of a random
 graph, whether a sparse-side problem is on the Krylov side: at least
 KRYLOV_EDGE_RATIO edges between free vertices per free vertex, and one
 unweighted search from the first free vertex reaching them all within
-KRYLOV_HOPS * log2(free vertices) hops.  There the p = 2 solves (direct_p2,
-the start of Newton, the shift-invert of ``spectral``) run Jacobi-PCG
-(``_p2_solve``), which takes 40-135 steps on such graphs, stops at the
-residual's rounding floor when that lies above the target, and factors only
-if PCG_MAX_ITERATIONS run out.  Newton Hessians and the rigidity bracket, whose
-corrected flux must be admissible to rounding, always factor.
+KRYLOV_HOPS * log2(free vertices) hops.  The p = 2 solves (direct_p2, the
+start of Newton, the shift-invert of ``spectral``) name a target; PCG takes
+40-135 steps on such graphs, stops at the residual's rounding floor when
+that lies above the target, and factors only if PCG_MAX_ITERATIONS run out.
+Newton Hessians and the rigidity bracket, whose corrected flux must be
+admissible to rounding, name none and always factor.
 
 Convergence is measured on the pointwise residual max_v |L_p u(v) - 1|
 (not on step sizes), because on finite graphs the weak and the pointwise
@@ -98,7 +99,7 @@ DENSE_LIMIT = 500
 # hops from the first free vertex in units of log2(free vertices)
 KRYLOV_EDGE_RATIO = 1.25
 KRYLOV_HOPS = 4.0
-# PCG steps after which _p2_solve gives up and factors instead
+# PCG steps after which a solve gives up and factors instead
 PCG_MAX_ITERATIONS = 1000
 
 
@@ -145,7 +146,7 @@ class _Assembled(NamedTuple):
     lap_src: np.ndarray
     lap_row: np.ndarray
     lap_col: np.ndarray
-    krylov: bool              # p = 2 solves run _p2_solve, not a factor
+    krylov: bool              # solves with a target run PCG, not a factor
 
 
 def _inner_adjacency(nf: int, pa: np.ndarray, pb: np.ndarray) -> sp.csr_matrix:
@@ -220,21 +221,6 @@ def _residual_inf(asm: _Assembled, p: float, rhs: np.ndarray, u: np.ndarray) -> 
     return float(np.max(np.abs(r[asm.free]) / asm.g.m[asm.free]))
 
 
-def _laplacian(asm: _Assembled, w_e: np.ndarray, c_v: np.ndarray) -> np.ndarray | sp.csc_matrix:
-    """Reweighted Laplacian restricted to the free vertices,
-
-        sum_e w_e (1_a - 1_b)(1_a - 1_b)^T + diag(c_v),
-
-    for edge weights w_e and vertex weights c_v: a dense array up to
-    DENSE_LIMIT free vertices, a CSC matrix above."""
-    nf = len(asm.free)
-    vals = np.concatenate((w_e, -w_e, c_v))[asm.lap_src]
-    if nf <= DENSE_LIMIT:
-        flat = asm.lap_row * nf + asm.lap_col
-        return np.bincount(flat, weights=vals, minlength=nf * nf).reshape(nf, nf)
-    return sp.csc_matrix((vals, (asm.lap_row, asm.lap_col)), shape=(nf, nf))
-
-
 def _factor(A: sp.csc_matrix) -> spla.SuperLU:
     """Sparse LU of a symmetric positive definite A with a symmetric
     ordering and pivots on the diagonal (a Cholesky factor in LU form);
@@ -250,69 +236,92 @@ def _factor(A: sp.csc_matrix) -> spla.SuperLU:
         raise np.linalg.LinAlgError(str(exc)) from exc
 
 
-def _linsolve(A: np.ndarray | sp.csc_matrix, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for a matrix from _laplacian; LinAlgError if A is singular."""
-    if not isinstance(A, np.ndarray):
-        return _factor(A).solve(b)
-    # A.T equals A and is F-contiguous, the layout LAPACK takes
-    _, x, info = dposv(A.T, b)
-    if info != 0:  # not numerically positive definite: general LU
-        return np.linalg.solve(A, b)
-    return x
+class _System:
+    """The reweighted Laplacian restricted to the free vertices,
 
+        A = sum_e w_e (1_a - 1_b)(1_a - 1_b)^T + diag(c_v),
 
-def _p2_solve(asm: _Assembled, K: sp.csc_matrix, b: np.ndarray, target: float) -> np.ndarray:
-    """Solve K x = b for the sparse p = 2 matrix K of a Krylov-side problem
-    by Jacobi-preconditioned conjugate gradients, to max|b - K x| / m <=
-    target over the free vertices.
+    for edge weights w_e and vertex weights c_v, with the solve policy of
+    the module docstring.  A sparse factor is computed on first use and
+    kept for later solves of the same object."""
 
-    When the recursive residual meets the target, the true residual is
-    computed; if the recursion drifted from it, CG restarts from the true
-    residual (residual replacement).  When a replacement does not lower the
-    true residual below the previous one's, the residual has reached its
-    rounding floor above the target and x is returned as it is; the caller
-    judges it.  After PCG_MAX_ITERATIONS steps K is factored instead."""
-    m = asm.g.m[asm.free]
-    inv_diag = 1.0 / K.diagonal()
-    x = np.zeros(len(b))
-    r = b.copy()
-    d = None
-    floor = np.inf
-    for _ in range(PCG_MAX_ITERATIONS):
-        if np.max(np.abs(r) / m) <= target:
-            r = b - K @ x
-            res = np.max(np.abs(r) / m)
-            if res <= target or res >= floor:
-                return x
-            floor = res
-            d = None
-        z = inv_diag * r
-        rz_new = float(np.dot(r, z))
-        d = z if d is None else z + (rz_new / rz) * d
-        rz = rz_new
-        q = K @ d
-        alpha = rz / float(np.dot(d, q))
-        x += alpha * d
-        r -= alpha * q
-    return _factor(K).solve(b)
+    def __init__(self, asm: _Assembled, w_e: np.ndarray, c_v: np.ndarray) -> None:
+        nf = len(asm.free)
+        vals = np.concatenate((w_e, -w_e, c_v))[asm.lap_src]
+        if nf <= DENSE_LIMIT:
+            flat = asm.lap_row * nf + asm.lap_col
+            self.A = np.bincount(flat, weights=vals, minlength=nf * nf).reshape(nf, nf)
+        else:
+            self.A = sp.csc_matrix((vals, (asm.lap_row, asm.lap_col)), shape=(nf, nf))
+        self._asm = asm
+        self._lu: spla.SuperLU | None = None
+
+    def solve(self, b: np.ndarray, target: float | None = None) -> np.ndarray:
+        """Solve A x = b; LinAlgError if A is singular.  A target, the
+        residual max|b - A x| / m over the free vertices, lets a Krylov-side
+        problem run PCG; without one the solve is exact to rounding."""
+        A = self.A
+        if isinstance(A, np.ndarray):
+            # A.T equals A and is F-contiguous, the layout LAPACK takes
+            _, x, info = dposv(A.T, b)
+            if info != 0:  # not numerically positive definite: general LU
+                return np.linalg.solve(A, b)
+            return x
+        if target is not None and self._asm.krylov:
+            return self._pcg(b, target)
+        if self._lu is None:
+            self._lu = _factor(A)
+        return self._lu.solve(b)
+
+    def _pcg(self, b: np.ndarray, target: float) -> np.ndarray:
+        """Jacobi-preconditioned conjugate gradients to max|b - A x| / m <=
+        target over the free vertices.
+
+        When the recursive residual meets the target, the true residual is
+        computed; if the recursion drifted from it, CG restarts from the true
+        residual (residual replacement).  When a replacement does not lower
+        the true residual below the previous one's, the residual has reached
+        its rounding floor above the target and x is returned as it is; the
+        caller judges it.  After PCG_MAX_ITERATIONS steps A is factored."""
+        K = self.A
+        m = self._asm.g.m[self._asm.free]
+        inv_diag = 1.0 / K.diagonal()
+        x = np.zeros(len(b))
+        r = b.copy()
+        d = None
+        floor = np.inf
+        for _ in range(PCG_MAX_ITERATIONS):
+            if np.max(np.abs(r) / m) <= target:
+                r = b - K @ x
+                res = np.max(np.abs(r) / m)
+                if res <= target or res >= floor:
+                    return x
+                floor = res
+                d = None
+            z = inv_diag * r
+            rz_new = float(np.dot(r, z))
+            d = z if d is None else z + (rz_new / rz) * d
+            rz = rz_new
+            q = K @ d
+            alpha = rz / float(np.dot(d, q))
+            x += alpha * d
+            r -= alpha * q
+        return self.solve(b)
 
 
 def _torsion_p2(asm: _Assembled, rhs: np.ndarray, tol: float) -> np.ndarray:
     """The p = 2 solution of L u = rhs on the free vertices (zero on the
-    Dirichlet set): PCG to residual tol on the Krylov side, a factor
-    otherwise."""
-    K = _laplacian(asm, asm.g.w, asm.g.c)
+    Dirichlet set), to residual tol where PCG runs."""
     u = np.zeros(asm.g.vertex_count)
-    if asm.krylov:
-        u[asm.free] = _p2_solve(asm, K, rhs[asm.free], tol)
-    else:
-        u[asm.free] = _linsolve(K, rhs[asm.free])
+    u[asm.free] = _System(asm, asm.g.w, asm.g.c).solve(rhs[asm.free], tol)
+    if not np.isfinite(u).all():
+        raise NoConvergenceError("tau overflows a float in the p = 2 solve")
     return u
 
 
 def _curvature(asm: _Assembled, p: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Edge and vertex weights of the regularized Hessian of F_p, which is
-    _laplacian(asm, *_curvature(asm, p, u)).
+    _System(asm, *_curvature(asm, p, u)).A.
 
     For p >= 2 a tiny epsilon is added to the |grad|^(p-2) factors (they
     vanish at equal neighbor values); for p < 2 the factors blow up there,
@@ -357,11 +366,11 @@ def _newton_leg(
         it += 1
         g = (_mlp(asm.g, p, u) - rhs)[asm.free]
         ce, cc = _curvature(asm, p, u)
-        H = _laplacian(asm, ce, cc)
+        H = _System(asm, ce, cc)
         try:
-            step = _linsolve(H, -g)
+            step = H.solve(-g)
         except np.linalg.LinAlgError:
-            step = _linsolve(_laplacian(asm, ce, cc + 1e-10 * (1.0 + abs(H).max())), -g)
+            step = _System(asm, ce, cc + 1e-10 * (1.0 + abs(H.A).max())).solve(-g)
         # for p < 2 the curvature model flattens far from the minimizer and
         # raw steps can overshoot by orders of magnitude
         limit = 0.5 * max(1.0, float(np.max(np.abs(u[asm.free]))))
@@ -425,9 +434,12 @@ def _solve_newton(
     while True:
         ratio = float(np.clip(s_tgt / s_cur, 0.75, 4.0 / 3.0))
         s_cur *= ratio
-        u[asm.free] = phi_p(u[asm.free], 1.0 + ratio)
-        final = abs(np.log(s_tgt / s_cur)) < 1e-12
         leg_p = 1.0 + 1.0 / s_cur
+        with np.errstate(over="ignore"):
+            u[asm.free] = phi_p(u[asm.free], 1.0 + ratio)
+        if not np.isfinite(u).all():
+            raise NoConvergenceError(f"tau overflows a float in the continuation to p = {leg_p:.6g}", it)
+        final = abs(np.log(s_tgt / s_cur)) < 1e-12
         cap = min(400, max_iter - it)
         if final:
             leg_tol, leg_cap = tol, cap
@@ -442,7 +454,7 @@ def _solve_newton(
         it += leg_it
         if final:
             break
-    if res > tol:
+    if not res <= tol:
         _certify(asm, p, rhs, u, "Newton", it, res, tol)
     return u, it, res
 
@@ -457,12 +469,8 @@ def _certify(
     raise NoConvergenceError at once."""
     lower, upper = _rigidity_bracket(asm, p, rhs, u)
     if not upper - lower <= 1e-12 * upper:
-        raise NoConvergenceError(
-            f"{what} stopped at residual {res:.3e} > tol {tol:.3e} with "
-            f"T_p in [{lower:.17g}, {upper:.17g}]",
-            iterations=iterations,
-            residual=res,
-        )
+        msg = f"{what} stopped at residual {res:.3e} > tol {tol:.3e} with T_p in [{lower:.17g}, {upper:.17g}]"
+        raise NoConvergenceError(msg, iterations, res)
 
 
 def _rigidity_bracket(
@@ -485,9 +493,7 @@ def _rigidity_bracket(
     energy = float(np.sum(asm.g.w * np.abs(d) ** p) + np.sum(asm.g.c * np.abs(u) ** p))
     lower = float(np.dot(rhs, np.abs(u))) ** p / energy
     z = np.zeros(len(u))
-    z[asm.free] = _linsolve(
-        _laplacian(asm, asm.g.w, asm.g.c), (_mlp(asm.g, p, u) - rhs)[asm.free]
-    )
+    z[asm.free] = _System(asm, asm.g.w, asm.g.c).solve((_mlp(asm.g, p, u) - rhs)[asm.free])
     j = asm.g.w * (phi_p(d, p) - (z[asm.g.ei] - z[asm.g.ej]))
     k = asm.g.c * (phi_p(u, p) - z)
     q = p / (p - 1.0)
@@ -583,8 +589,12 @@ def _gs_sweeps(
     sweeps = 0
     while res > tol and sweeps < max_sweeps:
         sweeps += 1
-        for i in asm.free:
-            u[i] = _scalar_solve(u[nbi[i]], nbw[i], float(asm.g.c[i]), float(rhs[i]), float(u[i]), p)
+        try:
+            for i in asm.free:
+                u[i] = _scalar_solve(u[nbi[i]], nbw[i], float(asm.g.c[i]), float(rhs[i]), float(u[i]), p)
+        except OverflowError:
+            msg = f"tau overflows a float at vertex {asm.g.vertices[i]!r} in Gauss-Seidel sweep {sweeps}"
+            raise NoConvergenceError(msg, sweeps, res) from None
         res = _residual_inf(asm, p, rhs, u)
     return u, sweeps, res
 
@@ -618,20 +628,16 @@ def solve_torsion(spec: ProblemSpec, opts: SolverOptions | None = None) -> Torsi
         u = _torsion_p2(asm, rhs, tol)
         iterations = 1
         res = _residual_inf(asm, p, rhs, u)
-        if res > tol:
+        if not res <= tol:
             _certify(asm, p, rhs, u, "direct solve", iterations, res, tol)
     elif method == "newton":
         u, iterations, res = _solve_newton(asm, p, rhs, tol, opts.max_iterations)
     else:
         u = np.zeros(asm.g.vertex_count)
         u, iterations, res = _gs_sweeps(asm, p, rhs, tol, opts.max_iterations, u)
-        if res > tol:
-            raise NoConvergenceError(
-                f"Gauss-Seidel stopped at residual {res:.3e} > tol {tol:.3e} "
-                f"after {iterations} sweeps",
-                iterations=iterations,
-                residual=res,
-            )
+        if not res <= tol:
+            msg = f"Gauss-Seidel stopped at residual {res:.3e} > tol {tol:.3e} after {iterations} sweeps"
+            raise NoConvergenceError(msg, iterations, res)
     tau = {v: (0.0 if asm.pos[i] < 0 else float(u[i])) for i, v in enumerate(asm.g.vertices)}
     l1 = float(np.dot(np.abs(u[asm.free]), asm.g.m[asm.free]))
     return TorsionSolution(

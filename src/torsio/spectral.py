@@ -3,14 +3,14 @@ of the operator without Dirichlet conditions.
 
 For p = 2 the problem is the generalized symmetric eigenproblem
 K phi = lambda M phi with K the weighted Laplacian plus potential restricted
-to the free vertices (the solver's ``_laplacian``) and M = diag(m); it is
+to the free vertices (the solver's ``_System``) and M = diag(m); it is
 solved exactly by a dense symmetric eigensolver up to the solver's
 DENSE_LIMIT free vertices and by shift-invert Lanczos, from a fixed positive
-start vector, above.  Lanczos inverts K as the solver's p = 2 solve does:
-on the Krylov side (graphs without small separators) by Jacobi-PCG
-(``_p2_solve``) to a residual of 1e-11 * max|b/m| for each right-hand side
-b, which keeps lambda0 within 1e-12 of a dense eigensolve; otherwise by the
-solver's sparse symmetric factor (``_factor``), computed once.
+start vector, above.  Lanczos inverts K with the solver's p = 2 solve, to a
+residual target of 1e-11 * max|b/m| for each right-hand side b: Jacobi-PCG
+on the Krylov side (graphs without small separators), which keeps lambda0
+within 1e-12 of a dense eigensolve, and otherwise one sparse factor shared
+by all of Lanczos' solves.
 
 For p != 2 a nonlinear inverse power iteration is used on the problem
 assembled and checked once: each step runs one damped Newton leg on
@@ -32,15 +32,7 @@ import scipy.sparse.linalg as spla
 from .energy import _mlp, _qp, phi_p
 from .errors import DisconnectedError, NoConvergenceError
 from .graphs import ProblemSpec, VertexId, WeightedGraph
-from .solver import (
-    SolverOptions,
-    _assemble,
-    _check_bounded,
-    _factor,
-    _laplacian,
-    _newton_leg,
-    _p2_solve,
-)
+from .solver import SolverOptions, _assemble, _check_bounded, _newton_leg, _System
 
 
 @dataclass(frozen=True)
@@ -81,29 +73,23 @@ def _solution(asm, p: float, lam: float, u: np.ndarray, method: str, iterations:
 
 
 def _lambda0_p2(asm) -> tuple[float, np.ndarray, str]:
-    K = _laplacian(asm, asm.g.w, asm.g.c)
+    K = _System(asm, asm.g.w, asm.g.c)
     m_free = asm.g.m[asm.free]
-    if isinstance(K, np.ndarray):
-        vals, vecs = scipy.linalg.eigh(K, np.diag(m_free))
+    if isinstance(K.A, np.ndarray):
+        vals, vecs = scipy.linalg.eigh(K.A, np.diag(m_free))
         method = "dense_eigh"
     else:
+        inv_K = spla.LinearOperator(
+            K.A.shape, matvec=lambda b: K.solve(b, 1e-11 * float(np.max(np.abs(b) / m_free))),
+            dtype=float,
+        )
         # the ground state is positive, so this fixed start vector is never
         # orthogonal to it, and repeated calls give identical results
-        M = sp.diags(m_free).tocsc()
-        start = np.ones(len(m_free))
-        if asm.krylov:
-            def solve(b: np.ndarray) -> np.ndarray:
-                return _p2_solve(asm, K, b, 1e-11 * float(np.max(np.abs(b) / m_free)))
-        else:
-            solve = _factor(K).solve
-        inv_K = spla.LinearOperator(K.shape, matvec=solve, dtype=float)
-        vals, vecs = spla.eigsh(K, k=1, M=M, sigma=0.0, which="LM", v0=start, OPinv=inv_K)
+        vals, vecs = spla.eigsh(K.A, k=1, M=sp.diags(m_free).tocsc(), sigma=0.0, which="LM",
+                                v0=np.ones(len(m_free)), OPinv=inv_K)
         method = "lanczos"
-    lam = float(vals[0])
     vec = vecs[:, 0]
-    if vec.sum() < 0.0:
-        vec = -vec
-    return lam, vec, method
+    return float(vals[0]), -vec if vec.sum() < 0.0 else vec, method
 
 
 def lambda0(
@@ -169,7 +155,7 @@ def lambda1_p2(g: WeightedGraph) -> float:
     if not g.is_connected:
         raise DisconnectedError("lambda1 needs a connected graph")
     asm = _assemble(ProblemSpec(g, frozenset(), 2.0))
-    K = _laplacian(asm, asm.g.w, asm.g.c)
+    K = _System(asm, asm.g.w, asm.g.c).A
     K = K if isinstance(K, np.ndarray) else K.toarray()
     vals = scipy.linalg.eigh(K, np.diag(asm.g.m), eigvals_only=True, subset_by_index=(0, 1))
     return float(vals[1])

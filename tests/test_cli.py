@@ -231,6 +231,7 @@ def _stiff_path(b):
     }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command, b", [("metrics", 1e16), ("bounds", 1e-16)])
 def test_cli_overflowing_edge_cost_is_an_input_error(tmp_path, capsys, command, b):
     # the edge cost 1e16^(1/(p-1)) = 1e320 overflows; bounds meets it on the
@@ -241,6 +242,27 @@ def test_cli_overflowing_edge_cost_is_an_input_error(tmp_path, capsys, command, 
     err = json.loads(captured.err)
     assert err["error"] == "InvalidQError"
     assert err["message"].startswith("q = 1.05: ") and "b = 1e+16" in err["message"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("method", ["newton", "gauss_seidel"])
+def test_cli_overflowing_torsion_is_a_numerical_failure(tmp_path, capsys, method):
+    # tau(c) is about 1e320 on the stiff path with b = 1e-16: out of float range
+    assert main(["torsion", write(tmp_path, _stiff_path(1e-16)), "--method", method]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "NoConvergenceError"
+    assert "overflows a float" in err["message"]
+
+
+def test_cli_overflowing_distance_power_is_an_input_error(tmp_path, capsys):
+    assert main(["metrics", write(tmp_path, graph_document(make_path(10, "unit", 1e300, 20.0)))]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "InvalidQError"
+    assert err["message"].startswith("q = 20.0: ") and "distance" in err["message"]
 
 
 def test_cli_bounds_reports_a_singular_torsion_solve(tmp_path, capsys):

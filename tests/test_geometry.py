@@ -188,6 +188,17 @@ def test_overflowing_edge_cost_is_an_invalid_q():
         p_diameter_inverted(build_graph([("a", 1, 0), ("b", 1, 0)], [("a", "b", 1e-16)]), 1.05)
 
 
+def test_overflowing_distance_power_is_an_invalid_q():
+    # every edge cost 1e300^(1/19) is finite, but the distances of the far
+    # vertices raised to q - 1 = 19 overflow a float
+    spec = make_path(10, "unit", 1e300, 20.0)
+    for metric in (q_inradius, q_mean_distance, torsio.geometry.q_inradius_and_mean):
+        with pytest.raises(InvalidQError, match=r"^q = 20.0: .* distance d = .* overflows a float$"):
+            metric(spec, 20.0)
+    with pytest.raises(InvalidQError, match="distance"):
+        p_diameter_inverted(make_path(10, "unit", 1e-300, 20.0).graph, 20.0)
+
+
 def test_disconnected_error_names_vertices_in_vertex_order():
     g = build_graph(
         [("z", 1, 0), ("m", 1, 0), ("a", 1, 0), ("q", 1, 0), ("b", 1, 0)],

@@ -7,7 +7,6 @@ import scipy.linalg
 import scipy.sparse as sp
 
 import torsio.solver
-import torsio.spectral
 from conftest import dirichlet_grid, random_general_spec
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -330,7 +329,7 @@ def test_laplacian_matches_networkx_on_both_sides_of_dense_limit():
     grid = dirichlet_grid(25)  # 529 free vertices
     for spec, dense in ((small, True), (grid, False)):
         asm = torsio.solver._assemble(spec)
-        K = torsio.solver._laplacian(asm, asm.g.w, asm.g.c)
+        K = torsio.solver._System(asm, asm.g.w, asm.g.c).A
         assert isinstance(K, np.ndarray) is dense
         K = K if dense else K.toarray()
         np.testing.assert_allclose(K, _free_laplacian_reference(spec), rtol=0, atol=1e-14)
@@ -372,7 +371,6 @@ def test_sparse_side_on_random_expander(monkeypatch):
     # an expander is on the Krylov side: its p = 2 solve and the shift-invert
     # Lanczos run Jacobi-PCG and never factor
     monkeypatch.setattr(torsio.solver, "_factor", _no_factor)
-    monkeypatch.setattr(torsio.spectral, "_factor", _no_factor)
     spec = _random_expander()
     free = [v for v in spec.graph.vertices if v not in spec.dirichlet]
     assert len(free) > torsio.solver.DENSE_LIMIT
@@ -393,18 +391,29 @@ def _no_pcg(*args, **kwargs):
 
 @pytest.mark.parametrize("spec", [dirichlet_grid(25), make_path(600)], ids=["grid25", "path600"])
 def test_small_separator_graphs_keep_the_factor(monkeypatch, spec):
-    monkeypatch.setattr(torsio.solver, "_p2_solve", _no_pcg)
-    monkeypatch.setattr(torsio.spectral, "_p2_solve", _no_pcg)
+    monkeypatch.setattr(torsio.solver._System, "_pcg", _no_pcg)
     assert len(spec.free_vertices) > torsio.solver.DENSE_LIMIT
     solve_torsion(spec)
     solve_torsion(ProblemSpec(spec.graph, spec.dirichlet, 3.0))  # the Newton start
     assert lambda0(spec).method == "lanczos"
 
 
+def test_lanczos_reuses_one_factor(monkeypatch):
+    # grid 30 has 784 free vertices and small separators: every shift-invert
+    # solve of Lanczos goes through the one factor of the p = 2 matrix
+    factor = torsio.solver._factor
+    calls = []
+    monkeypatch.setattr(torsio.solver, "_factor", lambda A: calls.append(A) or factor(A))
+    spec = dirichlet_grid(30)
+    assert len(spec.free_vertices) == 784
+    assert lambda0(spec).method == "lanczos"
+    assert len(calls) == 1
+
+
 def test_pcg_cap_falls_back_to_the_factor(monkeypatch):
     spec = _random_expander()
     asm = torsio.solver._assemble(spec)
-    K = torsio.solver._laplacian(asm, asm.g.w, asm.g.c)
+    K = torsio.solver._System(asm, asm.g.w, asm.g.c).A
     factored = torsio.solver._factor(K).solve(asm.g.m[asm.free])
     monkeypatch.setattr(torsio.solver, "PCG_MAX_ITERATIONS", 1)
     sol = solve_torsion(spec)
@@ -419,10 +428,10 @@ def test_pcg_replaces_a_drifted_residual(monkeypatch):
     monkeypatch.setattr(torsio.solver, "_factor", _no_factor)
     asm = torsio.solver._assemble(_random_expander())
     assert asm.krylov
-    K = torsio.solver._laplacian(asm, asm.g.w, asm.g.c)
+    K = torsio.solver._System(asm, asm.g.w, asm.g.c)
     m = asm.g.m[asm.free]
-    x = torsio.solver._p2_solve(asm, K, m, 1e-12)
-    assert np.max(np.abs(m - K @ x) / m) <= 1e-12
+    x = K.solve(m, 1e-12)
+    assert np.max(np.abs(m - K.A @ x) / m) <= 1e-12
 
 
 def test_pcg_stops_at_its_residual_floor(monkeypatch):
@@ -451,10 +460,15 @@ def test_long_paths_at_p2_are_certified_without_gauss_seidel(monkeypatch, F):
     assert sol.rigidity == pytest.approx(exact, rel=1e-10)
 
 
-def test_linsolve_falls_back_to_lu_and_factor_rejects_singular():
+def test_dense_solve_falls_back_to_lu_and_factor_rejects_singular():
     A = np.array([[1.0, 2.0], [2.0, 1.0]])  # symmetric indefinite: no Cholesky
     b = np.array([1.0, -3.0])
-    np.testing.assert_array_equal(torsio.solver._linsolve(A, b), np.linalg.solve(A, b))
+    # the edge weight -2 and vertex weights 3 give exactly A on two free vertices
+    pair = build_graph([("a", 1.0, 0.0), ("b", 1.0, 0.0)], [("a", "b", 1.0)])
+    K = torsio.solver._System(torsio.solver._assemble(ProblemSpec(pair, frozenset(), 2.0)),
+                              np.array([-2.0]), np.array([3.0, 3.0]))
+    np.testing.assert_array_equal(K.A, A)
+    np.testing.assert_array_equal(K.solve(b), np.linalg.solve(A, b))
     path = sp.csc_matrix(np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]]))
     with pytest.raises(np.linalg.LinAlgError):
         torsio.solver._factor(path)
@@ -489,6 +503,16 @@ def test_uncertified_stop_fails_fast_and_typed(monkeypatch):
         solve_torsion(dirichlet_grid(10, p=1.5), SolverOptions(max_iterations=2))
     assert np.isfinite(info.value.residual)
     assert info.value.iterations > 0
+
+
+@pytest.mark.parametrize(
+    "p, b, method", [(1.05, 1e-16, "newton"), (1.05, 1e-16, "gauss_seidel"), (2.0, 1e-320, "direct_p2")]
+)
+def test_torsion_out_of_float_range_raises(p, b, method):
+    # a - b - c with weights 1 and b: tau(c) is about b^(-1/(p-1)) = 1e320
+    g = build_graph([(v, 1.0, 0.0) for v in "abc"], [("a", "b", 1.0), ("b", "c", b)])
+    with pytest.raises(NoConvergenceError, match="overflows a float"):
+        solve_torsion(ProblemSpec(g, frozenset({"a"}), p), SolverOptions(method=method))
 
 
 def test_p_above_two_continuation_takes_one_corrector_step_per_leg():
