@@ -11,6 +11,7 @@ Dirichlet set they must vanish there (enforced, not assumed).
 
 from __future__ import annotations
 
+import math
 from typing import Mapping
 
 import numpy as np
@@ -32,11 +33,23 @@ def phi_p(x, p: float):
     return np.sign(x) * np.abs(x) ** (p - 1.0)
 
 
+def _power_sum(w: np.ndarray, x: np.ndarray, p: float) -> float:
+    """sum w |x|^p.  Where |x|^p overflows although the sum may not, the
+    terms with w > 0 are recomputed as (w^(1/p) |x|)^p; a sum with finite
+    terms is the plain one, bit for bit."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.sum(w * np.abs(x) ** p))
+        if not math.isfinite(total):
+            loaded = w > 0.0
+            total = float(np.sum((w[loaded] ** (1.0 / p) * np.abs(x[loaded])) ** p))
+    return total
+
+
 def _qp(g: WeightedGraph, p: float, u: np.ndarray) -> float:
     """Q_p(u), with each undirected edge (ei, ej, w) counted once."""
     d = u[g.ei] - u[g.ej]
-    val = float(np.sum(g.w * np.abs(d) ** p) / p)
-    val += float(np.sum(g.c * np.abs(u) ** p) / p)
+    val = _power_sum(g.w, d, p) / p
+    val += _power_sum(g.c, u, p) / p
     return val
 
 

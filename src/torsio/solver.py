@@ -18,29 +18,37 @@ potential is somewhere positive).  Three methods are available:
                    safeguarded Newton/bisection.
 
 A problem is assembled once: ``_assemble`` reads the graph's arrays and
-derives only the free vertices and the triplets of the Laplacian on them;
-objective and gradient are the array kernels of ``energy``.  The p = 2
+derives only the free vertices and the sparsity pattern of the Laplacian on
+them; objective and gradient are the array kernels of ``energy``.  The p = 2
 matrix, the Newton Hessian and the p = 2 eigenproblems of ``spectral`` are
 all one symmetric positive definite reweighted Laplacian on the free
-vertices, a ``_System`` with one solve policy: a dense array up to
-DENSE_LIMIT free vertices, solved by LAPACK Cholesky (general LU on a
-non-positive pivot), and a CSC matrix above, solved by one SuperLU factor
-per matrix with a symmetric minimum-degree ordering and diagonal pivots
-(``_factor``), or by Jacobi-PCG where a solve names a residual target.
+vertices, a ``_System`` with one solve policy.  A solve that names a
+residual target on a Krylov-side problem (below) runs Jacobi-PCG.  Every
+other solve is exact to rounding: on a dense array up to DENSE_LIMIT free
+vertices by LAPACK Cholesky (general LU on a non-positive pivot), and on a
+CSC matrix above by one SuperLU factor per matrix with a symmetric
+minimum-degree ordering and diagonal pivots (``_factor``).
 
 The fill of a sparse factor follows the size of the graph's separators
 (nested dissection), so grids, paths and trees factor cheaply while on
 expanders L+U fills in (1.15e6 nonzeros for the 2.1e4 of a random
 3000-vertex graph of degree 6).  So ``_assemble`` decides once, from the
-graph, whether a sparse-side problem is on the Krylov side: at least
-KRYLOV_EDGE_RATIO edges between free vertices per free vertex, and one
-unweighted search from the first free vertex reaching them all within
-KRYLOV_HOPS * log2(free vertices) hops.  The p = 2 solves (direct_p2, the
-start of Newton, the shift-invert of ``spectral``) name a target; PCG takes
-40-135 steps on such graphs, stops at the residual's rounding floor when
-that lies above the target, and factors only if PCG_MAX_ITERATIONS run out.
-Newton Hessians and the rigidity bracket, whose corrected flux must be
-admissible to rounding, name none and always factor.
+graph, whether a problem is on the Krylov side: at least KRYLOV_MIN_FREE
+free vertices (from there PCG overtakes a dense Cholesky solve on random
+graphs), at least KRYLOV_EDGE_RATIO edges between free vertices per free
+vertex, and one unweighted search from the first free vertex reaching them
+all within KRYLOV_HOPS * log2(free vertices) hops.  Random graphs of
+average degree 6 reach all within 5-7 hops; the interior of an r x c grid
+needs r + c - 2 >= 2 sqrt(free) - 2, which is more at every size the
+floor admits.  Two kinds of solve name a target: the p = 2 solves
+(direct_p2, the start of Newton, the shift-invert of ``spectral``), and the
+Newton Hessians at p > 2, solved inexactly to a forcing term
+(``_newton_leg``).  PCG takes 10-135 steps on such graphs up to p = 8,
+stops at the residual's rounding floor when that lies above the target,
+and solves exactly only if PCG_MAX_ITERATIONS run out (as some Hessians
+near p = 20 do).  The Hessians at p < 2, ill-conditioned by the gradient
+floor of ``_curvature``, and the rigidity bracket, whose corrected flux
+must be admissible to rounding, name none and are solved exactly.
 
 Convergence is measured on the pointwise residual max_v |L_p u(v) - 1|
 (not on step sizes), because on finite graphs the weak and the pointwise
@@ -74,6 +82,7 @@ p = 1.05 and 14 at p = 1.1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -95,11 +104,13 @@ _METHODS = ("auto", "gauss_seidel", "newton", "direct_p2")
 
 # free vertices up to which the Laplacian is a dense array; sparse above
 DENSE_LIMIT = 500
-# the Krylov-side test (module docstring): inner edges per free vertex, and
-# hops from the first free vertex in units of log2(free vertices)
+# the Krylov-side test (module docstring): free vertices from which PCG
+# overtakes a dense Cholesky solve, inner edges per free vertex, and hops
+# from the first free vertex in units of log2(free vertices)
+KRYLOV_MIN_FREE = 256
 KRYLOV_EDGE_RATIO = 1.25
-KRYLOV_HOPS = 4.0
-# PCG steps after which a solve gives up and factors instead
+KRYLOV_HOPS = 2.0
+# PCG steps after which a solve gives up and is solved exactly instead
 PCG_MAX_ITERATIONS = 1000
 
 
@@ -141,31 +152,35 @@ class _Assembled(NamedTuple):
     g: WeightedGraph
     free: np.ndarray          # indices of free vertices, input order
     pos: np.ndarray           # vertex index -> position among free, -1 if Dirichlet
-    # the Laplacian on the free vertices as triplets: entry k adds
-    # concat(w_e, -w_e, c_v)[lap_src[k]] at (lap_row[k], lap_col[k])
+    # the Laplacian on the free vertices: triplet k adds concat(w_e, -w_e,
+    # c_v)[lap_src[k]] to stored entry lap_slot[k]; the stored entries sit at
+    # the flat positions lap_cell of the array, sorted, so that with the row
+    # pointers lap_indptr they are in CSR order
     lap_src: np.ndarray
-    lap_row: np.ndarray
-    lap_col: np.ndarray
+    lap_slot: np.ndarray
+    lap_cell: np.ndarray
+    lap_indptr: np.ndarray
     krylov: bool              # solves with a target run PCG, not a factor
 
 
-def _inner_adjacency(nf: int, pa: np.ndarray, pb: np.ndarray) -> sp.csr_matrix:
-    """One entry per edge between free vertices, at the free positions pa,
-    pb of its ends (-1 marks a Dirichlet end)."""
-    inner = (pa >= 0) & (pb >= 0)
-    return sp.csr_matrix((np.ones(int(inner.sum())), (pa[inner], pb[inner])), shape=(nf, nf))
+def _links(nf: int, lap_cell: np.ndarray, lap_indptr: np.ndarray) -> sp.csr_matrix:
+    """The pattern of the Laplacian on the free vertices: each edge between
+    free vertices links its ends both ways, and each free vertex itself."""
+    return sp.csr_matrix((np.ones(len(lap_cell)), lap_cell % nf, lap_indptr), shape=(nf, nf))
 
 
-def _on_krylov_side(nf: int, pa: np.ndarray, pb: np.ndarray) -> bool:
-    """The Krylov-side test of KRYLOV_EDGE_RATIO and KRYLOV_HOPS."""
-    if nf <= DENSE_LIMIT:
+def _on_krylov_side(nf: int, lap_cell: np.ndarray, lap_indptr: np.ndarray) -> bool:
+    """The Krylov-side test of KRYLOV_MIN_FREE, KRYLOV_EDGE_RATIO and
+    KRYLOV_HOPS on the pattern of the Laplacian."""
+    if nf < KRYLOV_MIN_FREE:
         return False
-    adjacency = _inner_adjacency(nf, pa, pb)
-    if adjacency.nnz < KRYLOV_EDGE_RATIO * nf:
+    # the pattern holds the nf diagonal entries and each inner edge twice
+    if len(lap_cell) - nf < 2 * KRYLOV_EDGE_RATIO * nf:
         return False
-    # one unweighted search from the first free vertex, cut at the hop limit
+    # one unweighted search from the first free vertex, cut at the hop
+    # limit; the pattern is symmetric, so a directed search suffices
     hops = csgraph.dijkstra(
-        adjacency, directed=False, indices=0, unweighted=True,
+        _links(nf, lap_cell, lap_indptr), directed=True, indices=0, unweighted=True,
         limit=KRYLOV_HOPS * np.log2(nf),
     )
     return bool(np.isfinite(hops).all())
@@ -180,12 +195,14 @@ def _assemble(spec: ProblemSpec) -> _Assembled:
     pa, pb = pos[g.ei], pos[g.ej]
     ka, kb = np.flatnonzero(pa >= 0), np.flatnonzero(pb >= 0)
     kab = np.flatnonzero((pa >= 0) & (pb >= 0))
+    nf = len(free)
     lap_src = np.concatenate([ka, kb, ne + kab, ne + kab, 2 * ne + free])
     lap_row = np.concatenate([pa[ka], pb[kb], pa[kab], pb[kab], pos[free]])
     lap_col = np.concatenate([pa[ka], pb[kb], pb[kab], pa[kab], pos[free]])
-    return _Assembled(
-        g, free, pos, lap_src, lap_row, lap_col, _on_krylov_side(len(free), pa, pb)
-    )
+    lap_cell, lap_slot = np.unique(lap_row * nf + lap_col, return_inverse=True)
+    lap_indptr = np.searchsorted(lap_cell, np.arange(nf + 1) * nf)
+    krylov = _on_krylov_side(nf, lap_cell, lap_indptr)
+    return _Assembled(g, free, pos, lap_src, lap_slot, lap_cell, lap_indptr, krylov)
 
 
 def _check_bounded(spec: ProblemSpec, asm: _Assembled) -> None:
@@ -196,7 +213,8 @@ def _check_bounded(spec: ProblemSpec, asm: _Assembled) -> None:
     if nf == 0:
         raise IllPosedError("no free vertices to solve for")
     pa, pb = asm.pos[asm.g.ei], asm.pos[asm.g.ej]
-    ncomp, label = csgraph.connected_components(_inner_adjacency(nf, pa, pb), directed=False)
+    links = _links(nf, asm.lap_cell, asm.lap_indptr)
+    ncomp, label = csgraph.connected_components(links, directed=False)
     anchored = np.zeros(ncomp, dtype=bool)
     anchored[label[pa[(pa >= 0) & (pb < 0)]]] = True
     anchored[label[pb[(pb >= 0) & (pa < 0)]]] = True
@@ -242,24 +260,44 @@ class _System:
         A = sum_e w_e (1_a - 1_b)(1_a - 1_b)^T + diag(c_v),
 
     for edge weights w_e and vertex weights c_v, with the solve policy of
-    the module docstring.  A sparse factor is computed on first use and
-    kept for later solves of the same object."""
+    the module docstring.  Each matrix form, and a sparse factor, is built
+    on first use and kept for later solves of the same object."""
 
     def __init__(self, asm: _Assembled, w_e: np.ndarray, c_v: np.ndarray) -> None:
-        nf = len(asm.free)
-        vals = np.concatenate((w_e, -w_e, c_v))[asm.lap_src]
-        if nf <= DENSE_LIMIT:
-            flat = asm.lap_row * nf + asm.lap_col
-            self.A = np.bincount(flat, weights=vals, minlength=nf * nf).reshape(nf, nf)
-        else:
-            self.A = sp.csc_matrix((vals, (asm.lap_row, asm.lap_col)), shape=(nf, nf))
         self._asm = asm
+        vals = np.concatenate((w_e, -w_e, c_v))[asm.lap_src]
+        self._data = np.bincount(asm.lap_slot, weights=vals, minlength=len(asm.lap_cell))
         self._lu: spla.SuperLU | None = None
+
+    @cached_property
+    def A(self) -> np.ndarray | sp.csc_matrix:
+        """A dense array up to DENSE_LIMIT free vertices, CSC above."""
+        nf = len(self._asm.free)
+        if nf > DENSE_LIMIT:
+            return self._sparse
+        A = np.zeros(nf * nf)
+        A[self._asm.lap_cell] = self._data
+        return A.reshape(nf, nf)
+
+    @cached_property
+    def _sparse(self) -> sp.csc_matrix:
+        """A in CSC form, for the factor and the products of PCG: the CSR
+        arrays of a symmetric matrix are also its CSC arrays."""
+        asm, nf = self._asm, len(self._asm.free)
+        return sp.csc_matrix((self._data, asm.lap_cell % nf, asm.lap_indptr), shape=(nf, nf))
+
+    def factor(self) -> spla.SuperLU:
+        """The sparse factor of A (above DENSE_LIMIT), computed once."""
+        if self._lu is None:
+            self._lu = _factor(self.A)
+        return self._lu
 
     def solve(self, b: np.ndarray, target: float | None = None) -> np.ndarray:
         """Solve A x = b; LinAlgError if A is singular.  A target, the
         residual max|b - A x| / m over the free vertices, lets a Krylov-side
         problem run PCG; without one the solve is exact to rounding."""
+        if target is not None and self._asm.krylov:
+            return self._pcg(b, target)
         A = self.A
         if isinstance(A, np.ndarray):
             # A.T equals A and is F-contiguous, the layout LAPACK takes
@@ -267,11 +305,7 @@ class _System:
             if info != 0:  # not numerically positive definite: general LU
                 return np.linalg.solve(A, b)
             return x
-        if target is not None and self._asm.krylov:
-            return self._pcg(b, target)
-        if self._lu is None:
-            self._lu = _factor(A)
-        return self._lu.solve(b)
+        return self.factor().solve(b)
 
     def _pcg(self, b: np.ndarray, target: float) -> np.ndarray:
         """Jacobi-preconditioned conjugate gradients to max|b - A x| / m <=
@@ -282,8 +316,9 @@ class _System:
         residual (residual replacement).  When a replacement does not lower
         the true residual below the previous one's, the residual has reached
         its rounding floor above the target and x is returned as it is; the
-        caller judges it.  After PCG_MAX_ITERATIONS steps A is factored."""
-        K = self.A
+        caller judges it.  After PCG_MAX_ITERATIONS steps A is solved exactly
+        instead."""
+        K = self._sparse
         m = self._asm.g.m[self._asm.free]
         inv_diag = 1.0 / K.diagonal()
         x = np.zeros(len(b))
@@ -356,9 +391,15 @@ def _newton_leg(
 ) -> tuple[np.ndarray, int, float]:
     """Damped Newton with a trust-region cap on the step and an Armijo line
     search on the exact objective; stops on tol, cap, or a rounding-floor
-    stall."""
+    stall.
+
+    At p > 2 on the Krylov side the step is inexact: PCG solves the Hessian
+    to the residual eta_k * res_k with the forcing term eta_k = min(1e-3,
+    res_k / res_0), res_0 the residual at the start of the leg.  A looser
+    forcing term costs Newton steps, and the one-step corrector legs of the
+    continuation need the 1e-3 at their only step."""
     fval = _objective(asm, p, rhs, u)
-    res = _residual_inf(asm, p, rhs, u)
+    res = res_start = _residual_inf(asm, p, rhs, u)
     it = 0
     best = res
     stale = 0
@@ -367,8 +408,9 @@ def _newton_leg(
         g = (_mlp(asm.g, p, u) - rhs)[asm.free]
         ce, cc = _curvature(asm, p, u)
         H = _System(asm, ce, cc)
+        target = min(1e-3, res / res_start) * res if p > 2.0 else None
         try:
-            step = H.solve(-g)
+            step = H.solve(-g, target)
         except np.linalg.LinAlgError:
             step = _System(asm, ce, cc + 1e-10 * (1.0 + abs(H.A).max())).solve(-g)
         # for p < 2 the curvature model flattens far from the minimizer and

@@ -9,15 +9,17 @@ DENSE_LIMIT free vertices and by shift-invert Lanczos, from a fixed positive
 start vector, above.  Lanczos inverts K with the solver's p = 2 solve, to a
 residual target of 1e-11 * max|b/m| for each right-hand side b: Jacobi-PCG
 on the Krylov side (graphs without small separators), which keeps lambda0
-within 1e-12 of a dense eigensolve, and otherwise one sparse factor shared
-by all of Lanczos' solves.
+within 1e-12 of a dense eigensolve, and otherwise one sparse factor, computed
+before Lanczos starts and shared by all of its solves.
 
 For p != 2 a nonlinear inverse power iteration is used on the problem
 assembled and checked once: each step runs one damped Newton leg on
 Q_p(v) - lambda_k <phi_p(u_k) m, v> from the current iterate, renormalizes,
-and recomputes the Rayleigh quotient.  Started from positive constant data
-the iterate stays nonnegative; the result is a variational upper bound for
-the bottom of the spectrum, believed exact, and is labeled as such.
+and recomputes the Rayleigh quotient.  The leg is the solver's, so at p > 2
+on the Krylov side its Hessians are solved inexactly by Jacobi-PCG, and
+otherwise exactly.  Started from positive constant data the iterate stays
+nonnegative; the result is a variational upper bound for the bottom of the
+spectrum, believed exact, and is labeled as such.
 """
 
 from __future__ import annotations
@@ -79,6 +81,8 @@ def _lambda0_p2(asm) -> tuple[float, np.ndarray, str]:
         vals, vecs = scipy.linalg.eigh(K.A, np.diag(m_free))
         method = "dense_eigh"
     else:
+        if not asm.krylov:
+            K.factor()  # before ARPACK allocates its Lanczos vectors
         inv_K = spla.LinearOperator(
             K.A.shape, matvec=lambda b: K.solve(b, 1e-11 * float(np.max(np.abs(b) / m_free))),
             dtype=float,

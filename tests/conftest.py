@@ -6,6 +6,8 @@ import sys
 import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+# the benchmark's seeded input generators (bench/workloads.py)
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
 
 from torsio import ProblemSpec, build_graph, make_random_connected  # noqa: E402
 

@@ -256,6 +256,19 @@ def test_cli_overflowing_torsion_is_a_numerical_failure(tmp_path, capsys, method
     assert "overflows a float" in err["message"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_torsion_with_an_overflowing_energy_power(tmp_path, capsys):
+    # with b = 1e-308 at p = 3, tau(c) is about 1e154: |d|^3 overflows in the
+    # Armijo objective, while b |d|^3 = 1e154 and T_p = 1e308 are finite
+    doc = dict(_stiff_path(1e-308), p=3)
+    assert main(["torsion", write(tmp_path, doc)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    out = json.loads(captured.out)
+    assert out["rigidity"] == pytest.approx(1e308, rel=1e-12)
+    assert out["tau"]["c"] == pytest.approx(1e154, rel=1e-12)
+
+
 def test_cli_overflowing_distance_power_is_an_input_error(tmp_path, capsys):
     assert main(["metrics", write(tmp_path, graph_document(make_path(10, "unit", 1e300, 20.0)))]) == 1
     captured = capsys.readouterr()

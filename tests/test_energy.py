@@ -228,3 +228,11 @@ def test_array_kernels_match_loop_oracle(p):
         got = gradient_Fp(spec, u)
         for v, (value, size) in grad.items():
             assert got[v] == pytest.approx(value, rel=1e-13, abs=1e-13 * size)
+
+
+def test_energy_with_an_overflowing_power_is_finite():
+    # |u(c) - u(b)|^3 = 1e462 overflows, b |u(c) - u(b)|^3 = 1e154 does not;
+    # c = 0 at the vertex where |u|^3 overflows
+    g = build_graph([(v, 1.0, 0.0) for v in "abc"], [("a", "b", 1.0), ("b", "c", 1e-308)])
+    spec = ProblemSpec(g, frozenset({"a"}), 3.0)
+    assert energy_Qp(spec, {"a": 0.0, "b": 1.0, "c": 1e154}) == pytest.approx(1e154 / 3.0, rel=1e-12)

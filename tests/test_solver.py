@@ -7,6 +7,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 import torsio.solver
+from bench.workloads import random_records
 from conftest import dirichlet_grid, random_general_spec
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -386,7 +387,7 @@ def test_sparse_side_on_random_expander(monkeypatch):
 
 
 def _no_pcg(*args, **kwargs):
-    raise AssertionError("a p = 2 solve ran PCG")
+    raise AssertionError("a solve ran PCG")
 
 
 @pytest.mark.parametrize("spec", [dirichlet_grid(25), make_path(600)], ids=["grid25", "path600"])
@@ -394,7 +395,8 @@ def test_small_separator_graphs_keep_the_factor(monkeypatch, spec):
     monkeypatch.setattr(torsio.solver._System, "_pcg", _no_pcg)
     assert len(spec.free_vertices) > torsio.solver.DENSE_LIMIT
     solve_torsion(spec)
-    solve_torsion(ProblemSpec(spec.graph, spec.dirichlet, 3.0))  # the Newton start
+    # the Newton start and the p > 2 Hessians
+    solve_torsion(ProblemSpec(spec.graph, spec.dirichlet, 3.0))
     assert lambda0(spec).method == "lanczos"
 
 
@@ -446,6 +448,85 @@ def test_pcg_stops_at_its_residual_floor(monkeypatch):
     sol = solve_torsion(spec, SolverOptions(tol=1e-13))
     assert len(calls) == 1
     assert sol.rigidity == pytest.approx(reference, rel=1e-12)
+
+
+def _records_spec(n, p):
+    """The benchmark's seeded random graph of average degree 6 with 4
+    Dirichlet vertices."""
+    vertices, edges, dirichlet = random_records(np.random.default_rng(1), n, 6.0, 4)
+    return ProblemSpec(build_graph(vertices, edges), frozenset(dirichlet), p)
+
+
+def _exact_solve(system, b, target):
+    return system.solve(b)
+
+
+def _no_dposv(*args, **kwargs):
+    raise AssertionError("a dense Cholesky solve ran")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [_random_expander(p=3.0), _random_expander(p=8.0), _random_expander(p=20.0), _records_spec(400, 8.0)],
+    ids=["expander_p3", "expander_p8", "expander_p20", "random400_p8"],
+)
+def test_inexact_newton_matches_exact_steps(monkeypatch, spec):
+    # at p > 2 on the Krylov side every Newton step runs PCG to its forcing
+    # term, on either side of DENSE_LIMIT, and takes the exact path's steps
+    asm = torsio.solver._assemble(spec)
+    assert asm.krylov
+    with monkeypatch.context() as patch:
+        patch.setattr(torsio.solver._System, "_pcg", _exact_solve)
+        exact = solve_torsion(spec)
+    monkeypatch.setattr(torsio.solver, "_factor", _no_factor)
+    monkeypatch.setattr(torsio.solver, "dposv", _no_dposv)
+    sol = solve_torsion(spec)
+    assert sol.iterations == exact.iterations
+    free = [spec.graph.vertices[i] for i in asm.free]
+    np.testing.assert_allclose([sol.tau[v] for v in free], [exact.tau[v] for v in free], rtol=1e-10, atol=0.0)
+
+
+def test_hessians_below_two_are_solved_exactly(monkeypatch):
+    # the p = 1.5 Hessians of an expander are ill-conditioned (the gradient
+    # floor of _curvature): only the p = 2 start runs PCG
+    spec = _random_expander(n=300, p=1.5)
+    asm = torsio.solver._assemble(spec)
+    assert asm.krylov and len(asm.free) <= torsio.solver.DENSE_LIMIT
+    monkeypatch.setattr(torsio.solver._System, "_pcg", _no_pcg)
+    with pytest.raises(AssertionError, match="ran PCG"):
+        solve_torsion(spec)
+    # with an exact start, every solve left is a Hessian's
+    start = torsio.solver._torsion_p2
+    monkeypatch.setattr(torsio.solver, "_torsion_p2", lambda asm, rhs, tol: start(asm, rhs, None))
+    sol = solve_torsion(spec)
+    assert sol.residual_inf <= torsio.solver.default_tolerance(spec)
+
+
+def _grid_pattern(rows, cols):
+    """The pattern of the Laplacian on the interior of a (rows + 2) x
+    (cols + 2) grid whose boundary ring is Dirichlet, as _assemble stores it:
+    the sorted flat cells of the stored entries and their row pointers."""
+    nf = rows * cols
+    pos = np.arange(nf).reshape(rows, cols)
+    pa = np.concatenate([pos[:, :-1].ravel(), pos[:-1, :].ravel()])
+    pb = np.concatenate([pos[:, 1:].ravel(), pos[1:, :].ravel()])
+    cells = np.unique(np.concatenate([pa * nf + pb, pb * nf + pa, np.arange(nf) * (nf + 1)]))
+    return nf, cells, np.searchsorted(cells, np.arange(nf + 1) * nf)
+
+
+def test_krylov_side_takes_expanders_and_leaves_grids():
+    # the hop radius of an r x c grid interior is r + c - 2 >= 2 sqrt(nf) - 2,
+    # above 2 log2(nf) from nf = 256; random graphs of degree 6 reach every
+    # vertex in 5-7 hops
+    low, high = torsio.solver.KRYLOV_MIN_FREE, 2 * torsio.solver.DENSE_LIMIT
+    shapes = [(r, c) for r in range(1, high + 1) for c in range(r, high + 1) if low <= r * c <= high]
+    assert len(shapes) > 1000
+    for rows, cols in shapes:
+        assert not torsio.solver._on_krylov_side(*_grid_pattern(rows, cols)), (rows, cols)
+    assert torsio.solver._assemble(dirichlet_grid(18)).krylov is False  # 256 free vertices
+    for n in (300, 400, 1000, 3000):
+        assert torsio.solver._assemble(_records_spec(n, 3.0)).krylov, n
+    assert not torsio.solver._assemble(_records_spec(250, 3.0)).krylov  # below the floor
 
 
 @pytest.mark.parametrize("F", [2000, 10000])
