@@ -85,15 +85,8 @@ class _Ctx:
 
     def __init__(self, spec: ProblemSpec, opts: SolverOptions | None = None):
         self.spec = spec
+        self.g: WeightedGraph = spec.graph
         self.opts = opts or SolverOptions()
-
-    @cached_property
-    def g(self) -> WeightedGraph:
-        return self.spec.graph
-
-    @cached_property
-    def connected(self) -> bool:
-        return self.g.is_connected
 
     @cached_property
     def eta(self) -> float:
@@ -123,7 +116,7 @@ class _Ctx:
         degs = np.diff(self.g._indptr).tolist()  # neighbor counts
         return (
             self.g.vertex_count >= 2
-            and self.connected
+            and self.g.is_connected
             and sorted(degs)[:2] == [1, 1]
             and max(degs) <= 2
             and len(self.spec.dirichlet) == 1
@@ -162,9 +155,9 @@ class _Ctx:
         )
         records = []
         if self.spec.dirichlet:
-            pinned = [v for v in self.g.vertices if v in self.spec.dirichlet]
-            m0 = sum(self.g.measure[v] for v in pinned)
-            c0 = sum(self.g.potential[v] for v in pinned) if keep_potential else 0.0
+            pinned = np.flatnonzero(self.spec._pinned)
+            m0 = sum(self.g.m[pinned].tolist())
+            c0 = sum(self.g.c[pinned].tolist()) if keep_potential else 0.0
             records.append(("p0", m0, c0))
         for j, v in enumerate(free, start=1 if self.spec.dirichlet else 0):
             records.append((f"p{j}", self.g.measure[v], self.g.potential[v] if keep_potential else 0.0))
@@ -205,9 +198,9 @@ _GATES: dict[str, tuple[Callable[[_Ctx], bool], str]] = {
     "c_zero": (lambda c: c.c_zero, "needs zero potential"),
     "dirichlet": (lambda c: bool(c.spec.dirichlet), "needs a Dirichlet set"),
     "well_posed": (lambda c: c.spec.well_posed, "spec is not well posed"),
-    "connected": (lambda c: c.connected, "needs a connected graph"),
+    "connected": (lambda c: c.g.is_connected, "needs a connected graph"),
     # the min cut runs only on a connected graph
-    "eta": (lambda c: c.connected and c.eta > 0.0, "needs a connected graph (eta > 0)"),
+    "eta": (lambda c: c.g.is_connected and c.eta > 0.0, "needs a connected graph (eta > 0)"),
     "path_end": (
         lambda c: c.is_path_end_dirichlet,
         "graph is not a path with a single Dirichlet endpoint",
@@ -306,8 +299,7 @@ def polya_szego_product(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundChec
     cid, stmt = "polya_szego_product", "lambda0 * T_p <= m_free^(p-1)"
     if gate := _gate(c, cid, stmt, "well_posed", "torsion", "spectral"):
         return gate
-    mass = spec.free_measure() if spec.dirichlet else spec.graph.total_measure()
-    rhs = mass ** (spec.p - 1.0)
+    rhs = spec.free_measure() ** (spec.p - 1.0)
     lhs = c.spectral.lambda0 * c.torsion.rigidity
     return _bound(cid, stmt, lhs, "<=", rhs, note=c.p_note)
 
@@ -321,17 +313,11 @@ def trivial_lower(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck:
     cid, stmt = "trivial_lower", "T_p >= m_free^p / (sum b(free, V0) + sum c(free))"
     if gate := _gate(c, cid, stmt, "torsion"):
         return gate
-    g = spec.graph
-    if spec.dirichlet:
-        denom = sum(boundary_entries(spec)[1])
-        denom += sum(g.potential[v] for v in spec.free_vertices)
-        mass = spec.free_measure()
-    else:
-        denom = sum(g.potential.values())
-        mass = g.total_measure()
+    denom = sum(boundary_entries(spec)[1])
+    denom += sum(spec.graph.potential[v] for v in spec.free_vertices)
     if denom <= 0.0:
         return BoundCheck(cid, stmt, False, "denominator is zero")
-    return _bound(cid, stmt, c.torsion.rigidity, ">=", mass**spec.p / denom)
+    return _bound(cid, stmt, c.torsion.rigidity, ">=", spec.free_measure() ** spec.p / denom)
 
 
 def path_inradius_lower(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck:
@@ -644,7 +630,7 @@ def check_all(spec: ProblemSpec, opts: SolverOptions | None = None) -> BoundRepo
         "edges": g.edge_count,
         "p": spec.p,
         "dirichlet": sorted(spec.dirichlet, key=g.vertex_index),
-        "connected": ctx.connected,
+        "connected": ctx.g.is_connected,
         "eta": ctx.eta,
         "m_unit": ctx.m_unit,
         "m_degree": ctx.m_degree,

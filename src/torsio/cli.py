@@ -225,7 +225,7 @@ def _cmd_torsion(args: argparse.Namespace) -> int:
 
 def _cmd_lambda0(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
-    sol = lambda0(spec, _solver_options(args))
+    sol = lambda0(spec)
     payload = {
         "p": spec.p,
         "method": sol.method,
@@ -375,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add_common(sub.add_parser("validate", help="parse and summarize a graph document"), False)
     add_common(sub.add_parser("torsion", help="torsion function and rigidity"))
-    add_common(sub.add_parser("lambda0", help="bottom of the p-spectrum"))
+    add_common(sub.add_parser("lambda0", help="bottom of the p-spectrum"), False)
     add_common(sub.add_parser("metrics", help="inradius, mean distance, diameter, min cut"), False)
     pb = sub.add_parser("bounds", help="evaluate the full bound suite")
     add_common(pb)
@@ -419,7 +419,15 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (`torsio ... | head`): point stdout
+        # at devnull, so that the flush at exit cannot fail again, and exit
+        # quietly with 1, as Python does on EPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (NoConvergenceError, np.linalg.LinAlgError) as exc:
         print(render_json({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 2

@@ -64,13 +64,6 @@ def _mlp(g: WeightedGraph, p: float, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _free(spec: ProblemSpec) -> np.ndarray:
-    """Indices of the free vertices, in vertex order."""
-    free = np.ones(spec.graph.vertex_count, dtype=bool)
-    free[[spec.graph.vertex_index(v) for v in spec.dirichlet]] = False
-    return np.flatnonzero(free)
-
-
 def check_vertex_function(spec: ProblemSpec, u: VertexFunction) -> None:
     """Validate that u is defined on exactly V and vanishes on V0."""
     g = spec.graph
@@ -88,7 +81,7 @@ def check_vertex_function(spec: ProblemSpec, u: VertexFunction) -> None:
 def _values(spec: ProblemSpec, u: VertexFunction) -> tuple[np.ndarray, np.ndarray]:
     """u, validated, as a vector in vertex order, and the free indices."""
     check_vertex_function(spec, u)
-    return np.array([u[v] for v in spec.graph.vertices], dtype=float), _free(spec)
+    return np.array([u[v] for v in spec.graph.vertices], dtype=float), spec._free
 
 
 def energy_Qp(spec: ProblemSpec, u: VertexFunction) -> float:

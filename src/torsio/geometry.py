@@ -97,7 +97,7 @@ def _free_distances(spec: ProblemSpec, q: float) -> list[float]:
     if not spec.dirichlet:
         raise EmptyDirichletSetError("the inradius and mean distance need a Dirichlet set")
     g = spec.graph
-    sources = sorted(map(g.vertex_index, spec.dirichlet))
+    sources = np.flatnonzero(spec._pinned)
     dist = csgraph.dijkstra(_cost_matrix(g, q), indices=sources, min_only=True).tolist()
     missing = [v for v, d in zip(g.vertices, dist) if d == np.inf]
     if missing:
@@ -132,10 +132,8 @@ def q_inradius_and_mean(spec: ProblemSpec, q: float) -> tuple[float, float]:
     """(Inr_q, Mean_q) from one search of the Dirichlet set."""
     q = _check_q(q)
     dist = _free_distances(spec, q)
-    m = spec.graph.m.tolist()
-    free = [i for i, v in enumerate(spec.graph.vertices) if v not in spec.dirichlet]
-    total = sum(m[i] for i in free)
-    mean = float(sum(_power(dist[i], q) * m[i] for i in free) / total) if total else 0.0
+    m, total = spec.graph.m.tolist(), spec.free_measure()
+    mean = float(sum(_power(dist[i], q) * m[i] for i in spec._free.tolist()) / total) if total else 0.0
     return _inradius(dist, q), mean
 
 

@@ -110,13 +110,20 @@ class WeightedGraph:
             return float(sum(self.measure.values()))
         return float(sum(self.measure[v] for v in subset))
 
-    @property
-    def is_connected(self) -> bool:
+    @cached_property
+    def _components(self) -> tuple[int, np.ndarray]:
+        """The number of connected components and each vertex's label."""
         n = self.vertex_count
         adjacency = sp.csr_array((self._nbw, self._nbr, self._indptr), shape=(n, n))
         # both directions of every edge are stored, so the strong components
         # are the connected components
-        return csgraph.connected_components(adjacency, connection="strong")[0] <= 1
+        count, label = csgraph.connected_components(adjacency, connection="strong")
+        label.flags.writeable = False
+        return count, label
+
+    @property
+    def is_connected(self) -> bool:
+        return self._components[0] <= 1
 
 
 def build_graph(
@@ -203,6 +210,10 @@ class ProblemSpec:
     when V0 is nonempty or the potential is somewhere positive.  p is
     restricted to [1.05, 20]; outside it the exponents 1/(p-1) over- or
     underflow double precision on modest graphs.
+
+    The split into Dirichlet and free vertices is computed here once, as
+    read-only arrays in vertex order: the mask ``_pinned`` of V0 and the
+    indices ``_free`` of V \\ V0.  Every other module reads them.
     """
 
     graph: WeightedGraph
@@ -220,29 +231,41 @@ class ProblemSpec:
                 f"p = {self.p} outside the supported window [{P_MIN}, {P_MAX}]"
             )
 
-    @property
+    @cached_property
+    def _pinned(self) -> np.ndarray:
+        pinned = np.zeros(self.graph.vertex_count, dtype=bool)
+        pinned[[self.graph.vertex_index(v) for v in self.dirichlet]] = True
+        pinned.flags.writeable = False
+        return pinned
+
+    @cached_property
+    def _free(self) -> np.ndarray:
+        free = np.flatnonzero(~self._pinned)
+        free.flags.writeable = False
+        return free
+
+    @cached_property
     def free_vertices(self) -> tuple[VertexId, ...]:
-        return tuple(v for v in self.graph.vertices if v not in self.dirichlet)
+        return tuple(map(self.graph.vertices.__getitem__, self._free.tolist()))
 
     @property
     def free_count(self) -> int:
-        return len(self.free_vertices)
+        return len(self._free)
 
     @property
     def well_posed(self) -> bool:
         return bool(self.dirichlet) or max(self.graph.potential.values(), default=0.0) > 0.0
 
     def free_measure(self) -> float:
-        return self.graph.total_measure(self.free_vertices)
+        # a Python sum in vertex order, as total_measure adds
+        return float(sum(self.graph.m[self._free].tolist()))
 
 
 def boundary_entries(spec: ProblemSpec) -> tuple[list[int], list[float]]:
     """Rows i and weights b of the adjacency entries from a free vertex i to
     a Dirichlet vertex: free vertices in vertex order, each row in the order
     ``neighbors`` lists it."""
-    g = spec.graph
-    pinned = np.zeros(g.vertex_count, dtype=bool)
-    pinned[[g.vertex_index(v) for v in spec.dirichlet]] = True
+    g, pinned = spec.graph, spec._pinned
     rows = np.repeat(np.arange(g.vertex_count), np.diff(g._indptr))
     hit = ~pinned[rows] & pinned[g._nbr]
     return rows[hit].tolist(), g._nbw[hit].tolist()
@@ -297,12 +320,12 @@ def merge_dirichlet(spec: ProblemSpec) -> ProblemSpec:
         k += 1
         fresh = f"v0_{k}"
 
-    free = spec.free_vertices
     # summed in vertex order, so the result does not depend on set order
-    m0 = sum(g.measure[v] for v in g.vertices if v in spec.dirichlet)
-    c0 = sum(g.potential[v] for v in g.vertices if v in spec.dirichlet)
+    pinned = np.flatnonzero(spec._pinned)
+    m0 = sum(g.m[pinned].tolist())
+    c0 = sum(g.c[pinned].tolist())
     vertex_records = [(fresh, m0, c0)]
-    vertex_records += [(v, g.measure[v], g.potential[v]) for v in free]
+    vertex_records += [(v, g.measure[v], g.potential[v]) for v in spec.free_vertices]
 
     # edges keep their canonical order; their ends in V0 become the fresh vertex
     to_fresh = dict.fromkeys(spec.dirichlet, fresh)

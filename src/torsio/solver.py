@@ -17,9 +17,9 @@ potential is somewhere positive).  Three methods are available:
                    strictly monotone one-dimensional equation handled by
                    safeguarded Newton/bisection.
 
-A problem is assembled once: ``_assemble`` reads the graph's arrays and
-derives only the free vertices and the sparsity pattern of the Laplacian on
-them; objective and gradient are the array kernels of ``energy``.  The p = 2
+A problem is assembled once: ``_assemble`` reads the graph's arrays and the
+spec's free vertices and derives only the sparsity pattern of the Laplacian
+on them; objective and gradient are the array kernels of ``energy``.  The p = 2
 matrix, the Newton Hessian and the p = 2 eigenproblems of ``spectral`` are
 all one symmetric positive definite reweighted Laplacian on the free
 vertices, a ``_System`` with one solve policy.  A solve that names a
@@ -91,7 +91,7 @@ import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dposv
 
-from .energy import _free, _mlp, _qp, _values, functional_Fp, phi_p
+from .energy import _mlp, _qp, _values, functional_Fp, phi_p
 from .errors import (
     IllPosedError,
     NoConvergenceError,
@@ -151,7 +151,6 @@ class TorsionSolution:
 class _Assembled(NamedTuple):
     g: WeightedGraph
     free: np.ndarray          # indices of free vertices, input order
-    pos: np.ndarray           # vertex index -> position among free, -1 if Dirichlet
     # the Laplacian on the free vertices: triplet k adds concat(w_e, -w_e,
     # c_v)[lap_src[k]] to stored entry lap_slot[k]; the stored entries sit at
     # the flat positions lap_cell of the array, sorted, so that with the row
@@ -161,12 +160,6 @@ class _Assembled(NamedTuple):
     lap_cell: np.ndarray
     lap_indptr: np.ndarray
     krylov: bool              # solves with a target run PCG, not a factor
-
-
-def _links(nf: int, lap_cell: np.ndarray, lap_indptr: np.ndarray) -> sp.csr_matrix:
-    """The pattern of the Laplacian on the free vertices: each edge between
-    free vertices links its ends both ways, and each free vertex itself."""
-    return sp.csr_matrix((np.ones(len(lap_cell)), lap_cell % nf, lap_indptr), shape=(nf, nf))
 
 
 def _on_krylov_side(nf: int, lap_cell: np.ndarray, lap_indptr: np.ndarray) -> bool:
@@ -179,16 +172,16 @@ def _on_krylov_side(nf: int, lap_cell: np.ndarray, lap_indptr: np.ndarray) -> bo
         return False
     # one unweighted search from the first free vertex, cut at the hop
     # limit; the pattern is symmetric, so a directed search suffices
+    links = sp.csr_matrix((np.ones(len(lap_cell)), lap_cell % nf, lap_indptr), shape=(nf, nf))
     hops = csgraph.dijkstra(
-        _links(nf, lap_cell, lap_indptr), directed=True, indices=0, unweighted=True,
-        limit=KRYLOV_HOPS * np.log2(nf),
+        links, directed=True, indices=0, unweighted=True, limit=KRYLOV_HOPS * np.log2(nf)
     )
     return bool(np.isfinite(hops).all())
 
 
 def _assemble(spec: ProblemSpec) -> _Assembled:
     g = spec.graph
-    free = _free(spec)
+    free = spec._free
     pos = np.full(g.vertex_count, -1, dtype=int)
     pos[free] = np.arange(len(free))
     ne = g.edge_count
@@ -202,29 +195,27 @@ def _assemble(spec: ProblemSpec) -> _Assembled:
     lap_cell, lap_slot = np.unique(lap_row * nf + lap_col, return_inverse=True)
     lap_indptr = np.searchsorted(lap_cell, np.arange(nf + 1) * nf)
     krylov = _on_krylov_side(nf, lap_cell, lap_indptr)
-    return _Assembled(g, free, pos, lap_src, lap_slot, lap_cell, lap_indptr, krylov)
+    return _Assembled(g, free, lap_src, lap_slot, lap_cell, lap_indptr, krylov)
 
 
 def _check_bounded(spec: ProblemSpec, asm: _Assembled) -> None:
-    """Every free component must touch a Dirichlet vertex or carry c > 0."""
+    """Every free component must touch a Dirichlet vertex or carry c > 0.
+
+    A free component with no Dirichlet neighbor has only free neighbors, so
+    it is a whole component of the graph: the test is that every component
+    of the graph holds a Dirichlet vertex or a vertex with c > 0."""
     if not spec.well_posed:
         raise IllPosedError("no Dirichlet vertex and c identically zero")
-    nf = len(asm.free)
-    if nf == 0:
+    if len(asm.free) == 0:
         raise IllPosedError("no free vertices to solve for")
-    pa, pb = asm.pos[asm.g.ei], asm.pos[asm.g.ej]
-    links = _links(nf, asm.lap_cell, asm.lap_indptr)
-    ncomp, label = csgraph.connected_components(links, directed=False)
+    ncomp, label = asm.g._components
     anchored = np.zeros(ncomp, dtype=bool)
-    anchored[label[pa[(pa >= 0) & (pb < 0)]]] = True
-    anchored[label[pb[(pb >= 0) & (pa < 0)]]] = True
-    anchored[label[asm.g.c[asm.free] > 0.0]] = True
-    # free positions follow vertex order, so the first position of each
-    # component is its smallest-index vertex
+    anchored[label[spec._pinned | (asm.g.c > 0.0)]] = True
+    # the first vertex of each component is its smallest-index vertex
     _, first = np.unique(label, return_index=True)
     loose = np.sort(first[~anchored])
     if len(loose):
-        names = [asm.g.vertices[asm.free[k]] for k in loose]
+        names = [asm.g.vertices[k] for k in loose]
         raise UnboundedComponentError(
             f"free components at {names} have no Dirichlet link and no potential"
         )
@@ -405,8 +396,12 @@ def _newton_leg(
     stale = 0
     while res > tol and it < cap:
         it += 1
-        g = (_mlp(asm.g, p, u) - rhs)[asm.free]
-        ce, cc = _curvature(asm, p, u)
+        # an overflowing gradient or Hessian weight ends the leg before any step
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = (_mlp(asm.g, p, u) - rhs)[asm.free]
+            ce, cc = _curvature(asm, p, u)
+        if not (np.isfinite(g).all() and np.isfinite(ce).all() and np.isfinite(cc).all()):
+            raise NoConvergenceError(f"the Newton step at p = {p:.6g} overflows a float", it, res)
         H = _System(asm, ce, cc)
         target = min(1e-3, res / res_start) * res if p > 2.0 else None
         try:
@@ -658,8 +653,7 @@ def solve_torsion(spec: ProblemSpec, opts: SolverOptions | None = None) -> Torsi
     _check_bounded(spec, asm)
     p = spec.p
     tol = opts.tol if opts.tol is not None else default_tolerance(spec)
-    rhs = np.zeros(asm.g.vertex_count)
-    rhs[asm.free] = asm.g.m[asm.free]
+    rhs = np.where(spec._pinned, 0.0, asm.g.m)
 
     method = opts.method
     if method == "auto":
@@ -680,7 +674,7 @@ def solve_torsion(spec: ProblemSpec, opts: SolverOptions | None = None) -> Torsi
         if not res <= tol:
             msg = f"Gauss-Seidel stopped at residual {res:.3e} > tol {tol:.3e} after {iterations} sweeps"
             raise NoConvergenceError(msg, iterations, res)
-    tau = {v: (0.0 if asm.pos[i] < 0 else float(u[i])) for i, v in enumerate(asm.g.vertices)}
+    tau = dict(zip(asm.g.vertices, u.tolist()))  # u stays 0.0 on the Dirichlet set
     l1 = float(np.dot(np.abs(u[asm.free]), asm.g.m[asm.free]))
     return TorsionSolution(
         tau=tau,
@@ -718,14 +712,12 @@ def balance_check(spec: ProblemSpec, sol: TorsionSolution) -> BalanceResult:
     g = spec.graph
     p = spec.p
     tau = sol.tau
-    if spec.dirichlet:
-        rows, weights = boundary_entries(spec)
-        lhs = sum(b * float(phi_p(tau[g.vertices[i]], p)) for i, b in zip(rows, weights))
-        lhs += sum(g.potential[v] * float(phi_p(tau[v], p)) for v in spec.free_vertices)
-        rhs = spec.free_measure()
-    else:
-        lhs = sum(g.potential[v] * float(phi_p(tau[v], p)) for v in g.vertices)
-        rhs = g.total_measure()
+    # without a Dirichlet set there are no boundary entries, and every
+    # vertex is free
+    rows, weights = boundary_entries(spec)
+    lhs = sum(b * float(phi_p(tau[g.vertices[i]], p)) for i, b in zip(rows, weights))
+    lhs += sum(g.potential[v] * float(phi_p(tau[v], p)) for v in spec.free_vertices)
+    rhs = spec.free_measure()
     return BalanceResult(lhs, rhs, abs(lhs - rhs) <= 1e-8 * rhs)
 
 

@@ -1,6 +1,10 @@
 """Command line interface: schema, determinism, subcommands, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,6 +271,54 @@ def test_cli_torsion_with_an_overflowing_energy_power(tmp_path, capsys):
     out = json.loads(captured.out)
     assert out["rigidity"] == pytest.approx(1e308, rel=1e-12)
     assert out["tau"]["c"] == pytest.approx(1e154, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["torsion", "lambda0", "bounds"])
+def test_cli_overflowing_newton_step_is_a_numerical_failure(tmp_path, capsys, command):
+    # `torsio generate path --free 10 --b 1e300 --p 1.05`: toward p < 2 the
+    # Hessian weights b (p-1) |d|^(p-2) overflow in the first Newton legs
+    f = write(tmp_path, graph_document(make_path(10, "unit", 1e300, 1.05)))
+    code = main([command, f])
+    captured = capsys.readouterr()
+    if command == "bounds":
+        assert code == 0 and captured.err == ""
+        reasons = {row["id"]: row["reason"] for row in json.loads(captured.out)["checks"]}
+        assert reasons["trivial_lower"].startswith("torsion solve failed: the Newton step at p = ")
+        assert reasons["trivial_lower"].endswith(" overflows a float")
+        assert reasons["polya_szego_product"].startswith("torsion solve failed: the Newton step")
+        return
+    assert code == 2 and captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "NoConvergenceError"
+    assert err["message"].startswith("the Newton step at p = ") and err["message"].endswith(" overflows a float")
+
+
+def test_cli_exits_quietly_when_stdout_closes_early():
+    # as `torsio generate path --free 10000 | head -c 100`: 1.3 MB of output
+    # outgrows the pipe, so the writes after the reader is gone raise EPIPE
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "torsio.cli", "generate", "path", "--free", "10000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
+@pytest.mark.parametrize("option", [["--tol", "1e-300"], ["--method", "gauss_seidel"]])
+def test_cli_lambda0_rejects_solver_options(tmp_path, capsys, option):
+    # lambda0 takes neither a residual tolerance nor a torsion method
+    with pytest.raises(SystemExit) as exc:
+        main(["lambda0", write(tmp_path, PATH3), *option])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(option) in capsys.readouterr().err
 
 
 def test_cli_overflowing_distance_power_is_an_input_error(tmp_path, capsys):

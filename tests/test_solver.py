@@ -280,6 +280,60 @@ def test_ill_posed_and_unbounded():
         solve_torsion(ProblemSpec(g4, frozenset({"a"}), 2.0))
 
 
+def _free_component_oracle(spec):
+    """The names of the loose free components, from networkx: the components
+    of the subgraph on the free vertices in which no vertex has a Dirichlet
+    neighbor or c > 0, each named by its smallest-index vertex and listed
+    in vertex order."""
+    nx = pytest.importorskip("networkx")
+    g = spec.graph
+    free = [v for v in g.vertices if v not in spec.dirichlet]
+    sub = nx.Graph()
+    sub.add_nodes_from(free)
+    sub.add_edges_from((u, v) for u, v, _ in g.edges if u in sub and v in sub)
+    loose = []
+    for comp in nx.connected_components(sub):
+        touches = any(w in spec.dirichlet for v in comp for w, _ in g.neighbors(v))
+        if not touches and all(g.potential[v] == 0.0 for v in comp):
+            loose.append(min(comp, key=g.vertex_index))
+    return sorted(loose, key=g.vertex_index)
+
+
+def test_anchoring_check_and_free_split_match_their_definitions():
+    kinds = dict.fromkeys(("loose", "isolated_free", "dirichlet_edge", "no_dirichlet"), 0)
+    for seed in range(300):
+        rng = np.random.default_rng([seed, 7])
+        n = int(rng.integers(1, 13))
+        ids = [f"x{k}" for k in rng.permutation(n)]  # vertex order is not name order
+        c = np.where(rng.random(n) < 0.15, rng.uniform(0.5, 2.0, n), 0.0)
+        i, j = np.triu_indices(n, 1)
+        keep = rng.random(len(i)) < rng.uniform(0.0, 0.45)
+        edges = [(ids[a], ids[b], float(w)) for a, b, w in zip(i[keep], j[keep], rng.uniform(0.5, 2.0, len(i)))]
+        g = build_graph([(v, float(m), float(cv)) for v, m, cv in zip(ids, rng.uniform(0.5, 2.0, n), c)], edges)
+        spec = ProblemSpec(g, frozenset(v for v in ids if rng.random() < 0.25), 2.0)
+
+        free = tuple(v for v in g.vertices if v not in spec.dirichlet)
+        assert spec.free_vertices == free and spec.free_count == len(free)
+        assert spec.free_measure().hex() == g.total_measure(free).hex()
+
+        kinds["isolated_free"] += any(not g.neighbors(v) for v in free)
+        kinds["dirichlet_edge"] += any(u in spec.dirichlet and v in spec.dirichlet for u, v, _ in g.edges)
+        kinds["no_dirichlet"] += not spec.dirichlet
+        if not spec.well_posed or not free:
+            with pytest.raises(IllPosedError):
+                solve_torsion(spec)
+            continue
+        loose = _free_component_oracle(spec)
+        if loose:
+            kinds["loose"] += 1
+            with pytest.raises(UnboundedComponentError) as exc:
+                solve_torsion(spec)
+            assert str(exc.value) == f"free components at {loose} have no Dirichlet link and no potential"
+        else:
+            assert solve_torsion(spec).residual_inf <= 1e-10 * 2.0
+    assert min(kinds.values()) >= 10, kinds
+
+
 def test_no_dirichlet_with_potential():
     g = build_graph([("a", 2, 1.0), ("b", 1, 0)], [("a", "b", 1)])
     spec = ProblemSpec(g, frozenset(), 2.0)
