@@ -11,9 +11,11 @@ applicable check.  Errors are emitted as structured JSON on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 import numpy as np
@@ -52,32 +54,44 @@ def _fmt_float(x: float) -> str:
 
 def render_json(obj: Any, indent: int = 0) -> str:
     """JSON with floats at 17 significant digits and insertion-ordered keys."""
-    pad = "  " * indent
+    out: list[str] = []
+    _emit(obj, "\n" + "  " * indent, out)
+    return "".join(out)
+
+
+def _emit(obj: Any, nl: str, out: list[str]) -> None:
+    """Append the rendering of obj to out; nl is the newline and indent of
+    the line obj starts on.  Strings are escaped as json.dumps does."""
     if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = ",\n".join(
-            f"{pad}  {json.dumps(str(k))}: {render_json(v, indent + 1)}" for k, v in obj.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = ",\n".join(f"{pad}  {render_json(v, indent + 1)}" for v in obj)
-        return "[\n" + inner + "\n" + pad + "]"
-    raise TypeError(f"cannot render {type(obj)!r}")
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        out.append(_fmt_float(obj))
+    elif isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, dict):
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in obj.items():
+            out += (sep, _quote(str(k)), ": ")
+            _emit(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "}" if obj else "{}")
+    elif isinstance(obj, (list, tuple)):
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in obj:
+            out.append(sep)
+            _emit(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "]" if obj else "[]")
+    else:
+        raise TypeError(f"cannot render {type(obj)!r}")
 
 
 # --- graph document parsing ------------------------------------------------
@@ -362,6 +376,7 @@ def _cmd_figure4(args: argparse.Namespace) -> int:
 # --- entry point ------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="torsio", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)

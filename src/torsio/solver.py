@@ -91,7 +91,7 @@ import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dposv
 
-from .energy import _mlp, _qp, _values, functional_Fp, phi_p
+from .energy import _mlp, _power_sum, _qp, _values, functional_Fp, phi_p
 from .errors import (
     IllPosedError,
     NoConvergenceError,
@@ -226,7 +226,11 @@ def _objective(asm: _Assembled, p: float, rhs: np.ndarray, u: np.ndarray) -> flo
 
 
 def _residual_inf(asm: _Assembled, p: float, rhs: np.ndarray, u: np.ndarray) -> float:
-    r = _mlp(asm.g, p, u) - rhs
+    """max |L_p u - 1| over the free vertices; inf or nan, quietly, where a
+    flux w phi_p(du) overflows, and no comparison with a tolerance accepts
+    that."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = _mlp(asm.g, p, u) - rhs
     return float(np.max(np.abs(r[asm.free]) / asm.g.m[asm.free]))
 
 
@@ -502,9 +506,15 @@ def _certify(
 ) -> None:
     """Accept an iterate that stopped at residual res > tol when its
     Polya/Thomson bracket pins T_p down to 1e-12 relative; the residual has
-    a rounding floor (for p < 2, and at p = 2 for large tau).  Otherwise
-    raise NoConvergenceError at once."""
-    lower, upper = _rigidity_bracket(asm, p, rhs, u)
+    a rounding floor (for p < 2, and at p = 2 for large tau).  Otherwise,
+    and when a float power in the bracket overflows or its energy underflows
+    to 0, raise NoConvergenceError at once."""
+    try:
+        lower, upper = _rigidity_bracket(asm, p, rhs, u)
+    except (OverflowError, ZeroDivisionError) as exc:
+        side = "overflows" if isinstance(exc, OverflowError) else "underflows"
+        msg = f"{what} stopped at residual {res:.3e} > tol {tol:.3e}, and the bracket on T_p {side} a float"
+        raise NoConvergenceError(msg, iterations, res) from None
     if not upper - lower <= 1e-12 * upper:
         msg = f"{what} stopped at residual {res:.3e} > tol {tol:.3e} with T_p in [{lower:.17g}, {upper:.17g}]"
         raise NoConvergenceError(msg, iterations, res)
@@ -527,7 +537,7 @@ def _rigidity_bracket(
     from tau.
     """
     d = u[asm.g.ei] - u[asm.g.ej]
-    energy = float(np.sum(asm.g.w * np.abs(d) ** p) + np.sum(asm.g.c * np.abs(u) ** p))
+    energy = _power_sum(asm.g.w, d, p) + _power_sum(asm.g.c, u, p)
     lower = float(np.dot(rhs, np.abs(u))) ** p / energy
     z = np.zeros(len(u))
     z[asm.free] = _System(asm, asm.g.w, asm.g.c).solve((_mlp(asm.g, p, u) - rhs)[asm.free])
@@ -676,9 +686,14 @@ def solve_torsion(spec: ProblemSpec, opts: SolverOptions | None = None) -> Torsi
             raise NoConvergenceError(msg, iterations, res)
     tau = dict(zip(asm.g.vertices, u.tolist()))  # u stays 0.0 on the Dirichlet set
     l1 = float(np.dot(np.abs(u[asm.free]), asm.g.m[asm.free]))
+    try:
+        rigidity = l1 ** (p - 1.0)
+    except OverflowError:
+        msg = f"T_p = (sum tau m)^(p-1) = {l1:.6g}^{p - 1.0:.6g} overflows a float"
+        raise NoConvergenceError(msg, iterations, res) from None
     return TorsionSolution(
         tau=tau,
-        rigidity=l1 ** (p - 1.0),
+        rigidity=rigidity,
         residual_inf=res,
         iterations=iterations,
         method=method,

@@ -8,10 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torsio import SchemaError, lambda0, make_path, solve_torsion
 from torsio.bounds import BoundCheck, BoundReport
-from torsio.cli import figure4_rows, graph_document, main, parse_graph, render_json
+from torsio.cli import _build_parser, figure4_rows, graph_document, main, parse_graph, render_json
 
 MINIMAL = {
     "version": 1,
@@ -105,6 +107,81 @@ def test_roundtrip_bit_exact():
 def test_render_json_17_digits():
     out = render_json({"x": 1.0 / 3.0})
     assert "0.33333333333333331" in out
+
+
+def _recursive_render_json(obj, indent=0):
+    """The recursive renderer that render_json replaced, kept as its oracle."""
+    pad = "  " * indent
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return format(float(obj), ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = ",\n".join(
+            f"{pad}  {json.dumps(str(k))}: {_recursive_render_json(v, indent + 1)}" for k, v in obj.items()
+        )
+        return "{\n" + inner + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = ",\n".join(f"{pad}  {_recursive_render_json(v, indent + 1)}" for v in obj)
+        return "[\n" + inner + "\n" + pad + "]"
+    raise TypeError(f"cannot render {type(obj)!r}")
+
+
+# non-ASCII, control characters and lone surrogates, all of which json.dumps
+# escapes
+_TEXT = st.text(st.characters(codec=None, categories=None), max_size=8) | st.sampled_from(
+    ["", "\x00\x1f\x7f", "tab\tnew\nline", 'quote" back\\', "é€😀", "\ud800"]
+)
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [0.0, -0.0, 1.0 / 3.0, 1e-320, float("inf"), float("-inf"), float("nan")]
+)
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | _FLOATS
+    | _FLOATS.map(np.float64)
+    | _TEXT
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, kids, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(obj=_TREES, indent=st.integers(min_value=0, max_value=3))
+def test_render_json_matches_the_recursive_renderer(obj, indent):
+    assert render_json(obj, indent) == _recursive_render_json(obj, indent)
+
+
+@pytest.mark.parametrize("obj", [{1: 2.5, None: [True, ()]}, {"doc": graph_document(make_path(40, "degree"))}])
+def test_render_json_matches_the_recursive_renderer_on_documents(obj):
+    # non-string keys render through str(); a graph document is the largest
+    # thing the CLI prints
+    assert render_json(obj) == _recursive_render_json(obj)
+    assert render_json(obj, 2) == _recursive_render_json(obj, 2)
+
+
+@pytest.mark.parametrize("obj", [{"x": np.int64(1)}, [1, {2, 3}], b"bytes"])
+def test_render_json_rejects_unsupported_types(obj):
+    with pytest.raises(TypeError, match="cannot render"):
+        render_json(obj)
 
 
 def test_cli_torsion_path3(tmp_path, capsys):
@@ -292,6 +369,60 @@ def test_cli_overflowing_newton_step_is_a_numerical_failure(tmp_path, capsys, co
     err = json.loads(captured.err)
     assert err["error"] == "NoConvergenceError"
     assert err["message"].startswith("the Newton step at p = ") and err["message"].endswith(" overflows a float")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "b, p, fragment",
+    [
+        # T_p = (sum tau m)^7 of a converged solve
+        (1e-300, 8.0, "T_p = (sum tau m)^(p-1) = "),
+        # the Polya side (sum |u| m)^20 of the bracket of a stalled solve
+        (1e-300, 20.0, "and the bracket on T_p overflows a float"),
+        # the energy sum b |du|^3 of that bracket underflows to 0
+        (1e300, 3.0, "and the bracket on T_p underflows a float"),
+    ],
+)
+def test_cli_torsion_out_of_float_range_is_a_numerical_failure(tmp_path, capsys, b, p, fragment):
+    # `torsio generate path --free 10 --b <b> --p <p>` and then `torsio torsion`
+    assert main(["torsion", write(tmp_path, graph_document(make_path(10, "unit", b, p)))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "NoConvergenceError"
+    assert fragment in err["message"]
+    assert "overflows a float" in err["message"] or "underflows a float" in err["message"]
+
+
+def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    f = write(tmp_path, PATH3)
+    _build_parser.cache_clear()
+    main(["surgery", "scale", f])
+    fresh_scale = capsys.readouterr().out
+    main(["bounds", f])
+    fresh_bounds = capsys.readouterr().out
+    # options given to one call do not become the defaults of the next
+    assert main(["surgery", "scale", f, "--mu", "2", "--lam", "0.5"]) == 0
+    assert capsys.readouterr().out != fresh_scale
+    assert main(["surgery", "scale", f]) == 0
+    assert capsys.readouterr().out == fresh_scale
+    assert main(["bounds", f, "--format", "md"]) == 0
+    assert capsys.readouterr().out.startswith("|")
+    assert main(["bounds", f]) == 0
+    assert capsys.readouterr().out == fresh_bounds
+    json.loads(fresh_bounds)
+    # an argparse exit leaves the parser usable
+    with pytest.raises(SystemExit) as exc:
+        main(["no-such-command", f])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["validate", f]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    for _ in range(20):
+        main(["validate", f])
+    capsys.readouterr()
+    info = _build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 27)
 
 
 def test_cli_exits_quietly_when_stdout_closes_early():
