@@ -50,20 +50,22 @@ near p = 20 do).  The Hessians at p < 2, ill-conditioned by the gradient
 floor of ``_curvature``, and the rigidity bracket, whose corrected flux
 must be admissible to rounding, name none and are solved exactly.
 
-Convergence is measured on the pointwise residual max_v |L_p u(v) - 1|
-(not on step sizes), because on finite graphs the weak and the pointwise
-formulations coincide.  For p < 2 that residual has a rounding floor near
-(eps * ||tau||)^(p-1): the edge flux |d|^(p-1) is only (p-1)-Hoelder in the
-values, so edges with near-equal end values (mirror images on a symmetric
-grid, say) keep it above tight tolerances.  A Newton solve whose last leg
-stops above tol is therefore judged on T_p itself: the Polya quotient of the
-iterate bounds T_p from below, the Thomson energy of its flux, corrected by
-one p = 2 solve to divergence m, bounds it from above
+Convergence is measured on the pointwise residual max_v |L_p u(v) - 1| (not
+on step sizes), because on finite graphs the weak and the pointwise
+formulations coincide; it is the gradient of F_p over m (``_gradient``),
+which a Newton leg evaluates once per iterate.  For p < 2 it has a rounding
+floor near (eps * ||tau||)^(p-1): the edge flux |d|^(p-1) is only
+(p-1)-Hoelder in the values, so edges with near-equal end values (mirror
+images on a symmetric grid, say) keep it above tight tolerances.  A Newton
+solve whose last leg stops above tol is therefore judged on T_p itself: the
+Polya quotient of the iterate bounds T_p from below, the Thomson energy of
+its flux, corrected by one p = 2 solve to divergence m, bounds it from above
 (``_rigidity_bracket``), and the iterate is accepted when the two agree to
-1e-12 relative.  Otherwise NoConvergenceError is raised at once, carrying
-the residual and the bracket.  A p = 2 solve is judged the same way: its
-residual has the rounding floor eps * ||L|| * ||tau||, above the default tol
-on long paths (2.3e-10 for a path of 2000 free vertices).
+1e-12 relative; a bracket inverted by an underflowed Thomson side does not.
+Otherwise NoConvergenceError is raised at once, carrying the residual and
+the bracket.  A p = 2 solve is judged the same way: its residual has the
+rounding floor eps * ||L|| * ||tau||, above the default tol on long paths
+(2.3e-10 for a path of 2000 free vertices).
 
 The continuation toward p > 2 is path following: each intermediate leg
 takes one damped Newton (corrector) step, because the power transform of
@@ -225,13 +227,13 @@ def _objective(asm: _Assembled, p: float, rhs: np.ndarray, u: np.ndarray) -> flo
     return _qp(asm.g, p, u) - float(np.dot(rhs, u))
 
 
-def _residual_inf(asm: _Assembled, p: float, rhs: np.ndarray, u: np.ndarray) -> float:
-    """max |L_p u - 1| over the free vertices; inf or nan, quietly, where a
-    flux w phi_p(du) overflows, and no comparison with a tolerance accepts
-    that."""
+def _gradient(asm: _Assembled, p: float, rhs: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, float]:
+    """The gradient g = m L_p u - rhs of the objective on the free vertices,
+    and the residual max |g| / m; inf or nan, quietly, where a flux
+    w phi_p(du) overflows, and no comparison with a tolerance accepts that."""
     with np.errstate(over="ignore", invalid="ignore"):
-        r = _mlp(asm.g, p, u) - rhs
-    return float(np.max(np.abs(r[asm.free]) / asm.g.m[asm.free]))
+        g = (_mlp(asm.g, p, u) - rhs)[asm.free]
+        return g, float(np.max(np.abs(g) / asm.g.m[asm.free]))
 
 
 def _factor(A: sp.csc_matrix) -> spla.SuperLU:
@@ -392,17 +394,17 @@ def _newton_leg(
     to the residual eta_k * res_k with the forcing term eta_k = min(1e-3,
     res_k / res_0), res_0 the residual at the start of the leg.  A looser
     forcing term costs Newton steps, and the one-step corrector legs of the
-    continuation need the 1e-3 at their only step."""
-    fval = _objective(asm, p, rhs, u)
-    res = res_start = _residual_inf(asm, p, rhs, u)
+    continuation need the 1e-3 at their only step.  Each iterate's gradient
+    is evaluated once and F_p only in the line search; a non-finite residual
+    ends the leg at the overflow check; the caller's u is not written to."""
+    g, res = _gradient(asm, p, rhs, u)
+    res_start = best = res
     it = 0
-    best = res
     stale = 0
-    while res > tol and it < cap:
+    while not res <= tol and it < cap:
         it += 1
         # an overflowing gradient or Hessian weight ends the leg before any step
         with np.errstate(over="ignore", invalid="ignore"):
-            g = (_mlp(asm.g, p, u) - rhs)[asm.free]
             ce, cc = _curvature(asm, p, u)
         if not (np.isfinite(g).all() and np.isfinite(ce).all() and np.isfinite(cc).all()):
             raise NoConvergenceError(f"the Newton step at p = {p:.6g} overflows a float", it, res)
@@ -426,22 +428,22 @@ def _newton_leg(
         # gradient does; accept the full step on strict residual decrease
         trial = u.copy()
         trial[asm.free] = u[asm.free] + step
-        res_full = _residual_inf(asm, p, rhs, trial)
+        g_full, res_full = _gradient(asm, p, rhs, trial)
         if res_full <= 0.9 * res:
-            u = trial
-            fval = _objective(asm, p, rhs, u)
-            res = res_full
+            g, res = g_full, res_full
         else:
-            alpha = 1.0
-            while alpha > 1e-18:
-                trial[asm.free] = u[asm.free] + alpha * step
-                ftrial = _objective(asm, p, rhs, trial)
-                if ftrial <= fval + 1e-4 * alpha * slope:
-                    break
-                alpha *= 0.5
-            u[asm.free] = u[asm.free] + alpha * step
-            fval = _objective(asm, p, rhs, u)
-            res = _residual_inf(asm, p, rhs, u)
+            with np.errstate(over="ignore", invalid="ignore"):
+                fval = _objective(asm, p, rhs, u)
+                alpha = 1.0
+                while alpha > 1e-18:
+                    trial[asm.free] = u[asm.free] + alpha * step
+                    if _objective(asm, p, rhs, trial) <= fval + 1e-4 * alpha * slope:
+                        break
+                    alpha *= 0.5
+                else:  # no trial passed: take the smallest step
+                    trial[asm.free] = u[asm.free] + alpha * step
+            g, res = _gradient(asm, p, rhs, trial)
+        u = trial
         if res < 0.97 * best:
             best = min(best, res)
             stale = 0
@@ -508,14 +510,15 @@ def _certify(
     Polya/Thomson bracket pins T_p down to 1e-12 relative; the residual has
     a rounding floor (for p < 2, and at p = 2 for large tau).  Otherwise,
     and when a float power in the bracket overflows or its energy underflows
-    to 0, raise NoConvergenceError at once."""
+    to 0 (or the upper side underflows below the lower), raise
+    NoConvergenceError at once."""
     try:
         lower, upper = _rigidity_bracket(asm, p, rhs, u)
     except (OverflowError, ZeroDivisionError) as exc:
         side = "overflows" if isinstance(exc, OverflowError) else "underflows"
         msg = f"{what} stopped at residual {res:.3e} > tol {tol:.3e}, and the bracket on T_p {side} a float"
         raise NoConvergenceError(msg, iterations, res) from None
-    if not upper - lower <= 1e-12 * upper:
+    if not abs(upper - lower) <= 1e-12 * upper:
         msg = f"{what} stopped at residual {res:.3e} > tol {tol:.3e} with T_p in [{lower:.17g}, {upper:.17g}]"
         raise NoConvergenceError(msg, iterations, res)
 
@@ -527,10 +530,10 @@ def _rigidity_bracket(
     set.
 
     Below, the Polya quotient (sum |u| m)^p / (sum w|du|^p + sum c|u|^p).
-    Above, the Thomson energy (sum w^(-1/(p-1)) |j|^p' + sum c^(-1/(p-1))
-    |k|^p')^(p-1) of the flux (j, k) = (w phi_p(du), c phi_p(u)) of u,
-    made admissible (divergence m at every free vertex) by subtracting the
-    p = 2 flux (w dz, c z) of the solution z of L z = residual.  Both sides
+    Above, the Thomson energy (sum w |x|^p' + sum c |y|^p')^(p-1) of the
+    flux (w x, c y) = (w phi_p(du), c phi_p(u)) of u, made admissible
+    (divergence m at every free vertex) by subtracting the p = 2 flux
+    (w dz, c z) of the solution z of L z = residual.  Both sides
     equal T_p at the torsion function and err to second order near it.  The
     enclosure holds in exact arithmetic; in floats the upper side carries
     the rounding of that correction, which grows with the distance of u
@@ -540,15 +543,11 @@ def _rigidity_bracket(
     energy = _power_sum(asm.g.w, d, p) + _power_sum(asm.g.c, u, p)
     lower = float(np.dot(rhs, np.abs(u))) ** p / energy
     z = np.zeros(len(u))
-    z[asm.free] = _System(asm, asm.g.w, asm.g.c).solve((_mlp(asm.g, p, u) - rhs)[asm.free])
-    j = asm.g.w * (phi_p(d, p) - (z[asm.g.ei] - z[asm.g.ej]))
-    k = asm.g.c * (phi_p(u, p) - z)
+    z[asm.free] = _System(asm, asm.g.w, asm.g.c).solve(_gradient(asm, p, rhs, u)[0])
+    x = phi_p(d, p) - (z[asm.g.ei] - z[asm.g.ej])
+    y = phi_p(u, p) - z
     q = p / (p - 1.0)
-    loaded = asm.g.c > 0.0
-    dual = float(
-        np.sum(asm.g.w ** (-1.0 / (p - 1.0)) * np.abs(j) ** q)
-        + np.sum(asm.g.c[loaded] ** (-1.0 / (p - 1.0)) * np.abs(k[loaded]) ** q)
-    )
+    dual = _power_sum(asm.g.w, x, q) + _power_sum(asm.g.c, y, q)
     return lower, dual ** (p - 1.0)
 
 
@@ -632,7 +631,7 @@ def _gs_sweeps(
     cut = asm.g._indptr[1:-1]
     nbi, nbw = np.split(asm.g._nbr, cut), np.split(asm.g._nbw, cut)
 
-    res = _residual_inf(asm, p, rhs, u)
+    _, res = _gradient(asm, p, rhs, u)
     sweeps = 0
     while res > tol and sweeps < max_sweeps:
         sweeps += 1
@@ -642,7 +641,7 @@ def _gs_sweeps(
         except OverflowError:
             msg = f"tau overflows a float at vertex {asm.g.vertices[i]!r} in Gauss-Seidel sweep {sweeps}"
             raise NoConvergenceError(msg, sweeps, res) from None
-        res = _residual_inf(asm, p, rhs, u)
+        _, res = _gradient(asm, p, rhs, u)
     return u, sweeps, res
 
 
@@ -673,7 +672,7 @@ def solve_torsion(spec: ProblemSpec, opts: SolverOptions | None = None) -> Torsi
             raise UnsupportedCombinationError("direct_p2 requires p = 2")
         u = _torsion_p2(asm, rhs, tol)
         iterations = 1
-        res = _residual_inf(asm, p, rhs, u)
+        _, res = _gradient(asm, p, rhs, u)
         if not res <= tol:
             _certify(asm, p, rhs, u, "direct solve", iterations, res, tol)
     elif method == "newton":

@@ -134,8 +134,8 @@ def lambda0(
         # one Newton leg from the current iterate, best effort: any iterate
         # yields a valid Rayleigh value, and for p < 2 near-tied values put
         # the pointwise residual floor above tight tolerances; the outer gap
-        # test stays strict.  The leg updates its iterate in place.
-        v, _, _ = _newton_leg(asm, p, rhs, u.copy(), inner_tol, cap)
+        # test stays strict
+        v, _, _ = _newton_leg(asm, p, rhs, u, inner_tol, cap)
         v = _normalize(asm, p, np.abs(v))
         lam_new = _rayleigh(asm, p, v)
         gap = abs(lam_new - lam)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torsio import SchemaError, lambda0, make_path, solve_torsion
+from torsio import SchemaError, lambda0, make_path, make_star, solve_torsion
 from torsio.bounds import BoundCheck, BoundReport
 from torsio.cli import _build_parser, figure4_rows, graph_document, main, parse_graph, render_json
 
@@ -70,6 +70,40 @@ def test_parse_schema_errors(mutate, fragment):
     with pytest.raises(SchemaError) as err:
         parse_graph(json.dumps(doc))
     assert fragment in str(err.value)
+
+
+def _minimal_with(mutate):
+    doc = json.loads(json.dumps(MINIMAL))
+    mutate(doc)
+    return json.dumps(doc)
+
+
+# (message fragment, document text) for each schema error of parse_graph
+SCHEMA_ERRORS = [
+    ("non-finite number 'NaN'", json.dumps(MINIMAL).replace('"p": 2', '"p": NaN')),
+    ("non-finite number 'Infinity'", json.dumps(MINIMAL).replace('"m": 1', '"m": Infinity', 1)),
+    ("top level: expected an object", "[]"),
+    ("vertices: expected a nonempty array", _minimal_with(lambda d: d.update(vertices=[]))),
+    ("edges: expected an array", _minimal_with(lambda d: d.update(edges={}))),
+    ("vertices[0]: expected an object", _minimal_with(lambda d: d["vertices"].__setitem__(0, "a"))),
+    ("vertices[0].id: expected a string", _minimal_with(lambda d: d["vertices"][0].update(id=1))),
+    ("edges[0]: expected an object", _minimal_with(lambda d: d["edges"].__setitem__(0, ["a", "b", 1]))),
+    ("edges[0]: unknown fields ['w']", _minimal_with(lambda d: d["edges"][0].update(w=1))),
+    ("edges[0]: u and v must be strings", _minimal_with(lambda d: d["edges"][0].update(v=2))),
+    ("dirichlet: expected an array of vertex ids", _minimal_with(lambda d: d.update(dirichlet="a"))),
+]
+
+
+@pytest.mark.parametrize("fragment, text", SCHEMA_ERRORS, ids=[fragment for fragment, _ in SCHEMA_ERRORS])
+def test_cli_schema_errors(tmp_path, capsys, fragment, text):
+    f = tmp_path / "g.json"
+    f.write_text(text)
+    assert main(["validate", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err == {"error": "SchemaError", "message": err["message"]}
+    assert fragment in err["message"]
 
 
 def test_parse_invalid_json_cites_line():
@@ -371,27 +405,44 @@ def test_cli_overflowing_newton_step_is_a_numerical_failure(tmp_path, capsys, co
     assert err["message"].startswith("the Newton step at p = ") and err["message"].endswith(" overflows a float")
 
 
+def _torsion_failure(tmp_path, capsys, spec):
+    """The message of a `torsio torsion` call that fails numerically."""
+    assert main(["torsion", write(tmp_path, graph_document(spec))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "NoConvergenceError"
+    return err["message"]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "b, p, fragment",
     [
         # T_p = (sum tau m)^7 of a converged solve
         (1e-300, 8.0, "T_p = (sum tau m)^(p-1) = "),
-        # the Polya side (sum |u| m)^20 of the bracket of a stalled solve
-        (1e-300, 20.0, "and the bracket on T_p overflows a float"),
+        # the flux phi_p(du) overflows, and the residual with it, in a step
+        # of the continuation; the Newton leg raises at once
+        (1e-300, 20.0, "the Newton step at p = 18.7577 overflows a float"),
         # the energy sum b |du|^3 of that bracket underflows to 0
         (1e300, 3.0, "and the bracket on T_p underflows a float"),
     ],
 )
 def test_cli_torsion_out_of_float_range_is_a_numerical_failure(tmp_path, capsys, b, p, fragment):
     # `torsio generate path --free 10 --b <b> --p <p>` and then `torsio torsion`
-    assert main(["torsion", write(tmp_path, graph_document(make_path(10, "unit", b, p)))]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    err = json.loads(captured.err)
-    assert err["error"] == "NoConvergenceError"
-    assert fragment in err["message"]
-    assert "overflows a float" in err["message"] or "underflows a float" in err["message"]
+    message = _torsion_failure(tmp_path, capsys, make_path(10, "unit", b, p))
+    assert fragment in message
+    assert "overflows a float" in message or "underflows a float" in message
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_torsion_with_an_overflowing_polya_side_is_a_numerical_failure(tmp_path, capsys):
+    # `torsio generate star --n 4 --b 1e-30 --p 1.1`: Newton stalls at a
+    # finite residual, and the Polya side (sum |u| m)^1.1 of its bracket
+    # overflows
+    message = _torsion_failure(tmp_path, capsys, make_star(4, "unit", 1e-30, 1.1))
+    assert message.startswith("Newton stopped at residual 3.584e+00 > tol ")
+    assert message.endswith(", and the bracket on T_p overflows a float")
 
 
 def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):

@@ -32,6 +32,7 @@ from torsio.closed_forms import (
     path_rigidity,
     path_torsion,
     path_torsion_values,
+    star_rigidity,
     star_torsion,
 )
 
@@ -648,6 +649,61 @@ def test_torsion_out_of_float_range_raises(p, b, method):
     g = build_graph([(v, 1.0, 0.0) for v in "abc"], [("a", "b", 1.0), ("b", "c", b)])
     with pytest.raises(NoConvergenceError, match="overflows a float"):
         solve_torsion(ProblemSpec(g, frozenset({"a"}), p), SolverOptions(method=method))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "star, F, b, p",
+    [(False, 10, 1e30, 1.05), (False, 10, 1e100, 1.05), (False, 1, 1e200, 1.2), (True, 3, 1e30, 1.05)],
+)
+def test_an_inverted_rigidity_bracket_is_refused(star, F, b, p):
+    # the Thomson side of these brackets underflows to 0, below the Polya
+    # side, and a signed width test accepted T_p wrong by up to 275 orders
+    # of magnitude; a result must match the scaling law T_p(b) = T_p(1) / b
+    ones = [1.0] * F
+    if star:
+        spec, exact = make_star(F, "unit", b, p), star_rigidity(F, ones, ones, p) / b
+    else:
+        spec, exact = make_path(F, "unit", b, p), float(np.sum(path_torsion_values(ones, ones, p))) ** (p - 1.0) / b
+    try:
+        sol = solve_torsion(spec)
+    except NoConvergenceError:
+        return
+    assert sol.rigidity == pytest.approx(exact, rel=1e-9)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_non_finite_residual_ends_the_newton_leg():
+    # at b = 1e-300 the flux phi_p(du) overflows while F_p stays finite, so
+    # a step lands on a nan residual; the leg raises at its next step
+    with pytest.raises(NoConvergenceError, match=r"^the Newton step at p = 18\.7577 overflows a float$"):
+        solve_torsion(make_path(10, "unit", 1e-300, 20.0))
+    # the line search's objective overflows quietly too
+    with pytest.raises(NoConvergenceError, match=r"^the Newton step at p = 1\.1 overflows a float$"):
+        solve_torsion(make_path(3, "unit", 1e-30, 1.1))
+
+
+@pytest.mark.parametrize(
+    "spec, searches", [(make_path(30, "unit", 1.0, 3.0), 0), (make_path(30, "unit", 1.0, 1.5), 2)]
+)
+def test_newton_leg_evaluates_each_iterate_once(monkeypatch, spec, searches):
+    # the gradient m L_p u - m is evaluated once at the start, once at each
+    # full-step trial and once where a line search settles; F_p only by the
+    # line search, which starts after a rejected full step
+    events = []
+    mlp, qp = torsio.solver._mlp, torsio.solver._qp
+    monkeypatch.setattr(torsio.solver, "_mlp", lambda g, p, u: events.append("g") or mlp(g, p, u))
+    monkeypatch.setattr(torsio.solver, "_qp", lambda g, p, u: events.append("f") or qp(g, p, u))
+    asm = torsio.solver._assemble(spec)
+    rhs = np.where(spec._pinned, 0.0, asm.g.m)
+    u = torsio.solver._torsion_p2(asm, rhs, 1e-12)
+    start = u.copy()
+    _, it, res = torsio.solver._newton_leg(asm, spec.p, rhs, u, torsio.solver.default_tolerance(spec), 400)
+    assert res <= torsio.solver.default_tolerance(spec)
+    np.testing.assert_array_equal(u, start)  # the caller's array is not written to
+    log = "".join(events)
+    assert log.count("gf") == searches
+    assert log.count("g") == 1 + it + searches
 
 
 def test_p_above_two_continuation_takes_one_corrector_step_per_leg():
