@@ -67,6 +67,12 @@ the bracket.  A p = 2 solve is judged the same way: its residual has the
 rounding floor eps * ||L|| * ||tau||, above the default tol on long paths
 (2.3e-10 for a path of 2000 free vertices).
 
+Below p = 2 the tangent model sends the difference d of an edge near a tie
+to d(p-2)/(p-1), across 0, so the edge flips sign at every Newton step;
+``_curvature`` gives it the secant weight of the IRLS majorizer of |x|^p/p
+(Daubechies et al., CPAM 2010), which sends d to 0: a random 400-vertex
+graph of degree 6 at p = 1.5 takes 26 Newton steps instead of 91.
+
 The continuation toward p > 2 is path following: each intermediate leg
 takes one damped Newton (corrector) step, because the power transform of
 the next leg discards whatever accuracy a leg reaches, and only the final
@@ -75,10 +81,10 @@ one step per leg there, the final leg inherits a worse start, takes more
 steps in all and fails more often near p = 1.
 
 A caveat near p = 1: there the floor is about 0.16 at p = 1.05, and the
-bracket often stays wide too, so such solves raise even on paths and
-stars.  Of 34 paths (11 lengths from 1 to 100 free vertices) and stars
-(6 sizes from 2 to 40 edges) with unit and degree masses, 22 raise at
-p = 1.05 and 14 at p = 1.1.
+bracket often stays wide too, so some solves raise even on paths.  Of 34
+paths (11 lengths from 1 to 100 free vertices) and stars (6 sizes from 2
+to 40 edges) with unit and degree masses, one raises at p = 1.05 and none
+at p = 1.1.
 """
 
 from __future__ import annotations
@@ -351,15 +357,18 @@ def _torsion_p2(asm: _Assembled, rhs: np.ndarray, tol: float) -> np.ndarray:
     return u
 
 
-def _curvature(asm: _Assembled, p: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _curvature(asm: _Assembled, p: float, u: np.ndarray, last: tuple | None = None) -> tuple:
     """Edge and vertex weights of the regularized Hessian of F_p, which is
-    _System(asm, *_curvature(asm, p, u)).A.
+    _System(asm, *_curvature(asm, p, u)[:2]).A, and the sign flips that the
+    next step passes back as last (None for p >= 2).
 
     For p >= 2 a tiny epsilon is added to the |grad|^(p-2) factors (they
     vanish at equal neighbor values); for p < 2 the factors blow up there,
-    so the gradient magnitude is floored instead.  Either way the matrix
-    stays symmetric positive definite and the step remains a descent
-    direction for the exact F_p.
+    so the gradient magnitude is floored instead, and an edge that flipped
+    sign in either of the last two steps, above the floor both times, gets
+    the secant weight w|d|^(p-2), not the tangent's (p-1) w|d|^(p-2).
+    Either way the matrix stays symmetric positive definite and the step
+    remains a descent direction for the exact F_p.
     """
     scale = max(1.0, float(np.max(np.abs(u))) if len(u) else 1.0)
     d = u[asm.g.ei] - u[asm.g.ej]
@@ -368,6 +377,7 @@ def _curvature(asm: _Assembled, p: float, u: np.ndarray) -> tuple[np.ndarray, np
     if p >= 2.0:
         we = ad ** (p - 2.0) + 1e-12
         wu = au ** (p - 2.0) + 1e-12
+        flips = None
     else:
         # the curvature blows up at equal neighbor values; floor the gradient
         # magnitude at the float granularity of the iterate so genuinely
@@ -375,7 +385,12 @@ def _curvature(asm: _Assembled, p: float, u: np.ndarray) -> tuple[np.ndarray, np
         floor = 64.0 * np.finfo(float).eps * scale
         we = np.maximum(ad, floor) ** (p - 2.0)
         wu = np.maximum(au, floor) ** (p - 2.0)
-    return asm.g.w * (p - 1.0) * we, asm.g.c * (p - 1.0) * wu
+        # a difference at the floor (a mirror tie, say) never counts as a flip
+        d[ad <= floor] = 0.0
+        before, flipped = last or (d, False)
+        flips = (d, d * before < 0.0)
+        we[flips[1] | flipped] /= p - 1.0
+    return asm.g.w * (p - 1.0) * we, asm.g.c * (p - 1.0) * wu, flips
 
 
 def _newton_leg(
@@ -396,16 +411,18 @@ def _newton_leg(
     forcing term costs Newton steps, and the one-step corrector legs of the
     continuation need the 1e-3 at their only step.  Each iterate's gradient
     is evaluated once and F_p only in the line search; a non-finite residual
-    ends the leg at the overflow check; the caller's u is not written to."""
+    or step ends the leg with the overflow error; flipped edges take the
+    secant weight at p < 2; the caller's u is not written to."""
     g, res = _gradient(asm, p, rhs, u)
     res_start = best = res
     it = 0
     stale = 0
+    flips = None
     while not res <= tol and it < cap:
         it += 1
         # an overflowing gradient or Hessian weight ends the leg before any step
         with np.errstate(over="ignore", invalid="ignore"):
-            ce, cc = _curvature(asm, p, u)
+            ce, cc, flips = _curvature(asm, p, u, flips)
         if not (np.isfinite(g).all() and np.isfinite(ce).all() and np.isfinite(cc).all()):
             raise NoConvergenceError(f"the Newton step at p = {p:.6g} overflows a float", it, res)
         H = _System(asm, ce, cc)
@@ -417,13 +434,16 @@ def _newton_leg(
         # for p < 2 the curvature model flattens far from the minimizer and
         # raw steps can overshoot by orders of magnitude
         limit = 0.5 * max(1.0, float(np.max(np.abs(u[asm.free]))))
-        size = float(np.max(np.abs(step)))
-        if size > limit:
-            step *= limit / size
-        slope = float(np.dot(g, step))
-        if slope >= 0.0:
-            step = -g
-            slope = -float(np.dot(g, g))
+        with np.errstate(over="ignore", invalid="ignore"):
+            size = float(np.max(np.abs(step)))
+            if size > limit:
+                step *= limit / size
+            slope = float(np.dot(g, step))
+            if slope >= 0.0:
+                step = -g
+                slope = -float(np.dot(g, g))
+        if not np.isfinite(slope):  # an infinite step, or its slope
+            raise NoConvergenceError(f"the Newton step at p = {p:.6g} overflows a float", it, res)
         # near the minimum the objective differences underflow before the
         # gradient does; accept the full step on strict residual decrease
         trial = u.copy()

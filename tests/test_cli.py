@@ -437,11 +437,11 @@ def test_cli_torsion_out_of_float_range_is_a_numerical_failure(tmp_path, capsys,
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_torsion_with_an_overflowing_polya_side_is_a_numerical_failure(tmp_path, capsys):
-    # `torsio generate star --n 4 --b 1e-30 --p 1.1`: Newton stalls at a
+    # `torsio generate path --free 10 --b 1e-27 --p 1.1`: Newton stalls at a
     # finite residual, and the Polya side (sum |u| m)^1.1 of its bracket
     # overflows
-    message = _torsion_failure(tmp_path, capsys, make_star(4, "unit", 1e-30, 1.1))
-    assert message.startswith("Newton stopped at residual 3.584e+00 > tol ")
+    message = _torsion_failure(tmp_path, capsys, make_path(10, "unit", 1e-27, 1.1))
+    assert message.startswith("Newton stopped at residual 1.045e-08 > tol ")
     assert message.endswith(", and the bracket on T_p overflows a float")
 
 

@@ -505,10 +505,10 @@ def test_pcg_stops_at_its_residual_floor(monkeypatch):
     assert sol.rigidity == pytest.approx(reference, rel=1e-12)
 
 
-def _records_spec(n, p):
+def _records_spec(n, p, seed=1):
     """The benchmark's seeded random graph of average degree 6 with 4
     Dirichlet vertices."""
-    vertices, edges, dirichlet = random_records(np.random.default_rng(1), n, 6.0, 4)
+    vertices, edges, dirichlet = random_records(np.random.default_rng(seed), n, 6.0, 4)
     return ProblemSpec(build_graph(vertices, edges), frozenset(dirichlet), p)
 
 
@@ -614,6 +614,15 @@ def _no_polish(*args, **kwargs):
     raise AssertionError("solve_torsion ran a Gauss-Seidel sweep")
 
 
+def _assert_mirror_symmetric(sol, n):
+    """tau of dirichlet_grid(n) has the grid's mirror symmetries to 1e-12."""
+    for i in range(n):
+        for j in range(n):
+            t = sol.tau[f"g{i}_{j}"]
+            for mirror in (f"g{n - 1 - i}_{j}", f"g{i}_{n - 1 - j}", f"g{j}_{i}"):
+                assert sol.tau[mirror] == pytest.approx(t, rel=1e-12, abs=0.0)
+
+
 def test_stalled_newton_is_certified_without_gauss_seidel(monkeypatch):
     monkeypatch.setattr(torsio.solver, "_gs_sweeps", _no_polish)
     n = 20
@@ -621,16 +630,14 @@ def test_stalled_newton_is_certified_without_gauss_seidel(monkeypatch):
     sol = solve_torsion(grid)
     assert min(sol.tau[v] for v in grid.free_vertices) > 0.0
     assert polya_quotient(grid, sol.tau) == pytest.approx(sol.rigidity, rel=1e-12)
-    for i in range(n):
-        for j in range(n):
-            t = sol.tau[f"g{i}_{j}"]
-            for mirror in (f"g{n - 1 - i}_{j}", f"g{i}_{n - 1 - j}", f"g{j}_{i}"):
-                assert sol.tau[mirror] == pytest.approx(t, rel=1e-12, abs=0.0)
-    rand = _random_expander(n=30, degree=4, n_dirichlet=2, seed=1, p=1.2)
-    sol = solve_torsion(rand)
-    assert sol.residual_inf > torsio.solver.default_tolerance(rand)  # stalled above tol
-    assert min(sol.tau[v] for v in rand.free_vertices) > 0.0
-    assert polya_quotient(rand, sol.tau) == pytest.approx(sol.rigidity, rel=1e-12)
+    _assert_mirror_symmetric(sol, n)
+    # seed 3 raised while the tangent curvature made near-tied edges flip
+    for seed in (1, 3):
+        rand = _random_expander(n=30, degree=4, n_dirichlet=2, seed=seed, p=1.2)
+        sol = solve_torsion(rand)
+        assert sol.residual_inf > torsio.solver.default_tolerance(rand)  # stalled above tol
+        assert min(sol.tau[v] for v in rand.free_vertices) > 0.0
+        assert polya_quotient(rand, sol.tau) == pytest.approx(sol.rigidity, rel=1e-12)
 
 
 def test_uncertified_stop_fails_fast_and_typed(monkeypatch):
@@ -681,6 +688,104 @@ def test_a_non_finite_residual_ends_the_newton_leg():
     # the line search's objective overflows quietly too
     with pytest.raises(NoConvergenceError, match=r"^the Newton step at p = 1\.1 overflows a float$"):
         solve_torsion(make_path(3, "unit", 1e-30, 1.1))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n, b, p", [(5, 1e-30, 1.1), (20, 1e-14, 1.05)])
+def test_an_infinite_newton_step_raises_before_any_warning(n, b, p):
+    # `torsio generate star --n <n> --b <b> --p <p>`: the first Hessian
+    # solve returns an infinite step, or one whose slope overflows
+    with pytest.raises(NoConvergenceError, match=rf"^the Newton step at p = {p:g} overflows a float$"):
+        solve_torsion(make_star(n, "unit", b, p))
+
+
+def test_curvature_takes_the_secant_on_edges_that_flipped_sign():
+    # the path v0 - v1 - v2 - v3 - v4 with weights 2 at p = 1.5; edge k has
+    # the difference u(v_k) - u(v_k+1), and edge 2 ties below the floor
+    spec = make_path(4, "unit", 2.0, 1.5)
+    asm = torsio.solver._assemble(spec)
+    u = np.array([0.0, 1.0, 0.75, 0.75 + 2.0**-50, 1.0])
+    tangent, _, (d, flipped) = torsio.solver._curvature(asm, 1.5, u)
+    np.testing.assert_array_equal(d, [-1.0, 0.25, 0.0, u[3] - 1.0])
+    assert not flipped.any()
+    np.testing.assert_array_equal(tangent[[0, 1, 3]], 2.0 * 0.5 * np.abs(d[[0, 1, 3]]) ** -0.5)
+    secant = tangent.copy()
+    secant[[1, 3]] = 2.0 * np.abs(d[[1, 3]]) ** -0.5
+    # against these last differences edges 1 and 3 flipped sign, edge 0
+    # kept it, and the tie never counts
+    last = (np.array([-0.5, -0.5, 0.5, 0.5]), False)
+    ce, _, last = torsio.solver._curvature(asm, 1.5, u, last)
+    np.testing.assert_array_equal(ce, secant)
+    np.testing.assert_array_equal(last[1], [False, True, False, True])
+    # a flip keeps the secant weight for one more step, and then ends
+    ce, _, last = torsio.solver._curvature(asm, 1.5, u, last)
+    np.testing.assert_array_equal(ce, secant)
+    ce, _, last = torsio.solver._curvature(asm, 1.5, u, last)
+    np.testing.assert_array_equal(ce, tangent)
+    # above two every edge keeps the tangent weight
+    ce, _, none = torsio.solver._curvature(asm, 3.0, u)
+    assert none is None
+    np.testing.assert_array_equal(torsio.solver._curvature(asm, 3.0, u, last)[0], ce)
+
+
+def test_newton_below_two_stops_flipping_on_the_benchmark_graph():
+    # the `solve` workload's random400_fixed_p1.5: with the tangent weight
+    # on every edge, two edges of final |d| 2.6e-6 and 7.3e-7 flipped sign
+    # at each step and the final leg crawled (91 steps in all)
+    spec = _records_spec(400, 1.5, seed=[0, 1])
+    sol = solve_torsion(spec)
+    assert sol.iterations <= 30
+    assert sol.residual_inf <= torsio.solver.default_tolerance(spec)
+
+
+def _atlas_spec(index, dirichlet, masses, p):
+    """Graph `index` of the networkx graph atlas with unit edge weights,
+    c = 0, Dirichlet set {v<dirichlet>}, and unit or degree masses."""
+    nx = pytest.importorskip("networkx")
+    G = nx.graph_atlas(index)
+    vertices = [(f"v{k}", float(G.degree(k)) if masses == "degree" else 1.0, 0.0) for k in G]
+    edges = [(f"v{a}", f"v{b}", 1.0) for a, b in G.edges()]
+    return ProblemSpec(build_graph(vertices, edges), frozenset({f"v{dirichlet}"}), p)
+
+
+@pytest.mark.parametrize(
+    "index, dirichlet, masses",
+    [(522, 1, "degree"), (522, 5, "degree"), (529, 4, "degree"), (571, 1, "degree"), (571, 2, "degree"),
+     (571, 5, "degree"), (571, 6, "degree"), (718, 4, "degree"), (857, 2, "degree"), (682, 3, "unit")],
+)
+def test_symmetric_atlas_graphs_solve_at_one_and_a_half(index, dirichlet, masses):
+    # 7-vertex graphs on which Newton stalled at residual 2e-4 to 5e-2,
+    # far above the rounding floor, while near-tied edges flipped sign
+    spec = _atlas_spec(index, dirichlet, masses, 1.5)
+    sol = solve_torsion(spec)
+    assert polya_quotient(spec, sol.tau) == pytest.approx(sol.rigidity, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.05, 1.2])
+def test_grid_near_one_solves_with_its_mirror_symmetry(p):
+    n = 10
+    grid = dirichlet_grid(n, p)
+    sol = solve_torsion(grid)
+    assert polya_quotient(grid, sol.tau) == pytest.approx(sol.rigidity, rel=1e-12)
+    _assert_mirror_symmetric(sol, n)
+
+
+def test_paths_and_stars_solve_at_p_1_1():
+    # 11 path lengths and 6 star sizes with unit and degree masses, and a
+    # star whose Polya side overflowed when Newton stalled on it
+    specs = [(make_path(F, masses, 1.0, 1.1), False) for F in (1, 2, 3, 5, 8, 13, 21, 30, 40, 60, 100)
+             for masses in ("unit", "degree")]
+    specs += [(make_star(n, masses, 1.0, 1.1), True) for n in (2, 3, 5, 10, 20, 40) for masses in ("unit", "degree")]
+    specs.append((make_star(4, "unit", 1e-30, 1.1), True))
+    for spec, star in specs:
+        g, n = spec.graph, len(spec.free_vertices)
+        masses = [g.measure[f"v{j}"] for j in range(1, n + 1)]
+        weights = [g.edges[0][2]] * n
+        if star:
+            exact = star_rigidity(n, masses, weights, 1.1)
+        else:
+            exact = float(np.dot(path_torsion_values(masses, weights, 1.1), masses)) ** 0.1
+        assert solve_torsion(spec).rigidity == pytest.approx(exact, rel=1e-9), (star, n)
 
 
 @pytest.mark.parametrize(
