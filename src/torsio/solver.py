@@ -18,16 +18,16 @@ potential is somewhere positive).  Three methods are available:
                    safeguarded Newton/bisection.
 
 A problem is assembled once: ``_assemble`` reads the graph's arrays and the
-spec's free vertices and derives only the sparsity pattern of the Laplacian
-on them; objective and gradient are the array kernels of ``energy``.  The p = 2
+spec's free vertices and derives only the CSR pattern of the Laplacian on
+them; objective and gradient are the array kernels of ``energy``.  The p = 2
 matrix, the Newton Hessian and the p = 2 eigenproblems of ``spectral`` are
 all one symmetric positive definite reweighted Laplacian on the free
 vertices, a ``_System`` with one solve policy.  A solve that names a
-residual target on a Krylov-side problem (below) runs Jacobi-PCG.  Every
-other solve is exact to rounding: on a dense array up to DENSE_LIMIT free
-vertices by LAPACK Cholesky (general LU on a non-positive pivot), and on a
-CSC matrix above by one SuperLU factor per matrix with a symmetric
-minimum-degree ordering and diagonal pivots (``_factor``).
+residual target on a Krylov-side problem (below) runs Jacobi-PCG in place
+on the CSR arrays.  Every other solve is exact to rounding: on a dense
+array up to DENSE_LIMIT free vertices by LAPACK Cholesky (general LU on a
+non-positive pivot), and on a CSC matrix above by one SuperLU factor per
+matrix (``_factor``: symmetric minimum-degree ordering, diagonal pivots).
 
 The fill of a sparse factor follows the size of the graph's separators
 (nested dissection), so grids, paths and trees factor cheaply while on
@@ -98,6 +98,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dposv
+from scipy.sparse._sparsetools import csr_matvec
 
 from .energy import _mlp, _power_sum, _qp, _values, functional_Fp, phi_p
 from .errors import (
@@ -161,26 +162,29 @@ class _Assembled(NamedTuple):
     free: np.ndarray          # indices of free vertices, input order
     # the Laplacian on the free vertices: triplet k adds concat(w_e, -w_e,
     # c_v)[lap_src[k]] to stored entry lap_slot[k]; the stored entries sit at
-    # the flat positions lap_cell of the array, sorted, so that with the row
-    # pointers lap_indptr they are in CSR order
+    # the flat positions lap_cell, sorted: in CSR order, with row pointers
+    # lap_indptr and columns lap_col (int32, so that scipy's matrices share
+    # them instead of copying them), and the diagonal at lap_diag
     lap_src: np.ndarray
     lap_slot: np.ndarray
     lap_cell: np.ndarray
     lap_indptr: np.ndarray
+    lap_col: np.ndarray
+    lap_diag: np.ndarray
     krylov: bool              # solves with a target run PCG, not a factor
 
 
-def _on_krylov_side(nf: int, lap_cell: np.ndarray, lap_indptr: np.ndarray) -> bool:
+def _on_krylov_side(nf: int, lap_col: np.ndarray, lap_indptr: np.ndarray) -> bool:
     """The Krylov-side test of KRYLOV_MIN_FREE, KRYLOV_EDGE_RATIO and
     KRYLOV_HOPS on the pattern of the Laplacian."""
     if nf < KRYLOV_MIN_FREE:
         return False
     # the pattern holds the nf diagonal entries and each inner edge twice
-    if len(lap_cell) - nf < 2 * KRYLOV_EDGE_RATIO * nf:
+    if len(lap_col) - nf < 2 * KRYLOV_EDGE_RATIO * nf:
         return False
     # one unweighted search from the first free vertex, cut at the hop
     # limit; the pattern is symmetric, so a directed search suffices
-    links = sp.csr_matrix((np.ones(len(lap_cell)), lap_cell % nf, lap_indptr), shape=(nf, nf))
+    links = sp.csr_matrix((np.ones(len(lap_col)), lap_col, lap_indptr), shape=(nf, nf))
     hops = csgraph.dijkstra(
         links, directed=True, indices=0, unweighted=True, limit=KRYLOV_HOPS * np.log2(nf)
     )
@@ -198,12 +202,14 @@ def _assemble(spec: ProblemSpec) -> _Assembled:
     kab = np.flatnonzero((pa >= 0) & (pb >= 0))
     nf = len(free)
     lap_src = np.concatenate([ka, kb, ne + kab, ne + kab, 2 * ne + free])
-    lap_row = np.concatenate([pa[ka], pb[kb], pa[kab], pb[kab], pos[free]])
-    lap_col = np.concatenate([pa[ka], pb[kb], pb[kab], pa[kab], pos[free]])
-    lap_cell, lap_slot = np.unique(lap_row * nf + lap_col, return_inverse=True)
-    lap_indptr = np.searchsorted(lap_cell, np.arange(nf + 1) * nf)
-    krylov = _on_krylov_side(nf, lap_cell, lap_indptr)
-    return _Assembled(g, free, lap_src, lap_slot, lap_cell, lap_indptr, krylov)
+    row = np.concatenate([pa[ka], pb[kb], pa[kab], pb[kab], pos[free]])
+    col = np.concatenate([pa[ka], pb[kb], pb[kab], pa[kab], pos[free]])
+    lap_cell, lap_slot = np.unique(row * nf + col, return_inverse=True)
+    lap_indptr = np.searchsorted(lap_cell, np.arange(nf + 1) * nf).astype(np.int32)
+    lap_col = (lap_cell % nf).astype(np.int32)
+    lap_diag = lap_slot[len(lap_slot) - nf:]  # the c_v triplets come last
+    krylov = _on_krylov_side(nf, lap_col, lap_indptr)
+    return _Assembled(g, free, lap_src, lap_slot, lap_cell, lap_indptr, lap_col, lap_diag, krylov)
 
 
 def _check_bounded(spec: ProblemSpec, asm: _Assembled) -> None:
@@ -284,10 +290,9 @@ class _System:
 
     @cached_property
     def _sparse(self) -> sp.csc_matrix:
-        """A in CSC form, for the factor and the products of PCG: the CSR
-        arrays of a symmetric matrix are also its CSC arrays."""
+        """A in CSC form, for the factor: A is symmetric, so these are its CSR arrays."""
         asm, nf = self._asm, len(self._asm.free)
-        return sp.csc_matrix((self._data, asm.lap_cell % nf, asm.lap_indptr), shape=(nf, nf))
+        return sp.csc_matrix((self._data, asm.lap_col, asm.lap_indptr), shape=(nf, nf))
 
     def factor(self) -> spla.SuperLU:
         """The sparse factor of A (above DENSE_LIMIT), computed once."""
@@ -320,30 +325,32 @@ class _System:
         the true residual below the previous one's, the residual has reached
         its rounding floor above the target and x is returned as it is; the
         caller judges it.  After PCG_MAX_ITERATIONS steps A is solved exactly
-        instead."""
-        K = self._sparse
-        m = self._asm.g.m[self._asm.free]
-        inv_diag = 1.0 / K.diagonal()
-        x = np.zeros(len(b))
-        r = b.copy()
-        d = None
-        floor = np.inf
+        instead.  The loop builds no matrix and works in place: its product
+        is csr_matvec on the assembled arrays, the kernel of scipy's A @ d."""
+        asm, nf = self._asm, len(b)
+        m = asm.g.m[asm.free]
+        inv_diag = 1.0 / self._data[asm.lap_diag]  # the preconditioner
+        x, r = np.zeros(nf), b.copy()
+        z, d, q, t = np.empty(nf), np.empty(nf), np.empty(nf), np.empty(nf)
+        rz, floor = None, np.inf  # rz is None where CG (re)starts
         for _ in range(PCG_MAX_ITERATIONS):
-            if np.max(np.abs(r) / m) <= target:
-                r = b - K @ x
-                res = np.max(np.abs(r) / m)
+            if np.divide(np.abs(r, out=t), m, out=t).max() <= target:
+                q.fill(0.0)
+                csr_matvec(nf, nf, asm.lap_indptr, asm.lap_col, self._data, x, q)
+                res = np.divide(np.abs(np.subtract(b, q, out=r), out=t), m, out=t).max()
                 if res <= target or res >= floor:
                     return x
-                floor = res
-                d = None
-            z = inv_diag * r
+                rz, floor = None, res
+            np.multiply(inv_diag, r, out=z)
             rz_new = float(np.dot(r, z))
-            d = z if d is None else z + (rz_new / rz) * d
-            rz = rz_new
-            q = K @ d
+            if rz is not None:  # d = z + beta d, into z's array
+                z += np.multiply(rz_new / rz, d, out=d)
+            d, z, rz = z, d, rz_new
+            q.fill(0.0)
+            csr_matvec(nf, nf, asm.lap_indptr, asm.lap_col, self._data, d, q)
             alpha = rz / float(np.dot(d, q))
-            x += alpha * d
-            r -= alpha * q
+            x += np.multiply(alpha, d, out=t)
+            r -= np.multiply(alpha, q, out=t)
         return self.solve(b)
 
 

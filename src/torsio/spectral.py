@@ -10,7 +10,10 @@ start vector, above.  Lanczos inverts K with the solver's p = 2 solve, to a
 residual target of 1e-11 * max|b/m| for each right-hand side b: Jacobi-PCG
 on the Krylov side (graphs without small separators), which keeps lambda0
 within 1e-12 of a dense eigensolve, and otherwise one sparse factor, computed
-before Lanczos starts and shared by all of its solves.
+before Lanczos starts and shared by all of its solves.  ARPACK tests its
+Ritz values only when its subspace is full, so its default of 20 vectors
+costs 21 solves however early lambda0 has converged; with 8 vectors it
+takes 9 solves on a random 3000-vertex graph and 13 on a 100 x 100 grid.
 
 For p != 2 a nonlinear inverse power iteration is used on the problem
 assembled and checked once: each step runs one damped Newton leg on
@@ -90,7 +93,7 @@ def _lambda0_p2(asm) -> tuple[float, np.ndarray, str]:
         # the ground state is positive, so this fixed start vector is never
         # orthogonal to it, and repeated calls give identical results
         vals, vecs = spla.eigsh(K.A, k=1, M=sp.diags(m_free).tocsc(), sigma=0.0, which="LM",
-                                v0=np.ones(len(m_free)), OPinv=inv_K)
+                                v0=np.ones(len(m_free)), OPinv=inv_K, ncv=8)
         method = "lanczos"
     vec = vecs[:, 0]
     return float(vals[0]), -vec if vec.sum() < 0.0 else vec, method

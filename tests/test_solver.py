@@ -455,16 +455,48 @@ def test_small_separator_graphs_keep_the_factor(monkeypatch, spec):
     assert lambda0(spec).method == "lanczos"
 
 
+def _count_solves(monkeypatch):
+    """Patch _System.solve to count its calls; the list grows by one per call."""
+    solve = torsio.solver._System.solve
+    calls = []
+    monkeypatch.setattr(torsio.solver._System, "solve",
+                        lambda system, b, target=None: calls.append(target) or solve(system, b, target))
+    return calls
+
+
+def _dense_lambda0(spec):
+    K = _free_laplacian_reference(spec)
+    m = np.array([spec.graph.measure[v] for v in spec.graph.vertices if v not in spec.dirichlet])
+    return float(scipy.linalg.eigh(K, np.diag(m), eigvals_only=True, subset_by_index=(0, 0))[0])
+
+
 def test_lanczos_reuses_one_factor(monkeypatch):
     # grid 30 has 784 free vertices and small separators: every shift-invert
-    # solve of Lanczos goes through the one factor of the p = 2 matrix
+    # solve of Lanczos goes through the one factor of the p = 2 matrix, and
+    # the 8-vector subspace takes 13 of them (21 with ARPACK's default 20)
     factor = torsio.solver._factor
     calls = []
     monkeypatch.setattr(torsio.solver, "_factor", lambda A: calls.append(A) or factor(A))
+    solves = _count_solves(monkeypatch)
     spec = dirichlet_grid(30)
     assert len(spec.free_vertices) == 784
-    assert lambda0(spec).method == "lanczos"
+    eig = lambda0(spec)
+    assert eig.method == "lanczos"
     assert len(calls) == 1
+    assert len(solves) <= 14
+    assert eig.lambda0 == pytest.approx(_dense_lambda0(spec), rel=1e-12)
+
+
+def test_lanczos_on_the_krylov_side_takes_few_solves(monkeypatch):
+    # each shift-invert solve of a random graph runs PCG to 1e-11; the
+    # 8-vector subspace takes 9 of them (21 with ARPACK's default 20)
+    spec = _records_spec(2000, 2.0)
+    assert torsio.solver._assemble(spec).krylov
+    solves = _count_solves(monkeypatch)
+    eig = lambda0(spec)
+    assert eig.method == "lanczos"
+    assert len(solves) <= 10
+    assert eig.lambda0 == pytest.approx(_dense_lambda0(spec), rel=1e-12)
 
 
 def test_pcg_cap_falls_back_to_the_factor(monkeypatch):
@@ -510,6 +542,65 @@ def _records_spec(n, p, seed=1):
     Dirichlet vertices."""
     vertices, edges, dirichlet = random_records(np.random.default_rng(seed), n, 6.0, 4)
     return ProblemSpec(build_graph(vertices, edges), frozenset(dirichlet), p)
+
+
+def _scipy_pcg(system, b, target):
+    """_System._pcg written on a scipy matrix, as the reference it must
+    match: K @ d for the product and np.max(np.abs(r) / m) for the test."""
+    K = system._sparse
+    m = system._asm.g.m[system._asm.free]
+    inv_diag = 1.0 / K.diagonal()
+    x = np.zeros(len(b))
+    r = b.copy()
+    d = None
+    floor = np.inf
+    for _ in range(torsio.solver.PCG_MAX_ITERATIONS):
+        if np.max(np.abs(r) / m) <= target:
+            r = b - K @ x
+            res = np.max(np.abs(r) / m)
+            if res <= target or res >= floor:
+                return x
+            floor = res
+            d = None
+        z = inv_diag * r
+        rz_new = float(np.dot(r, z))
+        d = z if d is None else z + (rz_new / rz) * d
+        rz = rz_new
+        q = K @ d
+        alpha = rz / float(np.dot(d, q))
+        x += alpha * d
+        r -= alpha * q
+    return system.solve(b)
+
+
+@pytest.mark.parametrize("make", [lambda p: _records_spec(400, p), lambda p: _random_expander(p=p)],
+                         ids=["random400", "expander"])
+def test_pcg_matches_the_scipy_loop_bit_for_bit(monkeypatch, make):
+    # the in-place loop on the assembled arrays takes the reference's steps
+    # exactly: on the p = 2 matrix at the targets of the replacement and
+    # floor tests above, and on every Newton Hessian of a p = 3 and a p = 8
+    # solve at its forcing term
+    asm = torsio.solver._assemble(make(2.0))
+    assert asm.krylov
+    system = torsio.solver._System(asm, asm.g.w, asm.g.c)
+    m = asm.g.m[asm.free]
+    for target in (1e-12, 1e-13):
+        np.testing.assert_array_equal(system._pcg(m, target), _scipy_pcg(system, m, target))
+    calls = []
+    pcg = torsio.solver._System._pcg
+    monkeypatch.setattr(torsio.solver._System, "_pcg",
+                        lambda system, b, target: calls.append((system, b.copy(), target)) or pcg(system, b, target))
+    for p in (3.0, 8.0):
+        solve_torsion(make(p))
+    assert len(calls) > 10
+    for system, b, target in calls:
+        np.testing.assert_array_equal(pcg(system, b, target), _scipy_pcg(system, b, target))
+    # the kernel of K @ x for a CSC matrix with symmetric pattern is
+    # csr_matvec on the same arrays; a scipy that changes that fails here
+    x = np.random.default_rng(0).uniform(-1.0, 1.0, len(asm.free))
+    y = np.zeros(len(x))
+    torsio.solver.csr_matvec(len(x), len(x), asm.lap_indptr, asm.lap_col, system._data, x, y)
+    np.testing.assert_array_equal(y, system._sparse @ x)
 
 
 def _exact_solve(system, b, target):
@@ -560,13 +651,13 @@ def test_hessians_below_two_are_solved_exactly(monkeypatch):
 def _grid_pattern(rows, cols):
     """The pattern of the Laplacian on the interior of a (rows + 2) x
     (cols + 2) grid whose boundary ring is Dirichlet, as _assemble stores it:
-    the sorted flat cells of the stored entries and their row pointers."""
+    the columns of the stored entries in CSR order and their row pointers."""
     nf = rows * cols
     pos = np.arange(nf).reshape(rows, cols)
     pa = np.concatenate([pos[:, :-1].ravel(), pos[:-1, :].ravel()])
     pb = np.concatenate([pos[:, 1:].ravel(), pos[1:, :].ravel()])
     cells = np.unique(np.concatenate([pa * nf + pb, pb * nf + pa, np.arange(nf) * (nf + 1)]))
-    return nf, cells, np.searchsorted(cells, np.arange(nf + 1) * nf)
+    return nf, cells % nf, np.searchsorted(cells, np.arange(nf + 1) * nf)
 
 
 def test_krylov_side_takes_expanders_and_leaves_grids():
