@@ -41,14 +41,14 @@ all within KRYLOV_HOPS * log2(free vertices) hops.  Random graphs of
 average degree 6 reach all within 5-7 hops; the interior of an r x c grid
 needs r + c - 2 >= 2 sqrt(free) - 2, which is more at every size the
 floor admits.  Two kinds of solve name a target: the p = 2 solves
-(direct_p2, the start of Newton, the shift-invert of ``spectral``), and the
-Newton Hessians at p > 2, solved inexactly to a forcing term
-(``_newton_leg``).  PCG takes 10-135 steps on such graphs up to p = 8,
-stops at the residual's rounding floor when that lies above the target,
-and solves exactly only if PCG_MAX_ITERATIONS run out (as some Hessians
-near p = 20 do).  The Hessians at p < 2, ill-conditioned by the gradient
-floor of ``_curvature``, and the rigidity bracket, whose corrected flux
-must be admissible to rounding, name none and are solved exactly.
+(direct_p2, the start of Newton, the shift-invert of ``spectral``), and
+every Newton Hessian, at p < 2 as at p > 2, solved inexactly to a forcing
+term (``_newton_leg``).  PCG takes 10-135 steps on such graphs at p = 3
+and 8 and about 200-260 on the p = 1.5 Hessians of a random 3000-vertex
+graph, stops at the residual's rounding floor when that lies above the
+target, and solves exactly only if PCG_MAX_ITERATIONS run out (as some
+Hessians near p = 20 do).  Only the rigidity bracket, whose corrected flux
+must be admissible to rounding, names none and is solved exactly.
 
 Convergence is measured on the pointwise residual max_v |L_p u(v) - 1| (not
 on step sizes), because on finite graphs the weak and the pointwise
@@ -62,10 +62,12 @@ Polya quotient of the iterate bounds T_p from below, the Thomson energy of
 its flux, corrected by one p = 2 solve to divergence m, bounds it from above
 (``_rigidity_bracket``), and the iterate is accepted when the two agree to
 1e-12 relative; a bracket inverted by an underflowed Thomson side does not.
-Otherwise NoConvergenceError is raised at once, carrying the residual and
-the bracket.  A p = 2 solve is judged the same way: its residual has the
-rounding floor eps * ||L|| * ||tau||, above the default tol on long paths
-(2.3e-10 for a path of 2000 free vertices).
+An accepted solve reports the Polya side as T_p: (sum tau m)^(p-1) is off
+to first order in the error of tau.  Otherwise NoConvergenceError is raised
+at once, carrying the residual and the bracket.  A p = 2 solve is judged
+the same way: its residual has the rounding floor eps * ||L|| * ||tau||,
+above the default tol on long paths (2.3e-10 for a path of 2000 free
+vertices).
 
 Below p = 2 the tangent model sends the difference d of an edge near a tie
 to d(p-2)/(p-1), across 0, so the edge flips sign at every Newton step;
@@ -146,9 +148,10 @@ class SolverOptions:
 @dataclass(frozen=True)
 class TorsionSolution:
     """tau: the torsion function (zero on the Dirichlet set); rigidity is
-    (sum of tau * m over free vertices)^(p-1); residual_inf is the final
-    max_v |L_p tau(v) - 1|, above tol only for a direct_p2 or Newton solve
-    accepted on its rigidity bracket."""
+    (sum of tau * m over free vertices)^(p-1), or for a direct_p2 or Newton
+    solve accepted on its rigidity bracket the bracket's Polya side;
+    residual_inf is the final max_v |L_p tau(v) - 1|, above tol only for
+    such a solve."""
 
     tau: dict[VertexId, float]
     rigidity: float
@@ -412,14 +415,15 @@ def _newton_leg(
     search on the exact objective; stops on tol, cap, or a rounding-floor
     stall.
 
-    At p > 2 on the Krylov side the step is inexact: PCG solves the Hessian
-    to the residual eta_k * res_k with the forcing term eta_k = min(1e-3,
-    res_k / res_0), res_0 the residual at the start of the leg.  A looser
-    forcing term costs Newton steps, and the one-step corrector legs of the
-    continuation need the 1e-3 at their only step.  Each iterate's gradient
-    is evaluated once and F_p only in the line search; a non-finite residual
-    or step ends the leg with the overflow error; flipped edges take the
-    secant weight at p < 2; the caller's u is not written to."""
+    On the Krylov side the step is inexact at every p: PCG solves the
+    Hessian to the residual eta_k * res_k with the forcing term eta_k =
+    min(1e-3, res_k / res_0), res_0 the residual at the start of the leg.
+    A looser forcing term costs Newton steps, and the one-step corrector
+    legs of the continuation need the 1e-3 at their only step.  Each
+    iterate's gradient is evaluated once and F_p only in the line search; a
+    non-finite residual or step ends the leg with the overflow error;
+    flipped edges take the secant weight at p < 2; the caller's u is not
+    written to."""
     g, res = _gradient(asm, p, rhs, u)
     res_start = best = res
     it = 0
@@ -433,7 +437,7 @@ def _newton_leg(
         if not (np.isfinite(g).all() and np.isfinite(ce).all() and np.isfinite(cc).all()):
             raise NoConvergenceError(f"the Newton step at p = {p:.6g} overflows a float", it, res)
         H = _System(asm, ce, cc)
-        target = min(1e-3, res / res_start) * res if p > 2.0 else None
+        target = min(1e-3, res / res_start) * res
         try:
             step = H.solve(-g, target)
         except np.linalg.LinAlgError:
@@ -494,8 +498,8 @@ def _solve_newton(
     elementwise power; this keeps every leg inside Newton's fast local
     regime.  Toward p > 2 it follows the path with one corrector step per
     intermediate leg; toward p < 2 each intermediate leg runs to
-    1e-6 * max|u|.  The final leg runs to tol, and a final leg that stops
-    above tol is judged on its rigidity bracket.  max_iter caps the Newton
+    1e-6 * max|u|.  The final leg runs to tol; solve_torsion judges one
+    that stops above tol on its rigidity bracket.  max_iter caps the Newton
     steps of all legs together."""
     u = _torsion_p2(asm, rhs, tol)
     it = 0
@@ -523,22 +527,20 @@ def _solve_newton(
         u, leg_it, res = _newton_leg(asm, leg_p, rhs, u, leg_tol, leg_cap)
         it += leg_it
         if final:
-            break
-    if not res <= tol:
-        _certify(asm, p, rhs, u, "Newton", it, res, tol)
-    return u, it, res
+            return u, it, res
 
 
 def _certify(
     asm: _Assembled, p: float, rhs: np.ndarray, u: np.ndarray,
     what: str, iterations: int, res: float, tol: float,
-) -> None:
+) -> float:
     """Accept an iterate that stopped at residual res > tol when its
-    Polya/Thomson bracket pins T_p down to 1e-12 relative; the residual has
-    a rounding floor (for p < 2, and at p = 2 for large tau).  Otherwise,
-    and when a float power in the bracket overflows or its energy underflows
-    to 0 (or the upper side underflows below the lower), raise
-    NoConvergenceError at once."""
+    Polya/Thomson bracket pins T_p down to 1e-12 relative, and return the
+    bracket's Polya (lower) side as T_p; the residual has a rounding floor
+    (for p < 2, and at p = 2 for large tau).  Otherwise, and when a float
+    power in the bracket overflows or its energy underflows to 0 (or the
+    upper side underflows below the lower), raise NoConvergenceError at
+    once."""
     try:
         lower, upper = _rigidity_bracket(asm, p, rhs, u)
     except (OverflowError, ZeroDivisionError) as exc:
@@ -548,6 +550,7 @@ def _certify(
     if not abs(upper - lower) <= 1e-12 * upper:
         msg = f"{what} stopped at residual {res:.3e} > tol {tol:.3e} with T_p in [{lower:.17g}, {upper:.17g}]"
         raise NoConvergenceError(msg, iterations, res)
+    return lower
 
 
 def _rigidity_bracket(
@@ -700,8 +703,6 @@ def solve_torsion(spec: ProblemSpec, opts: SolverOptions | None = None) -> Torsi
         u = _torsion_p2(asm, rhs, tol)
         iterations = 1
         _, res = _gradient(asm, p, rhs, u)
-        if not res <= tol:
-            _certify(asm, p, rhs, u, "direct solve", iterations, res, tol)
     elif method == "newton":
         u, iterations, res = _solve_newton(asm, p, rhs, tol, opts.max_iterations)
     else:
@@ -710,15 +711,18 @@ def solve_torsion(spec: ProblemSpec, opts: SolverOptions | None = None) -> Torsi
         if not res <= tol:
             msg = f"Gauss-Seidel stopped at residual {res:.3e} > tol {tol:.3e} after {iterations} sweeps"
             raise NoConvergenceError(msg, iterations, res)
-    tau = dict(zip(asm.g.vertices, u.tolist()))  # u stays 0.0 on the Dirichlet set
-    l1 = float(np.dot(np.abs(u[asm.free]), asm.g.m[asm.free]))
-    try:
-        rigidity = l1 ** (p - 1.0)
-    except OverflowError:
-        msg = f"T_p = (sum tau m)^(p-1) = {l1:.6g}^{p - 1.0:.6g} overflows a float"
-        raise NoConvergenceError(msg, iterations, res) from None
+    if not res <= tol:  # a direct_p2 or Newton solve that stopped above tol
+        what = "direct solve" if method == "direct_p2" else "Newton"
+        rigidity = _certify(asm, p, rhs, u, what, iterations, res, tol)
+    else:
+        l1 = float(np.dot(np.abs(u[asm.free]), asm.g.m[asm.free]))
+        try:
+            rigidity = l1 ** (p - 1.0)
+        except OverflowError:
+            msg = f"T_p = (sum tau m)^(p-1) = {l1:.6g}^{p - 1.0:.6g} overflows a float"
+            raise NoConvergenceError(msg, iterations, res) from None
     return TorsionSolution(
-        tau=tau,
+        tau=dict(zip(asm.g.vertices, u.tolist())),  # u stays 0.0 on the Dirichlet set
         rigidity=rigidity,
         residual_inf=res,
         iterations=iterations,

@@ -18,8 +18,8 @@ takes 9 solves on a random 3000-vertex graph and 13 on a 100 x 100 grid.
 For p != 2 a nonlinear inverse power iteration is used on the problem
 assembled and checked once: each step runs one damped Newton leg on
 Q_p(v) - lambda_k <phi_p(u_k) m, v> from the current iterate, renormalizes,
-and recomputes the Rayleigh quotient.  The leg is the solver's, so at p > 2
-on the Krylov side its Hessians are solved inexactly by Jacobi-PCG, and
+and recomputes the Rayleigh quotient.  The leg is the solver's, so on the
+Krylov side its Hessians are solved inexactly by Jacobi-PCG at every p, and
 otherwise exactly.  Started from positive constant data the iterate stays
 nonnegative; the result is a variational upper bound for the bottom of the
 spectrum, believed exact, and is labeled as such.

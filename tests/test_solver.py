@@ -613,12 +613,19 @@ def _no_dposv(*args, **kwargs):
 
 @pytest.mark.parametrize(
     "spec",
-    [_random_expander(p=3.0), _random_expander(p=8.0), _random_expander(p=20.0), _records_spec(400, 8.0)],
-    ids=["expander_p3", "expander_p8", "expander_p20", "random400_p8"],
+    [
+        _random_expander(p=3.0), _random_expander(p=8.0), _random_expander(p=20.0), _records_spec(400, 8.0),
+        _random_expander(n=300, p=1.5), _random_expander(p=1.5), _records_spec(400, 1.5, seed=[0, 1]),
+    ],
+    ids=[
+        "expander_p3", "expander_p8", "expander_p20", "random400_p8",
+        "expander300_p1.5", "expander_p1.5", "random400_fixed_p1.5",
+    ],
 )
 def test_inexact_newton_matches_exact_steps(monkeypatch, spec):
-    # at p > 2 on the Krylov side every Newton step runs PCG to its forcing
-    # term, on either side of DENSE_LIMIT, and takes the exact path's steps
+    # on the Krylov side every Newton step runs PCG to its forcing term, at
+    # p < 2 as at p > 2 and on either side of DENSE_LIMIT, and takes the
+    # exact path's steps
     asm = torsio.solver._assemble(spec)
     assert asm.krylov
     with monkeypatch.context() as patch:
@@ -632,20 +639,35 @@ def test_inexact_newton_matches_exact_steps(monkeypatch, spec):
     np.testing.assert_allclose([sol.tau[v] for v in free], [exact.tau[v] for v in free], rtol=1e-10, atol=0.0)
 
 
-def test_hessians_below_two_are_solved_exactly(monkeypatch):
-    # the p = 1.5 Hessians of an expander are ill-conditioned (the gradient
-    # floor of _curvature): only the p = 2 start runs PCG
+def test_hessians_below_two_run_pcg(monkeypatch):
+    # the p = 1.5 Hessians of an expander are solved inexactly too: the
+    # p = 2 start and every Newton step name a target and run PCG, and none
+    # falls back to a dense Cholesky solve or a factor
     spec = _random_expander(n=300, p=1.5)
     asm = torsio.solver._assemble(spec)
     assert asm.krylov and len(asm.free) <= torsio.solver.DENSE_LIMIT
-    monkeypatch.setattr(torsio.solver._System, "_pcg", _no_pcg)
-    with pytest.raises(AssertionError, match="ran PCG"):
-        solve_torsion(spec)
-    # with an exact start, every solve left is a Hessian's
-    start = torsio.solver._torsion_p2
-    monkeypatch.setattr(torsio.solver, "_torsion_p2", lambda asm, rhs, tol: start(asm, rhs, None))
+    monkeypatch.setattr(torsio.solver, "_factor", _no_factor)
+    monkeypatch.setattr(torsio.solver, "dposv", _no_dposv)
+    solves = _count_solves(monkeypatch)
     sol = solve_torsion(spec)
     assert sol.residual_inf <= torsio.solver.default_tolerance(spec)
+    assert len(solves) == sol.iterations + 1
+    assert None not in solves
+
+
+def test_bracket_accepted_solve_reports_its_polya_side():
+    # this p = 1.3 solve stalls above tol and is accepted on its bracket;
+    # the reported T_p is the bracket's lower side, not (sum tau m)^(p-1),
+    # which lies 8.9e-10 below it
+    spec = _records_spec(700, 1.3, seed=[1, 9])
+    sol = solve_torsion(spec)
+    assert sol.residual_inf > torsio.solver.default_tolerance(spec)
+    asm = torsio.solver._assemble(spec)
+    rhs = np.where(spec._pinned, 0.0, asm.g.m)
+    u = np.array([sol.tau[v] for v in asm.g.vertices])
+    lower, upper = torsio.solver._rigidity_bracket(asm, spec.p, rhs, u)
+    assert upper - lower <= 1e-12 * upper
+    assert sol.rigidity == lower
 
 
 def _grid_pattern(rows, cols):
@@ -684,7 +706,7 @@ def test_long_paths_at_p2_are_certified_without_gauss_seidel(monkeypatch, F):
     sol = solve_torsion(spec)
     assert sol.residual_inf > torsio.solver.default_tolerance(spec)
     exact = path_rigidity(PathSpecParams(F, (1.0,) * F, (1.0,) * F, 2.0))
-    assert sol.rigidity == pytest.approx(exact, rel=1e-10)
+    assert sol.rigidity == pytest.approx(exact, rel=1e-13)
 
 
 def test_dense_solve_falls_back_to_lu_and_factor_rejects_singular():
