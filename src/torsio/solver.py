@@ -24,10 +24,15 @@ matrix, the Newton Hessian and the p = 2 eigenproblems of ``spectral`` are
 all one symmetric positive definite reweighted Laplacian on the free
 vertices, a ``_System`` with one solve policy.  A solve that names a
 residual target on a Krylov-side problem (below) runs Jacobi-PCG in place
-on the CSR arrays.  Every other solve is exact to rounding: on a dense
-array up to DENSE_LIMIT free vertices by LAPACK Cholesky (general LU on a
-non-positive pivot), and on a CSC matrix above by one SuperLU factor per
-matrix (``_factor``: symmetric minimum-degree ordering, diagonal pivots).
+on the CSR arrays.  Every other solve is exact to rounding, by Cholesky
+with general LU on a non-positive pivot: up to BAND_MIN_FREE free vertices
+on a dense array (LAPACK dposv); up to DENSE_LIMIT in LAPACK band storage,
+in the reverse Cuthill-McKee order of the pattern (dpbsv; Cuthill & McKee
+1969, George & Liu 1981), whose layout is computed once per assembled
+problem; above that by one SuperLU factor per matrix (``_factor``:
+symmetric minimum-degree ordering, diagonal pivots).  A band of half-width
+kd costs O(kd^2 n) instead of O(n^3): kd is 18 on the 324 free vertices of
+a 20 x 20 grid, 1 on a path, and n - 2 on a star.
 
 The fill of a sparse factor follows the size of the graph's separators
 (nested dissection), so grids, paths and trees factor cheaply while on
@@ -99,7 +104,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dposv
+from scipy.linalg.lapack import dpbsv, dposv
 from scipy.sparse._sparsetools import csr_matvec
 
 from .energy import _mlp, _power_sum, _qp, _values, functional_Fp, phi_p
@@ -115,6 +120,13 @@ _METHODS = ("auto", "gauss_seidel", "newton", "direct_p2")
 
 # free vertices up to which the Laplacian is a dense array; sparse above
 DENSE_LIMIT = 500
+# free vertices above which an exact solve up to DENSE_LIMIT runs LAPACK's
+# banded Cholesky in reverse Cuthill-McKee order instead of the dense one.
+# Per solve the band is faster from 30-50 free vertices, but its layout costs
+# 40-90 us once per problem: whole Newton solves at p = 1.5 and 3 gain from
+# about 64 free vertices on paths and grids (150 on random graphs of degree
+# 6), p = 2 solves from about 130 (260); one BLAS thread, 2-core Xeon
+BAND_MIN_FREE = 64
 # the Krylov-side test (module docstring): free vertices from which PCG
 # overtakes a dense Cholesky solve, inner edges per free vertex, and hops
 # from the first free vertex in units of log2(free vertices)
@@ -160,7 +172,8 @@ class TorsionSolution:
     method: str
 
 
-class _Assembled(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class _Assembled:
     g: WeightedGraph
     free: np.ndarray          # indices of free vertices, input order
     # the Laplacian on the free vertices: triplet k adds concat(w_e, -w_e,
@@ -175,6 +188,24 @@ class _Assembled(NamedTuple):
     lap_col: np.ndarray
     lap_diag: np.ndarray
     krylov: bool              # solves with a target run PCG, not a factor
+
+    @cached_property
+    def band(self) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+        """The Laplacian's layout in LAPACK upper band storage in reverse
+        Cuthill-McKee order, computed on the first banded solve: the order
+        (position k holds free vertex order[k]), the half-bandwidth kd, and the
+        stored entries on and above the diagonal of the reordered matrix with
+        their flat cells in an F-ordered (kd + 1) x nf band array."""
+        nf = len(self.free)
+        pattern = sp.csr_matrix((np.ones(len(self.lap_col)), self.lap_col, self.lap_indptr), shape=(nf, nf))
+        order = csgraph.reverse_cuthill_mckee(pattern, symmetric_mode=True)
+        pos = np.empty(nf, dtype=np.intp)
+        pos[order] = np.arange(nf)
+        i, j = pos[self.lap_cell // nf], pos[self.lap_col]
+        kd = int(np.max(j - i))  # the pattern is symmetric
+        upper = np.flatnonzero(i <= j)
+        i, j = i[upper], j[upper]
+        return order, kd, upper, kd + i - j + j * (kd + 1)
 
 
 def _on_krylov_side(nf: int, lap_col: np.ndarray, lap_indptr: np.ndarray) -> bool:
@@ -272,8 +303,10 @@ class _System:
         A = sum_e w_e (1_a - 1_b)(1_a - 1_b)^T + diag(c_v),
 
     for edge weights w_e and vertex weights c_v, with the solve policy of
-    the module docstring.  Each matrix form, and a sparse factor, is built
-    on first use and kept for later solves of the same object."""
+    the module docstring: Jacobi-PCG, dense or banded Cholesky, or a sparse
+    factor.  The dense and CSC forms, and the factor, are built on first use
+    and kept for later solves of the same object; the band is filled anew
+    for each banded solve, in the layout its _Assembled keeps."""
 
     def __init__(self, asm: _Assembled, w_e: np.ndarray, c_v: np.ndarray) -> None:
         self._asm = asm
@@ -283,7 +316,9 @@ class _System:
 
     @cached_property
     def A(self) -> np.ndarray | sp.csc_matrix:
-        """A dense array up to DENSE_LIMIT free vertices, CSC above."""
+        """A dense array up to DENSE_LIMIT free vertices, CSC above; read by
+        the dense eigensolvers of ``spectral``, the dense Cholesky solve and
+        the LU fallback of a failed dense or banded Cholesky."""
         nf = len(self._asm.free)
         if nf > DENSE_LIMIT:
             return self._sparse
@@ -307,16 +342,27 @@ class _System:
         """Solve A x = b; LinAlgError if A is singular.  A target, the
         residual max|b - A x| / m over the free vertices, lets a Krylov-side
         problem run PCG; without one the solve is exact to rounding."""
-        if target is not None and self._asm.krylov:
+        asm, nf = self._asm, len(b)
+        if target is not None and asm.krylov:
             return self._pcg(b, target)
-        A = self.A
-        if isinstance(A, np.ndarray):
+        if nf > DENSE_LIMIT:
+            return self.factor().solve(b)
+        if nf > BAND_MIN_FREE:
+            order, kd, upper, cell = asm.band
+            ab = np.zeros((kd + 1) * nf)
+            ab[cell] = self._data[upper]
+            # ab.reshape(nf, kd + 1).T is the F-contiguous band LAPACK takes
+            _, y, info = dpbsv(ab.reshape(nf, kd + 1).T, b[order], overwrite_ab=1, overwrite_b=1)
+            if info == 0:
+                x = np.empty(nf)
+                x[order] = y
+                return x
+        else:
             # A.T equals A and is F-contiguous, the layout LAPACK takes
-            _, x, info = dposv(A.T, b)
-            if info != 0:  # not numerically positive definite: general LU
-                return np.linalg.solve(A, b)
-            return x
-        return self.factor().solve(b)
+            _, x, info = dposv(self.A.T, b)
+            if info == 0:
+                return x
+        return np.linalg.solve(self.A, b)  # not numerically positive definite: general LU
 
     def _pcg(self, b: np.ndarray, target: float) -> np.ndarray:
         """Jacobi-preconditioned conjugate gradients to max|b - A x| / m <=

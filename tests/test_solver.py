@@ -4,9 +4,11 @@ independent brute-force oracle for tiny graphs."""
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse as sp
 
 import torsio.solver
+import torsio.spectral
 from bench.workloads import random_records
 from conftest import dirichlet_grid, random_general_spec
 from hypothesis import given, settings
@@ -607,8 +609,14 @@ def _exact_solve(system, b, target):
     return system.solve(b)
 
 
-def _no_dposv(*args, **kwargs):
-    raise AssertionError("a dense Cholesky solve ran")
+def _no_exact_solve(*args, **kwargs):
+    raise AssertionError("an exact solve ran")
+
+
+def _forbid_exact_solves(monkeypatch):
+    """Make every exact solve raise: dense and banded Cholesky, and the factor."""
+    for name in ("_factor", "dposv", "dpbsv"):
+        monkeypatch.setattr(torsio.solver, name, _no_exact_solve)
 
 
 @pytest.mark.parametrize(
@@ -631,8 +639,7 @@ def test_inexact_newton_matches_exact_steps(monkeypatch, spec):
     with monkeypatch.context() as patch:
         patch.setattr(torsio.solver._System, "_pcg", _exact_solve)
         exact = solve_torsion(spec)
-    monkeypatch.setattr(torsio.solver, "_factor", _no_factor)
-    monkeypatch.setattr(torsio.solver, "dposv", _no_dposv)
+    _forbid_exact_solves(monkeypatch)
     sol = solve_torsion(spec)
     assert sol.iterations == exact.iterations
     free = [spec.graph.vertices[i] for i in asm.free]
@@ -642,12 +649,11 @@ def test_inexact_newton_matches_exact_steps(monkeypatch, spec):
 def test_hessians_below_two_run_pcg(monkeypatch):
     # the p = 1.5 Hessians of an expander are solved inexactly too: the
     # p = 2 start and every Newton step name a target and run PCG, and none
-    # falls back to a dense Cholesky solve or a factor
+    # falls back to a dense or banded Cholesky solve or a factor
     spec = _random_expander(n=300, p=1.5)
     asm = torsio.solver._assemble(spec)
     assert asm.krylov and len(asm.free) <= torsio.solver.DENSE_LIMIT
-    monkeypatch.setattr(torsio.solver, "_factor", _no_factor)
-    monkeypatch.setattr(torsio.solver, "dposv", _no_dposv)
+    _forbid_exact_solves(monkeypatch)
     solves = _count_solves(monkeypatch)
     sol = solve_torsion(spec)
     assert sol.residual_inf <= torsio.solver.default_tolerance(spec)
@@ -721,6 +727,91 @@ def test_dense_solve_falls_back_to_lu_and_factor_rejects_singular():
     path = sp.csc_matrix(np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]]))
     with pytest.raises(np.linalg.LinAlgError):
         torsio.solver._factor(path)
+
+
+def _count_band_solves(monkeypatch):
+    """Patch dpbsv to record the info of each banded solve."""
+    dpbsv = torsio.solver.dpbsv
+    infos = []
+
+    def counted(*args, **kwargs):
+        out = dpbsv(*args, **kwargs)
+        infos.append(out[2])
+        return out
+
+    monkeypatch.setattr(torsio.solver, "dpbsv", counted)
+    return infos
+
+
+def test_banded_solve_agrees_with_dense_cholesky(monkeypatch):
+    # above BAND_MIN_FREE an exact solve runs the banded Cholesky in reverse
+    # Cuthill-McKee order.  On paths the reference is the closed form: from
+    # the free end the band's pivots are all 1 and its solve is exact, while
+    # the dense one is 2.4e-13 off on 300 free vertices
+    floor = torsio.solver.BAND_MIN_FREE
+    specs = [dirichlet_grid(k) for k in range(10, 25)]  # 64 to 484 free vertices
+    specs += [make_star(101)]  # 100 free leaves around a free center
+    specs += [_records_spec(n, 2.0) for n in (104, 180, 254)]  # 100-250 free, not on the Krylov side
+    cases = [(spec, None) for spec in specs]
+    cases += [(make_path(F), path_torsion_values(np.ones(F), np.ones(F), 2.0)) for F in (floor, floor + 1, 300)]
+    band = _count_band_solves(monkeypatch)
+    for spec, ref in cases:
+        asm = torsio.solver._assemble(spec)
+        nf = len(asm.free)
+        assert not asm.krylov
+        system = torsio.solver._System(asm, asm.g.w, asm.g.c)
+        m = asm.g.m[asm.free]
+        before = len(band)
+        x = system.solve(m)
+        assert len(band) - before == (nf > floor), nf
+        if ref is None:
+            _, ref, info = scipy.linalg.lapack.dposv(system.A, m)
+            assert info == 0
+        assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref)), nf
+    # a path's band is its tridiagonal; a star's spans all free vertices but one
+    assert torsio.solver._assemble(make_path(300)).band[1] == 1
+    assert torsio.solver._assemble(make_star(101)).band[1] == 99
+    assert torsio.solver._assemble(dirichlet_grid(20)).band[1] == 18  # 324 free vertices
+
+
+def test_banded_solve_falls_back_to_lu(monkeypatch):
+    # negative vertex weights make A = L - 1.5 I indefinite on 100 free
+    # vertices of a path: the banded Cholesky meets a non-positive pivot
+    asm = torsio.solver._assemble(make_path(100))
+    assert len(asm.free) > torsio.solver.BAND_MIN_FREE
+    system = torsio.solver._System(asm, asm.g.w, np.full(asm.g.vertex_count, -1.5))
+    assert np.linalg.eigvalsh(system.A).min() < 0.0
+    b = np.random.default_rng(0).uniform(-1.0, 1.0, len(asm.free))
+    band = _count_band_solves(monkeypatch)
+    np.testing.assert_array_equal(system.solve(b), np.linalg.solve(system.A, b))
+    assert len(band) == 1 and band[0] > 0
+
+
+def _counted_solves(spec, monkeypatch):
+    """T_p and Newton steps of solve_torsion, and lambda0 with its outer
+    steps and the Newton steps of each inner leg."""
+    sol = solve_torsion(spec)
+    leg = torsio.spectral._newton_leg
+    inner = []
+    with monkeypatch.context() as patch:
+        patch.setattr(torsio.spectral, "_newton_leg", lambda *a: inner.append(leg(*a)) or inner[-1])
+        eig = lambda0(spec)
+    return (sol.rigidity, eig.lambda0), (sol.iterations, eig.iterations, [r[1] for r in inner])
+
+
+@pytest.mark.parametrize("p", [3.0, 8.0])
+def test_banded_solve_keeps_newton_steps_above_two(monkeypatch, p):
+    # on grids of 36 to 484 free vertices, solves through the band take the
+    # dense solve's Newton steps, in solve_torsion and in lambda0's outer and
+    # inner iterations, with the same T_p and lambda0 to 1e-12
+    for k in range(8, 25):
+        spec = dirichlet_grid(k, p=p)
+        with monkeypatch.context() as patch:
+            patch.setattr(torsio.solver, "BAND_MIN_FREE", torsio.solver.DENSE_LIMIT)
+            dense = _counted_solves(spec, patch)
+        band = _counted_solves(spec, monkeypatch)
+        assert band[1] == dense[1], k
+        assert band[0] == pytest.approx(dense[0], rel=1e-12, abs=0.0), k
 
 
 def _no_polish(*args, **kwargs):
