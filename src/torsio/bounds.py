@@ -1,20 +1,36 @@
 """Structured evaluation of the rigidity and spectral comparison bounds.
 
-Every bound is reported as a BoundCheck.  Each check names its hypotheses
-once, in one ``_gate`` call: ``_GATES`` maps each hypothesis (p = 2, unit or
-degree masses, standard weights, zero potential, a Dirichlet set, a
-connected graph with eta > 0, ...) to its machine check and to the reason an
-inapplicable bound states.  The same call names the torsion and spectral
-solves the bound reads: a solve that failed, with a typed error or with
-numpy's LinAlgError, makes the check inconclusive, never a report failure.
-``_bound`` turns the computed sides into the verdict.  Satisfaction allows a
-relative slack of -1e-9 * (1 + |rhs|) so solver noise cannot flip a proven
-inequality.
+Every bound is reported as a BoundCheck and declared once, by
+``@_check(id, statement, *needs)`` on a body that maps the shared context
+``_Ctx`` to ``(lhs, sense, rhs[, note])``.  The declarations form the
+registry, whose order is the report order.  ``_evaluate`` is the one path
+every check takes, alone or in ``check_all``: it walks the needs in the
+order declared, then runs the body, then ``_bound``.
+
+A need is a hypothesis or a solve.  ``_GATES`` maps each hypothesis (p = 2,
+unit or degree masses, standard weights, zero potential, a Dirichlet set, a
+connected graph with eta > 0, a tree once the Dirichlet set is merged, a
+positive denominator, at least three vertices, ...) to its machine check and
+to the reason an inapplicable bound states; each is evaluated only when the
+walk reaches it.  "torsion" and "spectral" name the solves the body reads: a
+solve that failed, with a typed error or with numpy's LinAlgError, makes the
+check inconclusive, never a report failure.
+
+The body runs with numpy's floating-point warnings off.  It makes the check
+inconclusive by raising ``_Inconclusive`` (a failed path-comparison solve,
+lambda0 outside [0, 2] in the modified Kohler-Jobin product) or an
+ArithmeticError of its own float arithmetic (a power that overflows, a
+division by a distance that underflowed to 0), and ``_bound`` does the same
+for a side that is not finite.  Typed errors of the geometry it calls, such
+as an edge cost that overflows (InvalidQError), propagate.  Satisfaction
+allows a relative slack of -1e-9 * (1 + |rhs|) so solver noise cannot flip a
+proven inequality.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Literal
 
@@ -62,22 +78,22 @@ class BoundCheck:
         return self.applicable and self.satisfied is None
 
 
+class _Inconclusive(Exception):
+    """Raised by a check body that cannot reach a verdict; the message is
+    the check's reason."""
+
+
 def _bound(
     cid: str, statement: str, lhs: float, sense: Literal["<=", ">="], rhs: float, note: str = ""
 ) -> BoundCheck:
     """An applicable check of lhs <= rhs (an upper bound) or lhs >= rhs (a
-    lower bound)."""
+    lower bound); inconclusive when a side is not finite."""
+    lhs, rhs = float(lhs), float(rhs)
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        return BoundCheck(cid, statement, True, f"a side is not finite: lhs = {lhs}, rhs = {rhs}")
     slack = rhs - lhs if sense == "<=" else lhs - rhs
-    return BoundCheck(
-        id=cid,
-        statement=statement,
-        applicable=True,
-        reason=note,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        satisfied=bool(slack >= -SLACK_RTOL * (1.0 + abs(rhs))),
-        slack=float(slack),
-    )
+    satisfied = slack >= -SLACK_RTOL * (1.0 + abs(rhs))
+    return BoundCheck(cid, statement, True, note, lhs, rhs, satisfied, slack)
 
 
 class _Ctx:
@@ -124,6 +140,23 @@ class _Ctx:
         )
 
     @cached_property
+    def merged(self) -> ProblemSpec:
+        return merge_dirichlet(self.spec)
+
+    @cached_property
+    def denominator(self) -> float:
+        """sum b(free, V0) + sum c(free): boundary edge weight plus free
+        potential mass."""
+        boundary = sum(boundary_entries(self.spec)[1])
+        return boundary + sum(self.g.potential[v] for v in self.spec.free_vertices)
+
+    @cached_property
+    def inverted_distances(self) -> tuple[float, float]:
+        """(Inr_p, Mean_p) of the weight-inverted graph."""
+        inv_spec = ProblemSpec(invert_edge_weights(self.g), self.spec.dirichlet, self.spec.p)
+        return q_inradius_and_mean(inv_spec, self.spec.p)
+
+    @cached_property
     def torsion(self) -> TorsionSolution | TorsioError | np.linalg.LinAlgError:
         try:
             return solve_torsion(self.spec, self.opts)
@@ -143,12 +176,10 @@ class _Ctx:
             return ""
         return "lambda0 for p != 2 is a variational upper bound (believed exact); lower-bound checks are consistency checks"
 
-    def sorted_path_spec(
-        self, order_by: VertexFunction, keep_potential: bool, edge_weight: float = 1.0
-    ) -> ProblemSpec:
+    def sorted_path_spec(self, order_by: VertexFunction, edge_weight: float = 1.0) -> ProblemSpec:
         """Homogeneous path on the same free data, ordered by ascending values
-        of ``order_by`` (ties by internal index); Dirichlet merged to the
-        left end when present."""
+        of ``order_by`` (ties by internal index), masses and potentials
+        carried along; Dirichlet merged to the left end when present."""
         free = sorted(
             self.spec.free_vertices,
             key=lambda v: (order_by[v], self.g.vertex_index(v)),
@@ -156,11 +187,9 @@ class _Ctx:
         records = []
         if self.spec.dirichlet:
             pinned = np.flatnonzero(self.spec._pinned)
-            m0 = sum(self.g.m[pinned].tolist())
-            c0 = sum(self.g.c[pinned].tolist()) if keep_potential else 0.0
-            records.append(("p0", m0, c0))
+            records.append(("p0", sum(self.g.m[pinned].tolist()), sum(self.g.c[pinned].tolist())))
         for j, v in enumerate(free, start=1 if self.spec.dirichlet else 0):
-            records.append((f"p{j}", self.g.measure[v], self.g.potential[v] if keep_potential else 0.0))
+            records.append((f"p{j}", self.g.measure[v], self.g.potential[v]))
         edges = [
             (records[i][0], records[i + 1][0], edge_weight)
             for i in range(len(records) - 1)
@@ -183,9 +212,16 @@ class _Ctx:
             return path_rigidity(params)
         return solve_torsion(spec, self.opts).rigidity
 
-
-def _ctx(spec: ProblemSpec, ctx: _Ctx | None) -> _Ctx:
-    return ctx if ctx is not None else _Ctx(spec)
+    def path_comparison(
+        self, order_by: VertexFunction, value: Callable[[ProblemSpec], float]
+    ) -> float:
+        """``value`` of the eta-weight path ordered by ``order_by``; a solve
+        on it that fails makes the check inconclusive."""
+        path_spec = self.sorted_path_spec(order_by, self.eta)
+        try:
+            return value(path_spec)
+        except _FAILED as exc:
+            raise _Inconclusive(f"path comparison solve failed: {exc}") from None
 
 
 # hypothesis -> (whether it holds, the reason a check gives when it does not)
@@ -205,132 +241,136 @@ _GATES: dict[str, tuple[Callable[[_Ctx], bool], str]] = {
         lambda c: c.is_path_end_dirichlet,
         "graph is not a path with a single Dirichlet endpoint",
     ),
+    "tree": (
+        lambda c: c.merged.graph.edge_count == c.merged.graph.vertex_count - 1,
+        "not a tree after identifying the Dirichlet set",
+    ),
+    "denominator": (lambda c: c.denominator > 0.0, "denominator is zero"),
+    "three_vertices": (lambda c: c.g.vertex_count >= 3, "degenerate two-vertex comparison"),
 }
 
+# every declared check in report order: (id, statement, needs, body)
+_REGISTRY: list[tuple[str, str, tuple[str, ...], Callable[[_Ctx], tuple]]] = []
 
-def _gate(c: _Ctx, cid: str, stmt: str, *needs: str) -> BoundCheck | None:
-    """The check's verdict on its first unmet need, or None when all hold.
 
-    The needs are walked in the order given and each is evaluated only when
-    the walk reaches it.  A hypothesis of _GATES that fails makes the check
-    not applicable; "torsion" or "spectral" whose solve failed makes it
+def _evaluate(
+    c: _Ctx, cid: str, statement: str, needs: tuple[str, ...], body: Callable[[_Ctx], tuple]
+) -> BoundCheck:
+    """The verdict of one check: its first unmet need, else its body's sides.
+
+    A hypothesis of _GATES that fails makes the check not applicable;
+    "torsion" or "spectral" whose solve failed, a body that raises
+    _Inconclusive or ArithmeticError, and a side that is not finite make it
     inconclusive."""
     for need in needs:
         if need in ("torsion", "spectral"):
             sol = getattr(c, need)
             if isinstance(sol, _FAILED):
-                return BoundCheck(cid, stmt, True, f"{need} solve failed: {sol}")
+                return BoundCheck(cid, statement, True, f"{need} solve failed: {sol}")
         elif not _GATES[need][0](c):
-            return BoundCheck(cid, stmt, False, _GATES[need][1])
-    return None
+            return BoundCheck(cid, statement, False, _GATES[need][1])
+    try:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return _bound(cid, statement, *body(c))
+    except _Inconclusive as exc:
+        return BoundCheck(cid, statement, True, str(exc))
+    except ArithmeticError as exc:
+        return BoundCheck(cid, statement, True, f"{type(exc).__name__}: {exc}")
+
+
+def _check(cid: str, statement: str, *needs: str) -> Callable:
+    """Declare a check: register its body and return the public
+    ``check(spec, ctx=None)``, named and documented as the body is."""
+
+    def declare(body: Callable[[_Ctx], tuple]) -> Callable[..., BoundCheck]:
+        _REGISTRY.append((cid, statement, needs, body))
+
+        def check(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck:
+            c = ctx if ctx is not None else _Ctx(spec)
+            return _evaluate(c, cid, statement, needs, body)
+
+        check.__name__, check.__qualname__ = body.__name__, body.__qualname__
+        check.__doc__ = body.__doc__
+        return check
+
+    return declare
 
 
 # --- upper bounds ---------------------------------------------------------
 
 
-def saint_venant_general(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck:
+@_check("saint_venant_general", "T_p <= n^(p-1)/eta * m_free^p", "dirichlet", "eta", "torsion")
+def saint_venant_general(c: _Ctx) -> tuple:
     """T_p(G;V0) <= n^(p-1)/eta * m(V\\V0)^p with n the free vertex count."""
-    c = _ctx(spec, ctx)
-    cid, stmt = "saint_venant_general", "T_p <= n^(p-1)/eta * m_free^p"
-    if gate := _gate(c, cid, stmt, "dirichlet", "eta", "torsion"):
-        return gate
-    n = spec.free_count
-    rhs = n ** (spec.p - 1.0) / c.eta * spec.free_measure() ** spec.p
-    return _bound(cid, stmt, c.torsion.rigidity, "<=", rhs)
+    rhs = c.spec.free_count ** (c.spec.p - 1.0) / c.eta * c.spec.free_measure() ** c.spec.p
+    return c.torsion.rigidity, "<=", rhs
 
 
-def saint_venant_p2_unit(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck:
+@_check("saint_venant_p2_unit", "T_2 <= n(n+1)(2n+1)/(6 eta)  [m = 1]",
+        "p2", "m_unit", "dirichlet", "eta", "torsion")
+def saint_venant_p2_unit(c: _Ctx) -> tuple:
     """T_2(G;V0) <= n(n+1)(2n+1)/(6 eta) for m = 1; equality exactly on paths."""
-    c = _ctx(spec, ctx)
-    cid, stmt = "saint_venant_p2_unit", "T_2 <= n(n+1)(2n+1)/(6 eta)  [m = 1]"
-    if gate := _gate(c, cid, stmt, "p2", "m_unit", "dirichlet", "eta", "torsion"):
-        return gate
-    n = spec.free_count
-    rhs = n * (n + 1) * (2 * n + 1) / (6.0 * c.eta)
-    return _bound(cid, stmt, c.torsion.rigidity, "<=", rhs)
+    n = c.spec.free_count
+    return c.torsion.rigidity, "<=", n * (n + 1) * (2 * n + 1) / (6.0 * c.eta)
 
 
-def symmetrization_upper(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck:
+@_check("symmetrization_upper", "T_p <= T_p(eta-weight path with m, c ordered by tau)",
+        "well_posed", "eta", "torsion")
+def symmetrization_upper(c: _Ctx) -> tuple:
     """T_p(G;V0) <= T_p(P_eta;V0), P_eta the torsion-ordered homogeneous path
     of edge weight eta carrying the permuted masses and potentials.
 
     With zero potential this is the same as (1/eta) T_p of the unit-weight
     path; with a potential only the eta-weighted form survives the scaling
     step of the comparison argument."""
-    c = _ctx(spec, ctx)
-    cid, stmt = "symmetrization_upper", "T_p <= T_p(eta-weight path with m, c ordered by tau)"
-    if gate := _gate(c, cid, stmt, "well_posed", "eta", "torsion"):
-        return gate
-    path_spec = c.sorted_path_spec(c.torsion.tau, keep_potential=True, edge_weight=c.eta)
-    try:
-        rhs = c.path_rigidity_of(path_spec)
-    except _FAILED as exc:
-        return BoundCheck(cid, stmt, True, f"path comparison solve failed: {exc}")
-    return _bound(cid, stmt, c.torsion.rigidity, "<=", rhs)
+    return c.torsion.rigidity, "<=", c.path_comparison(c.torsion.tau, c.path_rigidity_of)
 
 
-def symmetrization_upper_mtilde(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck:
+@_check("symmetrization_upper_mtilde", "T_p <= (1/eta) T_p(path with m_tilde, c = 0)",
+        "dirichlet", "eta", "torsion")
+def symmetrization_upper_mtilde(c: _Ctx) -> tuple:
     """T_p(G;V0) <= (1/eta) T_p(P;V0) with the explicit mass profile that puts
     the minimum free mass everywhere except at the torsion argmax, which
     absorbs the excess; P has zero potential."""
-    c = _ctx(spec, ctx)
-    cid, stmt = "symmetrization_upper_mtilde", "T_p <= (1/eta) T_p(path with m_tilde, c = 0)"
-    if gate := _gate(c, cid, stmt, "dirichlet", "eta", "torsion"):
-        return gate
-    free = spec.free_vertices
-    m = spec.graph.measure
+    free = c.spec.free_vertices
+    m = c.g.measure
     m_min = min(m[v] for v in free)
     excess = sum(m[v] - m_min for v in free)
     masses = [m_min] * (len(free) - 1) + [m_min + excess]
-    params = PathSpecParams(
-        free_count=len(free),
-        masses=tuple(masses),
-        weights=tuple(1.0 for _ in free),
-        p=spec.p,
-    )
-    rhs = path_rigidity(params) / c.eta
-    return _bound(cid, stmt, c.torsion.rigidity, "<=", rhs)
+    params = PathSpecParams(len(free), tuple(masses), tuple(1.0 for _ in free), c.spec.p)
+    return c.torsion.rigidity, "<=", path_rigidity(params) / c.eta
 
 
-def polya_szego_product(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck:
+@_check("polya_szego_product", "lambda0 * T_p <= m_free^(p-1)", "well_posed", "torsion", "spectral")
+def polya_szego_product(c: _Ctx) -> tuple:
     """lambda_0,p * T_p <= m(V\\V0)^(p-1) (m(V)^(p-1) without Dirichlet set);
     strict whenever the torsion function is nonconstant on the free part."""
-    c = _ctx(spec, ctx)
-    cid, stmt = "polya_szego_product", "lambda0 * T_p <= m_free^(p-1)"
-    if gate := _gate(c, cid, stmt, "well_posed", "torsion", "spectral"):
-        return gate
-    rhs = spec.free_measure() ** (spec.p - 1.0)
-    lhs = c.spectral.lambda0 * c.torsion.rigidity
-    return _bound(cid, stmt, lhs, "<=", rhs, note=c.p_note)
+    rhs = c.spec.free_measure() ** (c.spec.p - 1.0)
+    return c.spectral.lambda0 * c.torsion.rigidity, "<=", rhs, c.p_note
 
 
 # --- lower bounds ---------------------------------------------------------
 
 
-def trivial_lower(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck:
+@_check("trivial_lower", "T_p >= m_free^p / (sum b(free, V0) + sum c(free))",
+        "torsion", "denominator")
+def trivial_lower(c: _Ctx) -> tuple:
     """T_p >= m_free^p / (boundary edge weight + free potential mass)."""
-    c = _ctx(spec, ctx)
-    cid, stmt = "trivial_lower", "T_p >= m_free^p / (sum b(free, V0) + sum c(free))"
-    if gate := _gate(c, cid, stmt, "torsion"):
-        return gate
-    denom = sum(boundary_entries(spec)[1])
-    denom += sum(spec.graph.potential[v] for v in spec.free_vertices)
-    if denom <= 0.0:
-        return BoundCheck(cid, stmt, False, "denominator is zero")
-    return _bound(cid, stmt, c.torsion.rigidity, ">=", spec.free_measure() ** spec.p / denom)
+    return c.torsion.rigidity, ">=", c.spec.free_measure() ** c.spec.p / c.denominator
 
 
-def path_inradius_lower(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck:
+@_check("path_inradius_lower", "T_p >= Inr_p(P;V0)^(-1) m_free^p  [path, Dirichlet end]",
+        "path_end", "c_zero", "torsion")
+def path_inradius_lower(c: _Ctx) -> tuple:
     """For a path with one Dirichlet end and c = 0: T_p >= m_free^p / Inr_p."""
-    c = _ctx(spec, ctx)
-    cid, stmt = "path_inradius_lower", "T_p >= Inr_p(P;V0)^(-1) m_free^p  [path, Dirichlet end]"
-    if gate := _gate(c, cid, stmt, "path_end", "c_zero", "torsion"):
-        return gate
-    inr = q_inradius(spec, spec.p)
-    return _bound(cid, stmt, c.torsion.rigidity, ">=", spec.free_measure() ** spec.p / inr)
+    inr = q_inradius(c.spec, c.spec.p)
+    return c.torsion.rigidity, ">=", c.spec.free_measure() ** c.spec.p / inr
 
 
-def tree_inradius_lower(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck:
+@_check("tree_inradius_lower",
+        "T_p >= Inr_p(T;V0)^(-1) min(m_free)^p  [tree, merged Dirichlet vertex]",
+        "dirichlet", "c_zero", "connected", "tree", "torsion")
+def tree_inradius_lower(c: _Ctx) -> tuple:
     """For a finite tree with c = 0 and a single (merged) Dirichlet vertex:
     T_p >= min free mass^p / Inr_p.
 
@@ -340,39 +380,48 @@ def tree_inradius_lower(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundChec
     free vertex tied to two unit Dirichlet edges has T_2 = 1/2 against a
     naive bound of 1 otherwise).
     """
-    c = _ctx(spec, ctx)
-    cid = "tree_inradius_lower"
-    stmt = "T_p >= Inr_p(T;V0)^(-1) min(m_free)^p  [tree, merged Dirichlet vertex]"
-    if gate := _gate(c, cid, stmt, "dirichlet", "c_zero", "connected"):
-        return gate
-    merged = merge_dirichlet(spec)
-    mg = merged.graph
-    if mg.edge_count != mg.vertex_count - 1:
-        return BoundCheck(cid, stmt, False, "not a tree after identifying the Dirichlet set")
-    if gate := _gate(c, cid, stmt, "torsion"):
-        return gate
-    inr = q_inradius(merged, spec.p)
-    m_min = min(mg.measure[v] for v in merged.free_vertices)
-    return _bound(cid, stmt, c.torsion.rigidity, ">=", m_min**spec.p / inr)
+    inr = q_inradius(c.merged, c.spec.p)
+    m_min = min(c.merged.graph.measure[v] for v in c.merged.free_vertices)
+    return c.torsion.rigidity, ">=", m_min**c.spec.p / inr
 
 
-def rayleigh_symmetrization_lower(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck:
+@_check("rayleigh_symmetrization_lower",
+        "lambda0 >= lambda0(eta-weight path ordered by ground state)",
+        "well_posed", "eta", "spectral")
+def rayleigh_symmetrization_lower(c: _Ctx) -> tuple:
     """lambda_0,p(G;V0) >= lambda_0,p(P_eta;V0), P_eta the ground-state-ordered
     homogeneous path of edge weight eta; equals eta * lambda_0,p of the
     unit-weight path whenever the potential vanishes."""
-    c = _ctx(spec, ctx)
-    cid = "rayleigh_symmetrization_lower"
-    stmt = "lambda0 >= lambda0(eta-weight path ordered by ground state)"
-    if gate := _gate(c, cid, stmt, "well_posed", "eta", "spectral"):
-        return gate
-    path_spec = c.sorted_path_spec(
-        c.spectral.ground_state, keep_potential=True, edge_weight=c.eta
-    )
-    try:
-        lam_path = lambda0(path_spec, c.opts).lambda0
-    except _FAILED as exc:
-        return BoundCheck(cid, stmt, True, f"path comparison solve failed: {exc}")
-    return _bound(cid, stmt, c.spectral.lambda0, ">=", lam_path, note=c.p_note)
+    lam_path = c.path_comparison(c.spectral.ground_state, lambda s: lambda0(s, c.opts).lambda0)
+    return c.spectral.lambda0, ">=", lam_path, c.p_note
+
+
+# the four rows of mean_distance_bounds; each reads the inverted graph's
+# (Inr_p, Mean_p) shared through the context
+@_check("mean_distance_lambda_lower", "lambda0 >= 1/(m_free * Mean_p(G^-1;V0))",
+        "dirichlet", "connected", "spectral")
+def _mean_distance_lambda_lower(c: _Ctx) -> tuple:
+    rhs = 1.0 / (c.inverted_distances[1] * c.spec.free_measure())
+    return c.spectral.lambda0, ">=", rhs, c.p_note
+
+
+@_check("mean_distance_rigidity_upper", "T_p < m_free^p * Mean_p(G^-1;V0)",
+        "dirichlet", "connected", "torsion")
+def _mean_distance_rigidity_upper(c: _Ctx) -> tuple:
+    return c.torsion.rigidity, "<=", c.inverted_distances[1] * c.spec.free_measure() ** c.spec.p
+
+
+@_check("inradius_lambda_lower", "lambda0 >= 1/(m_free * Inr_p(G^-1;V0))",
+        "dirichlet", "connected", "spectral")
+def _inradius_lambda_lower(c: _Ctx) -> tuple:
+    rhs = 1.0 / (c.inverted_distances[0] * c.spec.free_measure())
+    return c.spectral.lambda0, ">=", rhs, c.p_note
+
+
+@_check("inradius_rigidity_upper", "T_p <= m_free^p * Inr_p(G^-1;V0)",
+        "dirichlet", "connected", "torsion")
+def _inradius_rigidity_upper(c: _Ctx) -> tuple:
+    return c.torsion.rigidity, "<=", c.inverted_distances[0] * c.spec.free_measure() ** c.spec.p
 
 
 def mean_distance_bounds(spec: ProblemSpec, ctx: _Ctx | None = None) -> tuple[BoundCheck, ...]:
@@ -382,123 +431,80 @@ def mean_distance_bounds(spec: ProblemSpec, ctx: _Ctx | None = None) -> tuple[Bo
         lambda0 >= 1 / (m_free * Mean_p(G^-1;V0)) >= 1 / (m_free * Inr_p(G^-1;V0))
         T_p < m_free^p * Mean_p(G^-1;V0) <= m_free^p * Inr_p(G^-1;V0)
     """
-    c = _ctx(spec, ctx)
-    heads = (
-        ("mean_distance_lambda_lower", "lambda0 >= 1/(m_free * Mean_p(G^-1;V0))"),
-        ("mean_distance_rigidity_upper", "T_p < m_free^p * Mean_p(G^-1;V0)"),
-        ("inradius_lambda_lower", "lambda0 >= 1/(m_free * Inr_p(G^-1;V0))"),
-        ("inradius_rigidity_upper", "T_p <= m_free^p * Inr_p(G^-1;V0)"),
-    )
-    if gate := _gate(c, *heads[0], "dirichlet", "connected"):
-        return tuple(replace(gate, id=cid, statement=stmt) for cid, stmt in heads)
-    inv_spec = ProblemSpec(invert_edge_weights(spec.graph), spec.dirichlet, spec.p)
-    inr, mean = q_inradius_and_mean(inv_spec, spec.p)
-    mass = spec.free_measure()
-    out: list[BoundCheck] = []
-    rows = zip(heads, (mean, mean, inr, inr), ("spectral", "torsion", "spectral", "torsion"))
-    for (cid, stmt), dist, solve in rows:
-        if gate := _gate(c, cid, stmt, solve):
-            out.append(gate)
-        elif solve == "spectral":
-            lam_rhs = 1.0 / (mass * dist)
-            out.append(_bound(cid, stmt, c.spectral.lambda0, ">=", lam_rhs, note=c.p_note))
-        else:
-            out.append(_bound(cid, stmt, c.torsion.rigidity, "<=", mass**spec.p * dist))
-    return tuple(out)
+    c = ctx if ctx is not None else _Ctx(spec)
+    rows = (_mean_distance_lambda_lower, _mean_distance_rigidity_upper, _inradius_lambda_lower,
+            _inradius_rigidity_upper)
+    return tuple(row(spec, c) for row in rows)
 
 
-def landscape_lower(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck:
+@_check("landscape_lower", "lambda0 >= ||tau||_inf^(1-p)", "well_posed", "torsion", "spectral")
+def landscape_lower(c: _Ctx) -> tuple:
     """lambda_0,p >= 1 / ||tau_p||_inf^(p-1), the landscape-function bound."""
-    c = _ctx(spec, ctx)
-    cid, stmt = "landscape_lower", "lambda0 >= ||tau||_inf^(1-p)"
-    if gate := _gate(c, cid, stmt, "well_posed", "torsion", "spectral"):
-        return gate
-    sup = max(c.torsion.tau[v] for v in spec.free_vertices)
-    return _bound(cid, stmt, c.spectral.lambda0, ">=", sup ** (1.0 - spec.p), note=c.p_note)
+    sup = max(c.torsion.tau[v] for v in c.spec.free_vertices)
+    return c.spectral.lambda0, ">=", sup ** (1.0 - c.spec.p), c.p_note
 
 
-def fiedler_dirichlet(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck:
+@_check("fiedler_dirichlet", "lambda0 >= eta * (sum_k k^(1/(p-1)))^(1-p)  [m = 1, c = 0]",
+        "dirichlet", "m_unit", "c_zero", "eta", "spectral")
+def fiedler_dirichlet(c: _Ctx) -> tuple:
     """For m = 1, c = 0: lambda_0,p >= eta * (sum_{k=1}^{n-1} (n-k)^(1/(p-1)))^(1-p),
     with n - 1 the free vertex count."""
-    c = _ctx(spec, ctx)
-    cid = "fiedler_dirichlet"
-    stmt = "lambda0 >= eta * (sum_k k^(1/(p-1)))^(1-p)  [m = 1, c = 0]"
-    if gate := _gate(c, cid, stmt, "dirichlet", "m_unit", "c_zero", "eta", "spectral"):
-        return gate
-    nfree = spec.free_count
-    s = sum(k ** (1.0 / (spec.p - 1.0)) for k in range(1, nfree + 1))
-    rhs = c.eta * s ** (1.0 - spec.p)
-    return _bound(cid, stmt, c.spectral.lambda0, ">=", rhs, note=c.p_note)
+    s = sum(k ** (1.0 / (c.spec.p - 1.0)) for k in range(1, c.spec.free_count + 1))
+    return c.spectral.lambda0, ">=", c.eta * s ** (1.0 - c.spec.p), c.p_note
 
 
-def fiedler_neumann_p2(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck:
+@_check("fiedler_neumann_p2", "lambda1_2 >= eta * (sum_k (n-k))^(-1), n = |V|//2 + 1",
+        "p2_only", "m_unit", "c_zero", "eta", "three_vertices")
+def fiedler_neumann_p2(c: _Ctx) -> tuple:
     """For p = 2, m = 1, c = 0 on the full graph (no Dirichlet conditions):
     lambda_1,2(G) >= eta / sum_{k=1}^{n-1} (n-k) with n = |V|//2 + 1.
 
     n comes from padding the comparison path to an odd vertex count 2n-1 >=
     |V| before halving at its midpoint; taking n = |V|/2 on even counts is
     already falsified by the 4-vertex path (lambda1 = 2 - sqrt(2) < eta)."""
-    c = _ctx(spec, ctx)
-    cid, stmt = "fiedler_neumann_p2", "lambda1_2 >= eta * (sum_k (n-k))^(-1), n = |V|//2 + 1"
-    if gate := _gate(c, cid, stmt, "p2_only", "m_unit", "c_zero", "eta"):
-        return gate
-    nv = spec.graph.vertex_count
-    if nv < 3:
-        return BoundCheck(cid, stmt, False, "degenerate two-vertex comparison")
-    n = nv // 2 + 1
-    lam1 = lambda1_p2(spec.graph)
-    s = sum(n - k for k in range(1, n))
-    return _bound(cid, stmt, lam1, ">=", c.eta / s)
+    n = c.g.vertex_count // 2 + 1
+    lam1 = lambda1_p2(c.g)
+    return lam1, ">=", c.eta / sum(n - k for k in range(1, n))
 
 
 # the hypotheses of the Kohler-Jobin checks after p = 2 and their mass condition
 _KJ_NEEDS = ("b_standard", "c_zero", "dirichlet", "connected", "torsion", "spectral")
 
 
-def kohler_jobin_modified(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck:
+@_check("kohler_jobin_modified",
+        "(T_2 + E/3)^(2/3) arccos(1 - lambda0)^2 >= (pi/6^(1/3))^2  [m = deg]",
+        "p2", "m_degree", *_KJ_NEEDS)
+def kohler_jobin_modified(c: _Ctx) -> tuple:
     """(T_2 + E/3)^(2/3) * arccos(1 - lambda_0,2)^2 >= (pi / 6^(1/3))^2 for
     m = deg, b standard, c = 0; equality exactly on path graphs."""
-    c = _ctx(spec, ctx)
-    cid = "kohler_jobin_modified"
-    stmt = "(T_2 + E/3)^(2/3) arccos(1 - lambda0)^2 >= (pi/6^(1/3))^2  [m = deg]"
-    if gate := _gate(c, cid, stmt, "p2", "m_degree", *_KJ_NEEDS):
-        return gate
     lam = c.spectral.lambda0
     if not -1e-9 <= lam <= 2.0 + 1e-9:
-        return BoundCheck(cid, stmt, True, f"lambda0 = {lam} outside [0, 2]")
-    E = spec.graph.edge_count
+        raise _Inconclusive(f"lambda0 = {lam} outside [0, 2]")
     x = min(1.0, max(-1.0, 1.0 - lam))
-    lhs = (c.torsion.rigidity + E / 3.0) ** (2.0 / 3.0) * np.arccos(x) ** 2
-    rhs = (np.pi / 6.0 ** (1.0 / 3.0)) ** 2
-    return _bound(cid, stmt, lhs, ">=", rhs)
+    lhs = (c.torsion.rigidity + c.g.edge_count / 3.0) ** (2.0 / 3.0) * np.arccos(x) ** 2
+    return lhs, ">=", (np.pi / 6.0 ** (1.0 / 3.0)) ** 2
 
 
-def kohler_jobin_classical(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck:
+@_check("kohler_jobin_classical", "T_2^(2/3) lambda0 >= 1  [m = deg]", "p2", "m_degree", *_KJ_NEEDS)
+def kohler_jobin_classical(c: _Ctx) -> tuple:
     """T_2^(2/3) * lambda_0,2 >= 1 for m = deg, b standard, c = 0; equality
     exactly on the single-edge path."""
-    c = _ctx(spec, ctx)
-    cid, stmt = "kohler_jobin_classical", "T_2^(2/3) lambda0 >= 1  [m = deg]"
-    if gate := _gate(c, cid, stmt, "p2", "m_degree", *_KJ_NEEDS):
-        return gate
-    lhs = c.torsion.rigidity ** (2.0 / 3.0) * c.spectral.lambda0
-    return _bound(cid, stmt, lhs, ">=", 1.0)
+    return c.torsion.rigidity ** (2.0 / 3.0) * c.spectral.lambda0, ">=", 1.0
 
 
-def kohler_jobin_classical_unit(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck:
+@_check("kohler_jobin_classical_unit", "T_2^(2/3) lambda0 >= min(deg)/max(deg)^(4/3)  [m = 1]",
+        "p2", "m_unit", *_KJ_NEEDS)
+def kohler_jobin_classical_unit(c: _Ctx) -> tuple:
     """T_2^(2/3) * lambda_0,2 >= min deg / (max deg)^(4/3) over free vertices
     for m = 1, b standard, c = 0."""
-    c = _ctx(spec, ctx)
-    cid = "kohler_jobin_classical_unit"
-    stmt = "T_2^(2/3) lambda0 >= min(deg)/max(deg)^(4/3)  [m = 1]"
-    if gate := _gate(c, cid, stmt, "p2", "m_unit", *_KJ_NEEDS):
-        return gate
-    degs = [degree(spec.graph, v) for v in spec.free_vertices]
+    degs = [degree(c.g, v) for v in c.spec.free_vertices]
     rhs = min(degs) / max(degs) ** (4.0 / 3.0)
-    lhs = c.torsion.rigidity ** (2.0 / 3.0) * c.spectral.lambda0
-    return _bound(cid, stmt, lhs, ">=", rhs)
+    return c.torsion.rigidity ** (2.0 / 3.0) * c.spectral.lambda0, ">=", rhs
 
 
-def normalized_saint_venant(spec: ProblemSpec, ctx: _Ctx | None = None) -> BoundCheck:
+@_check("normalized_saint_venant", "T_2 <= max(deg)^2/eta * T_2(unit path)  [m = deg]",
+        "p2", "m_degree", "c_zero", "dirichlet", "eta", "torsion")
+def normalized_saint_venant(c: _Ctx) -> tuple:
     """T_2(G;V0) <= (max free deg)^2 / eta * T_2(P';V0) with P' the unit-mass
     unit-weight path on the same free count, for m = deg and c = 0.
 
@@ -507,13 +513,9 @@ def normalized_saint_venant(spec: ProblemSpec, ctx: _Ctx | None = None) -> Bound
     one factor); a linear factor is falsified already by the complete graph
     K4 and by paths with four or more free vertices.
     """
-    c = _ctx(spec, ctx)
-    cid, stmt = "normalized_saint_venant", "T_2 <= max(deg)^2/eta * T_2(unit path)  [m = deg]"
-    if gate := _gate(c, cid, stmt, "p2", "m_degree", "c_zero", "dirichlet", "eta", "torsion"):
-        return gate
-    dmax = max(degree(spec.graph, v) for v in spec.free_vertices)
-    rhs = dmax**2 / c.eta * reference_values("path_T2", spec.free_count, "unit")
-    return _bound(cid, stmt, c.torsion.rigidity, "<=", rhs)
+    dmax = max(degree(c.g, v) for v in c.spec.free_vertices)
+    rhs = dmax**2 / c.eta * reference_values("path_T2", c.spec.free_count, "unit")
+    return c.torsion.rigidity, "<=", rhs
 
 
 def torsion_ordered_path(spec: ProblemSpec, opts: SolverOptions | None = None) -> ProblemSpec:
@@ -523,7 +525,7 @@ def torsion_ordered_path(spec: ProblemSpec, opts: SolverOptions | None = None) -
     ctx = _Ctx(spec, opts)
     if isinstance(ctx.torsion, _FAILED):
         raise ctx.torsion
-    return ctx.sorted_path_spec(ctx.torsion.tau, keep_potential=True)
+    return ctx.sorted_path_spec(ctx.torsion.tau)
 
 
 # --- report ---------------------------------------------------------------
@@ -590,39 +592,19 @@ class BoundReport:
         return "\n".join(lines)
 
 
-# every check in report order; mean_distance_bounds yields four
-_CHECKS = (
-    saint_venant_general,
-    saint_venant_p2_unit,
-    symmetrization_upper,
-    symmetrization_upper_mtilde,
-    polya_szego_product,
-    trivial_lower,
-    path_inradius_lower,
-    tree_inradius_lower,
-    rayleigh_symmetrization_lower,
-    mean_distance_bounds,
-    landscape_lower,
-    fiedler_dirichlet,
-    fiedler_neumann_p2,
-    kohler_jobin_modified,
-    kohler_jobin_classical,
-    kohler_jobin_classical_unit,
-    normalized_saint_venant,
-)
-
-
 def check_all(spec: ProblemSpec, opts: SolverOptions | None = None) -> BoundReport:
-    """Run every bound whose hypotheses can be verified on this spec.
+    """Run every bound whose hypotheses can be verified on this spec, in the
+    order of the registry, each through _evaluate.
 
-    Solver failures surface as inconclusive per-check states; the report
-    itself always completes.  The checks come in the order of _CHECKS.
+    A check reads inconclusive, and the report still completes, when a solve
+    it needs failed (a typed error or numpy's LinAlgError), when its path
+    comparison solve failed, when its own float arithmetic raises an
+    ArithmeticError (an overflowing power, a division by zero) or when a
+    side is not finite.  A typed geometry error still raises: an edge cost
+    or distance power that overflows a float is an InvalidQError.
     """
     ctx = _Ctx(spec, opts)
-    checks: list[BoundCheck] = []
-    for fn in _CHECKS:
-        out = fn(spec, ctx)
-        checks.extend(out if isinstance(out, tuple) else (out,))
+    checks = tuple(_evaluate(ctx, *row) for row in _REGISTRY)
     g = spec.graph
     summary = {
         "vertices": g.vertex_count,
@@ -651,4 +633,4 @@ def check_all(spec: ProblemSpec, opts: SolverOptions | None = None) -> BoundRepo
         diagnostics["lambda0_residual"] = ctx.spectral.residual
     if ctx.p_note:
         diagnostics["note"] = ctx.p_note
-    return BoundReport(summary=summary, checks=tuple(checks), diagnostics=diagnostics)
+    return BoundReport(summary=summary, checks=checks, diagnostics=diagnostics)

@@ -761,12 +761,15 @@ def solve_torsion(spec: ProblemSpec, opts: SolverOptions | None = None) -> Torsi
         what = "direct solve" if method == "direct_p2" else "Newton"
         rigidity = _certify(asm, p, rhs, u, what, iterations, res, tol)
     else:
-        l1 = float(np.dot(np.abs(u[asm.free]), asm.g.m[asm.free]))
+        with np.errstate(over="ignore"):
+            l1 = float(np.dot(np.abs(u[asm.free]), asm.g.m[asm.free]))
         try:
-            rigidity = l1 ** (p - 1.0)
+            rigidity = l1 ** (p - 1.0)  # inf ** x is inf, without an OverflowError
         except OverflowError:
+            rigidity = np.inf
+        if not np.isfinite(rigidity):
             msg = f"T_p = (sum tau m)^(p-1) = {l1:.6g}^{p - 1.0:.6g} overflows a float"
-            raise NoConvergenceError(msg, iterations, res) from None
+            raise NoConvergenceError(msg, iterations, res)
     return TorsionSolution(
         tau=dict(zip(asm.g.vertices, u.tolist())),  # u stays 0.0 on the Dirichlet set
         rigidity=rigidity,

@@ -1,5 +1,8 @@
 """Individual bound checks and the aggregated report."""
 
+import inspect
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ import torsio.bounds as bounds
 
 from conftest import random_general_spec
 from torsio import (
+    InvalidQError,
     NoConvergenceError,
     ProblemSpec,
     build_graph,
@@ -20,6 +24,7 @@ from torsio import (
     lambda1_p2,
     make_complete,
     make_path,
+    make_random_connected,
     make_star,
     mean_distance_bounds,
     normalized_saint_venant,
@@ -34,6 +39,7 @@ from torsio import (
     tree_inradius_lower,
     trivial_lower,
 )
+from torsio.cli import render_json
 
 ALL_IDS = (
     "saint_venant_general",
@@ -484,3 +490,103 @@ def test_gate_reason_of_a_failed_path_comparison(monkeypatch, make, target, chec
     chk = check(spec, ctx)
     assert (chk.applicable, chk.reason) == (True, "path comparison solve failed: stub failure")
     assert chk.inconclusive
+
+
+# every public check; mean_distance_bounds gives the four mean-distance rows
+_PUBLIC_CHECKS = (
+    saint_venant_general,
+    saint_venant_p2_unit,
+    symmetrization_upper,
+    symmetrization_upper_mtilde,
+    polya_szego_product,
+    trivial_lower,
+    path_inradius_lower,
+    tree_inradius_lower,
+    rayleigh_symmetrization_lower,
+    mean_distance_bounds,
+    landscape_lower,
+    fiedler_dirichlet,
+    fiedler_neumann_p2,
+    kohler_jobin_modified,
+    kohler_jobin_classical,
+    kohler_jobin_classical_unit,
+    normalized_saint_venant,
+)
+
+
+def test_registry_sets_the_report_order():
+    assert tuple(cid for cid, *_ in bounds._REGISTRY) == ALL_IDS
+
+
+@pytest.mark.parametrize("check", _PUBLIC_CHECKS, ids=lambda f: f.__name__)
+def test_public_check_signature_is_spec_and_ctx(check):
+    params = inspect.signature(check).parameters
+    assert list(params) == ["spec", "ctx"]
+    assert params["ctx"].default is None
+    assert check.__doc__ and not hasattr(check, "__wrapped__")
+
+
+def _equivalence_corpus():
+    yield from (make_path(3), make_path(5, "degree", 2.0, 1.5), make_star(3, "degree"))
+    yield from (make_star(4, p=3.0), make_complete(4), make_path(1, p=8.0))
+    for seed in range(8):
+        yield random_general_spec(seed)
+        yield random_general_spec(seed, with_potential=True)
+        yield random_general_spec(seed, no_dirichlet=True)
+
+
+def test_public_checks_equal_their_check_all_rows():
+    for spec in _equivalence_corpus():
+        alone = []
+        for check in _PUBLIC_CHECKS:
+            out = check(spec)
+            alone.extend(out if isinstance(out, tuple) else (out,))
+        assert tuple(alone) == check_all(spec).checks
+
+
+def _extreme_grid():
+    """Paths, degree-mass stars and random graphs with all weights near b."""
+    for b in (1e-300, 1e-100, 1e-30, 1e-10, 1e10, 1e30, 1e100, 1e300):
+        for p in (1.05, 1.5, 2.0, 3.0, 8.0, 20.0):
+            yield make_path(5, "unit", b, p)
+            yield make_star(4, "degree", b, p)
+            yield make_random_connected(8, 0.5, (b, 2 * b), 3, p=p)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_check_all_on_extreme_weights_completes_or_raises_a_typed_geometry_error():
+    completed = 0
+    for spec in _extreme_grid():
+        try:
+            report = check_all(spec)
+        except InvalidQError:  # an edge cost or distance power out of float range
+            continue
+        completed += 1
+        assert tuple(c.id for c in report.checks) == ALL_IDS
+        for c in report.checks:
+            sides = (c.lhs, c.rhs, c.slack)
+            assert all(x is None or np.isfinite(x) for x in sides), c
+            if c.applicable and c.satisfied is None:
+                assert sides == (None, None, None) and c.reason, c
+        json.loads(render_json(report.to_dict()))  # no inf or nan: valid JSON
+    assert completed == 144 - 16
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_check_whose_arithmetic_fails_is_inconclusive():
+    # the inverted graph's distances (1e300)^2 underflow to 0, so the
+    # mean-distance lambda0 bound divides by 0
+    rows = mean_distance_bounds(make_path(5, "unit", 1e30, 1.05))
+    assert rows[0].inconclusive and rows[2].inconclusive
+    assert rows[0].reason == "ZeroDivisionError: float division by zero"
+    # n^(p-1)/eta * m_free^p with m_free about 1e300 overflows at p = 2
+    chk = saint_venant_general(make_star(4, "degree", 1e300, 2.0))
+    assert chk.inconclusive and chk.reason.startswith("OverflowError: ")
+    assert (chk.lhs, chk.rhs, chk.slack) == (None, None, None)
+
+
+@pytest.mark.parametrize("lhs, rhs", [(np.inf, 1.0), (1.0, np.nan), (-np.inf, np.inf)])
+def test_a_side_that_is_not_finite_is_inconclusive(lhs, rhs):
+    chk = bounds._bound("x", "x <= y", lhs, "<=", rhs)
+    assert chk.inconclusive and "not finite" in chk.reason
+    assert (chk.lhs, chk.rhs, chk.satisfied, chk.slack) == (None, None, None, None)

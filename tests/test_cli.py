@@ -445,6 +445,28 @@ def test_cli_torsion_with_an_overflowing_polya_side_is_a_numerical_failure(tmp_p
     assert message.endswith(", and the bracket on T_p overflows a float")
 
 
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_torsion_with_an_overflowing_l1_sum_is_a_numerical_failure(tmp_path, capsys):
+    # `torsio generate star --n 4 --m-mode degree --b 1e300 --p 1.05`: the
+    # solve converges, but sum tau m overflows to inf before its power
+    message = _torsion_failure(tmp_path, capsys, make_star(4, "degree", 1e300, 1.05))
+    assert message == "T_p = (sum tau m)^(p-1) = inf^0.05 overflows a float"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_bounds_with_a_failing_check_arithmetic_completes(tmp_path, capsys):
+    # `torsio generate path --free 5 --b 1e30 --p 1.05`: the distances of the
+    # inverted graph underflow to 0, and the mean-distance bounds divide by them
+    f = write(tmp_path, graph_document(make_path(5, "unit", 1e30, 1.05)))
+    assert main(["bounds", f]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = {row["id"]: row for row in json.loads(captured.out)["checks"]}
+    row = rows["mean_distance_lambda_lower"]
+    assert (row["applicable"], row["satisfied"], row["lhs"], row["rhs"]) == (True, None, None, None)
+    assert row["reason"] == "ZeroDivisionError: float division by zero"
+
 def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
     f = write(tmp_path, PATH3)
     _build_parser.cache_clear()
