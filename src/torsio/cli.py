@@ -16,7 +16,7 @@ import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -103,6 +103,15 @@ def _number(value: Any, where: str) -> float:
     return float(value)
 
 
+def _record(rec: Any, where: str, fields: set[str]) -> None:
+    """SchemaError unless rec is an object with no field outside fields."""
+    if not isinstance(rec, dict):
+        raise SchemaError(f"{where}: expected an object")
+    unknown = set(rec) - fields
+    if unknown:
+        raise SchemaError(f"{where}: unknown fields {sorted(unknown)}")
+
+
 def parse_graph(text: str) -> ProblemSpec:
     """Parse a GraphDocument (UTF-8 JSON) into a ProblemSpec.
 
@@ -136,11 +145,7 @@ def parse_graph(text: str) -> ProblemSpec:
     vertex_records = []
     for i, rec in enumerate(doc["vertices"]):
         where = f"vertices[{i}]"
-        if not isinstance(rec, dict):
-            raise SchemaError(f"{where}: expected an object")
-        unknown = set(rec) - {"id", "m", "c"}
-        if unknown:
-            raise SchemaError(f"{where}: unknown fields {sorted(unknown)}")
+        _record(rec, where, {"id", "m", "c"})
         if not isinstance(rec.get("id"), str):
             raise SchemaError(f"{where}.id: expected a string")
         m = _number(rec.get("m"), f"{where}.m")
@@ -150,11 +155,7 @@ def parse_graph(text: str) -> ProblemSpec:
     edge_records = []
     for i, rec in enumerate(doc.get("edges", [])):
         where = f"edges[{i}]"
-        if not isinstance(rec, dict):
-            raise SchemaError(f"{where}: expected an object")
-        unknown = set(rec) - {"u", "v", "b"}
-        if unknown:
-            raise SchemaError(f"{where}: unknown fields {sorted(unknown)}")
+        _record(rec, where, {"u", "v", "b"})
         if not isinstance(rec.get("u"), str) or not isinstance(rec.get("v"), str):
             raise SchemaError(f"{where}: u and v must be strings")
         edge_records.append((rec["u"], rec["v"], _number(rec.get("b"), f"{where}.b")))
@@ -191,16 +192,13 @@ def graph_document(spec: ProblemSpec) -> dict:
 def _load_spec(args: argparse.Namespace) -> ProblemSpec:
     with open(args.file, encoding="utf-8") as fh:
         spec = parse_graph(fh.read())
-    if getattr(args, "p", None) is not None:
+    if args.p is not None:
         spec = ProblemSpec(spec.graph, spec.dirichlet, args.p)
     return spec
 
 
 def _solver_options(args: argparse.Namespace) -> SolverOptions:
-    return SolverOptions(
-        tol=getattr(args, "tol", None),
-        method=getattr(args, "method", None) or "auto",
-    )
+    return SolverOptions(tol=args.tol, method=args.method)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -323,23 +321,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-_FIG4_COLUMNS = (
-    "E",
-    "T2_path_unit",
-    "lam_path_unit",
-    "kj_path_unit",
-    "T2_path_deg",
-    "lam_path_deg",
-    "kj_path_deg",
-    "T2_star_unit",
-    "lam_star_unit",
-    "kj_star_unit",
-    "T2_star_deg",
-    "lam_star_deg",
-    "kj_star_deg",
-)
-
-
 def figure4_rows(emax: int) -> list[dict[str, float]]:
     """Kohler-Jobin product data for paths and one-Dirichlet-leaf stars on
     E = 1..emax edges, for unit and degree vertex masses (p = 2)."""
@@ -367,9 +348,9 @@ def _cmd_figure4(args: argparse.Namespace) -> int:
     if args.emax < 1:
         raise SchemaError(f"--emax must be >= 1, got {args.emax}")
     rows = figure4_rows(args.emax)
-    print(",".join(_FIG4_COLUMNS))
+    print(",".join(rows[0]))
     for row in rows:
-        print(",".join(_fmt_float(row[c]) for c in _FIG4_COLUMNS))
+        print(",".join(map(_fmt_float, row.values())))
     return 0
 
 
@@ -378,31 +359,41 @@ def _cmd_figure4(args: argparse.Namespace) -> int:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand.  A subcommand is declared once, here:
+    add() names its subparser and binds its handler _cmd_<name> as the
+    default `run`, which main calls; add_file() gives it the graph document
+    argument and the --p override, and unless solver is False also --tol and
+    --method, which _solver_options reads."""
     top = argparse.ArgumentParser(prog="torsio", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_solver: bool = True) -> None:
-        p.add_argument("file", help="GraphDocument JSON file")
-        p.add_argument("--p", type=float, default=None, help="override the document exponent")
-        if with_solver:
-            p.add_argument("--tol", type=float, default=None, help="residual tolerance")
-            p.add_argument("--method", choices=_METHODS, default=None)
+    def add(name: str, run: Callable[[argparse.Namespace], int], help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        return p
 
-    add_common(sub.add_parser("validate", help="parse and summarize a graph document"), False)
-    add_common(sub.add_parser("torsion", help="torsion function and rigidity"))
-    add_common(sub.add_parser("lambda0", help="bottom of the p-spectrum"), False)
-    add_common(sub.add_parser("metrics", help="inradius, mean distance, diameter, min cut"), False)
-    pb = sub.add_parser("bounds", help="evaluate the full bound suite")
-    add_common(pb)
+    def add_file(p: argparse.ArgumentParser, solver: bool = True) -> argparse.ArgumentParser:
+        p.add_argument("file", help="GraphDocument JSON file")
+        p.add_argument("--p", type=float, help="override the document exponent")
+        if solver:
+            p.add_argument("--tol", type=float, help="residual tolerance")
+            p.add_argument("--method", choices=_METHODS, default="auto")
+        return p
+
+    add_file(add("validate", _cmd_validate, "parse and summarize a graph document"), solver=False)
+    add_file(add("torsion", _cmd_torsion, "torsion function and rigidity"))
+    add_file(add("lambda0", _cmd_lambda0, "bottom of the p-spectrum"), solver=False)
+    add_file(add("metrics", _cmd_metrics, "inradius, mean distance, diameter, min cut"), solver=False)
+    pb = add_file(add("bounds", _cmd_bounds, "evaluate the full bound suite"))
     pb.add_argument("--format", choices=("json", "md", "csv"), default="json")
 
-    ps = sub.add_parser("surgery", help="emit a transformed graph document")
+    ps = add("surgery", _cmd_surgery, "emit a transformed graph document")
     ps.add_argument("operation", choices=("merge-dirichlet", "scale", "invert", "symmetrize"))
-    add_common(ps)
+    add_file(ps)
     ps.add_argument("--mu", type=float, default=1.0, help="measure scale (scale only)")
     ps.add_argument("--lam", type=float, default=1.0, help="weight scale (scale only)")
 
-    pg = sub.add_parser("generate", help="emit a generated graph document")
+    pg = add("generate", _cmd_generate, "emit a generated graph document")
     pg.add_argument("kind", choices=("path", "star", "complete", "random"))
     pg.add_argument("--free", type=int, default=3, help="free vertices (path)")
     pg.add_argument("--n", type=int, default=3, help="edges (star) or vertices (complete, random)")
@@ -414,27 +405,15 @@ def _build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--wmax", type=float, default=1.0)
     pg.add_argument("--seed", type=int, default=0)
 
-    pf = sub.add_parser("figure4", help="CSV of Kohler-Jobin products for paths and stars")
+    pf = add("figure4", _cmd_figure4, "CSV of Kohler-Jobin products for paths and stars")
     pf.add_argument("--emax", type=int, required=True)
     return top
-
-
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "torsion": _cmd_torsion,
-    "lambda0": _cmd_lambda0,
-    "metrics": _cmd_metrics,
-    "bounds": _cmd_bounds,
-    "surgery": _cmd_surgery,
-    "generate": _cmd_generate,
-    "figure4": _cmd_figure4,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        code = _COMMANDS[args.command](args)
+        code = args.run(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -443,12 +422,10 @@ def main(argv: list[str] | None = None) -> int:
         # quietly with 1, as Python does on EPIPE
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (NoConvergenceError, np.linalg.LinAlgError) as exc:
-        print(render_json({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 2
     except (TorsioError, FileNotFoundError, ValueError) as exc:
         print(render_json({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 1
+        # a numerical failure exits 2, an input error 1
+        return 2 if isinstance(exc, (NoConvergenceError, np.linalg.LinAlgError)) else 1
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ d^(q-1), maxima and the mass-weighted sum are Python float operations too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -133,7 +134,11 @@ def q_inradius_and_mean(spec: ProblemSpec, q: float) -> tuple[float, float]:
     q = _check_q(q)
     dist = _free_distances(spec, q)
     m, total = spec.graph.m.tolist(), spec.free_measure()
-    mean = float(sum(_power(dist[i], q) * m[i] for i in spec._free.tolist()) / total) if total else 0.0
+    terms = [(_power(dist[i], q), m[i]) for i in spec._free.tolist()]
+    mean = float(sum(d * w for d, w in terms) / total) if total else 0.0
+    if not math.isfinite(mean):
+        # d^(q-1) m overflows, but an average of values at most Inr_q does not
+        mean = float(sum(d * (w / total) for d, w in terms))
     return _inradius(dist, q), mean
 
 

@@ -146,13 +146,20 @@ class SolverOptions:
     continuation legs (each leg takes at most 400), or its Gauss-Seidel
     sweeps; for lambda0 it caps each inner Newton leg (again at most 400).
     method is one of 'auto', 'gauss_seidel', 'newton', 'direct_p2'; 'auto'
-    picks direct_p2 for p = 2 and Newton otherwise."""
+    picks direct_p2 for p = 2 and Newton otherwise.  tol must be None or a
+    finite number >= 0 (0 solves to rounding, and a Newton or direct_p2 solve
+    is then judged on its bracket), and max_iterations an int >= 1; anything
+    else raises ValueError."""
 
     tol: float | None = None
     max_iterations: int = 1_000_000
     method: str = "auto"
 
     def __post_init__(self) -> None:
+        if self.tol is not None and not (np.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"tol must be None or a finite number >= 0, got {self.tol!r}")
+        if not isinstance(self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be an int >= 1, got {self.max_iterations!r}")
         if self.method not in _METHODS:
             raise ValueError(f"method {self.method!r} not in {_METHODS}")
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torsio import SchemaError, lambda0, make_path, make_star, solve_torsion
+from torsio import SchemaError, lambda0, make_complete, make_path, make_star, solve_torsion
 from torsio.bounds import BoundCheck, BoundReport
 from torsio.cli import _build_parser, figure4_rows, graph_document, main, parse_graph, render_json
 
@@ -584,10 +584,74 @@ def test_cli_figure4_csv(tmp_path, capsys):
     assert main(["figure4", "--emax", "2"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     header = out[0].split(",")
-    assert header[0] == "E" and "kj_star_deg" in header
+    assert header == [
+        "E",
+        *(f"{q}_{family}_{tag}" for family in ("path", "star") for tag in ("unit", "deg") for q in ("T2", "lam", "kj")),
+    ]
+    assert header == list(figure4_rows(1)[0])
     row1 = dict(zip(header, out[1].split(",")))
     assert float(row1["T2_path_deg"]) == 1.0
     assert float(row1["kj_path_deg"]) == pytest.approx(1.0, abs=1e-12)
     row2 = dict(zip(header, out[2].split(",")))
     assert float(row2["T2_star_deg"]) == 10.0
     assert float(row2["T2_path_unit"]) == 5.0
+
+
+def test_cli_figure4_needs_an_edge(capsys):
+    assert main(["figure4", "--emax", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "SchemaError", "message": "--emax must be >= 1, got 0"}
+
+
+def test_cli_generate_path_and_complete(capsys):
+    assert main(["generate", "path", "--free", "2", "--b", "2", "--p", "3"]) == 0
+    path = parse_graph(capsys.readouterr().out)
+    assert list(path.graph.edges) == [("v0", "v1", 2.0), ("v1", "v2", 2.0)]
+    assert (path.dirichlet, path.p) == (frozenset({"v0"}), 3.0)
+    assert main(["generate", "complete", "--n", "4", "--m-mode", "degree"]) == 0
+    complete = parse_graph(capsys.readouterr().out)
+    assert complete.graph.edge_count == 6
+    assert set(complete.graph.measure.values()) == {3.0}
+
+
+@pytest.mark.parametrize("seed", ["seven", "1.5", ""])
+def test_cli_generate_rejects_a_non_integer_env_seed(capsys, monkeypatch, seed):
+    monkeypatch.setenv("TORSIO_SEED", seed)
+    assert main(["generate", "random", "--n", "6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "SchemaError",
+        "message": f"TORSIO_SEED = {seed!r} is not an integer",
+    }
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1e-9"])
+def test_cli_torsion_rejects_a_tolerance_out_of_range(tmp_path, capsys, tol):
+    # `--tol inf` accepted the first iterate of the final Newton leg: rigidity
+    # 639.51 on this path at p = 3, where the closed form is 795.52
+    f = write(tmp_path, graph_document(make_path(5, p=3.0)))
+    assert main(["torsion", f, f"--tol={tol}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith("tol must be None or a finite number >= 0, got ")
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("make", [make_star, make_complete])
+def test_cli_metrics_stay_finite_on_extreme_weights(tmp_path, capsys, make):
+    # `torsio generate star --n 4 --m-mode degree --b 1e300 --p 2`: the mass
+    # weighted sum behind mean_distance overflows, the mean does not
+    assert main(["metrics", write(tmp_path, graph_document(make(4, "degree", 1e300, 2.0)))]) == 0
+    out = _strict_json(capsys.readouterr().out)
+    assert 0.0 < out["mean_distance"] <= out["inradius"]

@@ -9,6 +9,7 @@ from conftest import as_unit_function, random_general_spec
 from torsio import (
     DirichletViolationError,
     DomainMismatchError,
+    IllPosedError,
     ProblemSpec,
     SolverOptions,
     ZeroEnergyError,
@@ -150,6 +151,13 @@ def test_quotient_errors():
     spec2 = ProblemSpec(g, frozenset({"a"}), 2.0)
     with pytest.raises(ZeroEnergyError):
         polya_quotient(spec2, {"a": 0.0, "b": 0.0, "c": 1.0})
+    with pytest.raises(ZeroFunctionError):
+        rayleigh_quotient(spec, {"v0": 0.0, "v1": 0.0})
+    # no Dirichlet vertex and no potential: both quotients are undefined
+    neumann = ProblemSpec(spec.graph, frozenset(), 2.0)
+    for quotient in (polya_quotient, rayleigh_quotient):
+        with pytest.raises(IllPosedError):
+            quotient(neumann, {"v0": 1.0, "v1": 2.0})
 
 
 def test_rayleigh_single_edge():

@@ -107,6 +107,18 @@ def test_mean_distance_path_value():
         assert q_mean_distance(make_path(F), 2.0) == pytest.approx(n / 2.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("make", [make_star, make_complete])
+@pytest.mark.parametrize("q", [2.0, 3.0, 8.0, 20.0])
+def test_mean_distance_stays_finite_when_its_mass_weighted_sum_overflows(make, q):
+    # `torsio generate star --n 4 --m-mode degree --b 1e300`: the degree
+    # masses are about 1e300, and so are the distance powers d^(q-1)
+    spec = make(4, "degree", 1e300, q)
+    inradius, mean = torsio.geometry.q_inradius_and_mean(spec, q)
+    assert 0.0 < mean <= inradius < np.inf
+    assert q_mean_distance(spec, q) == mean
+
+
 def test_mean_distance_single_free_vertex():
     g = build_graph([("a", 1, 0), ("b", 3, 0)], [("a", "b", 2.0)])
     spec = ProblemSpec(g, frozenset({"a"}), 2.0)

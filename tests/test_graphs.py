@@ -322,6 +322,13 @@ def test_generator_size_validation():
         make_star(0)
     with pytest.raises(InvalidSizeError):
         make_random_connected(1, 0.5, (1, 1), 0)
+    with pytest.raises(InvalidSizeError, match="unknown m_mode 'heavy'"):
+        make_path(2, "heavy")
+
+
+def test_generator_mass_mapping():
+    spec = make_star(2, {"v0": 0.5, "v1": 2.0, "v2": 3.0})
+    assert spec.graph.measure == {"v0": 0.5, "v1": 2.0, "v2": 3.0}
 
 
 def test_random_generator_deterministic():

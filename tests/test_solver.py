@@ -19,6 +19,7 @@ from torsio import (
     ProblemSpec,
     SolverOptions,
     UnboundedComponentError,
+    UnsupportedCombinationError,
     balance_check,
     build_graph,
     lambda0,
@@ -237,6 +238,70 @@ def test_gauss_seidel_matches_direct_p2():
         dr = solve_torsion(spec, SolverOptions(tol=1e-12, method="direct_p2"))
         for v in spec.graph.vertices:
             assert gs.tau[v] == pytest.approx(dr.tau[v], abs=1e-9, rel=1e-9)
+
+
+def _assert_gauss_seidel_matches_default(spec):
+    gs = solve_torsion(spec, SolverOptions(tol=1e-12, method="gauss_seidel"))
+    ref = solve_torsion(spec, TIGHT)
+    assert gs.method == "gauss_seidel"
+    assert gs.rigidity == pytest.approx(ref.rigidity, rel=1e-10)
+    for v in spec.graph.vertices:
+        assert gs.tau[v] == pytest.approx(ref.tau[v], rel=1e-10)
+
+
+@pytest.mark.parametrize("p", [3.0, 8.0])
+@pytest.mark.parametrize("kind", ["with_potential", "no_dirichlet"])
+def test_gauss_seidel_with_a_potential_matches_the_default_solve(p, kind):
+    # the scalar solves of the sweeps add the potential term c phi_p(u) only
+    # where c != 0
+    for seed in range(8):
+        _assert_gauss_seidel_matches_default(random_general_spec(seed, p=p, **{kind: True}))
+
+
+def test_gauss_seidel_with_a_potential_below_p2_matches_the_default_solve():
+    for seed in (1, 4, 6):
+        _assert_gauss_seidel_matches_default(random_general_spec(seed, p=1.5, with_potential=True))
+
+
+def test_gauss_seidel_out_of_sweeps_raises():
+    with pytest.raises(NoConvergenceError, match=r"^Gauss-Seidel stopped at residual .* after 2 sweeps$") as info:
+        solve_torsion(make_path(10, p=3.0), SolverOptions(method="gauss_seidel", max_iterations=2))
+    assert info.value.iterations == 2
+
+
+def test_unknown_or_unsupported_methods_raise():
+    with pytest.raises(UnsupportedCombinationError, match="direct_p2 requires p = 2"):
+        solve_torsion(make_path(3, p=3.0), SolverOptions(method="direct_p2"))
+    with pytest.raises(ValueError, match="method 'x' not in"):
+        SolverOptions(method="x")
+    with pytest.raises(ValueError, match="method 'x' not in"):
+        lambda0(make_path(3), method="x")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tol", float("inf")),
+        ("tol", float("nan")),
+        ("tol", -1e-12),
+        ("max_iterations", 0),
+        ("max_iterations", -5),
+        ("max_iterations", 2.5),
+    ],
+)
+def test_solver_options_out_of_range_raise(field, value):
+    # tol = inf accepts any first iterate, and max_iterations = 0 runs
+    # zero-step legs whose gap reads 0: both returned wrong answers
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        SolverOptions(**{field: value})
+
+
+def test_solver_options_edges_of_the_valid_ranges():
+    assert SolverOptions(tol=0.0, max_iterations=1).tol == 0.0
+    # tol = 0 solves to rounding, and the solve is judged on its bracket
+    spec = make_path(5, p=3.0)
+    exact = path_rigidity(PathSpecParams(5, (1.0,) * 5, (1.0,) * 5, 3.0))
+    assert solve_torsion(spec, SolverOptions(tol=0.0)).rigidity == pytest.approx(exact, rel=1e-12)
 
 
 def test_brute_force_oracle_small_graphs():
