@@ -463,7 +463,10 @@ def fiedler_neumann_p2(c: _Ctx) -> tuple:
     |V| before halving at its midpoint; taking n = |V|/2 on even counts is
     already falsified by the 4-vertex path (lambda1 = 2 - sqrt(2) < eta)."""
     n = c.g.vertex_count // 2 + 1
-    lam1 = lambda1_p2(c.g)
+    try:
+        lam1 = lambda1_p2(c.g)
+    except _FAILED as exc:
+        raise _Inconclusive(f"lambda1 solve failed: {exc}") from None
     return lam1, ">=", c.eta / sum(n - k for k in range(1, n))
 
 

@@ -11,13 +11,21 @@ values do not depend on the visit order.  The costs are computed with
 Python's float power, which calls libm ``pow``; numpy's array power may
 differ from it in the last bit, and these values reach CLI output.  Powers
 d^(q-1), maxima and the mass-weighted sum are Python float operations too.
+
+The minimal cut is exact by Nagamochi-Ibaraki contraction (Nagamochi &
+Ibaraki 1992), the exact core of the kernelization of Henzinger, Noe,
+Schulz & Strash (2018), on one dict of neighbour weights per super-vertex,
+so its memory is O(n + m); ``min_cut_weight`` gives the rounds and the
+references.  Every choice goes by vertex index, never by hash order, and
+the side found is re-summed in canonical edge order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from heapq import heappop, heappush
+from typing import Iterable, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,6 +35,7 @@ from .errors import (
     DisconnectedError,
     EmptyDirichletSetError,
     InvalidQError,
+    NoConvergenceError,
     TooFewVerticesError,
 )
 from .graphs import ProblemSpec, VertexId, WeightedGraph, invert_edge_weights
@@ -94,14 +103,24 @@ def q_distance(g: WeightedGraph, q: float, v: VertexId, w: VertexId) -> Distance
 
 
 def _free_distances(spec: ProblemSpec, q: float) -> list[float]:
-    """dist_{q,b}(v, V0) for every vertex v, in vertex order."""
+    """dist_{q,b}(v, V0) for every vertex v, in vertex order.  An infinite
+    distance is an overflow (InvalidQError) when v shares a component with
+    a Dirichlet vertex, and unreachability (DisconnectedError) otherwise."""
     if not spec.dirichlet:
         raise EmptyDirichletSetError("the inradius and mean distance need a Dirichlet set")
     g = spec.graph
     sources = np.flatnonzero(spec._pinned)
     dist = csgraph.dijkstra(_cost_matrix(g, q), indices=sources, min_only=True).tolist()
-    missing = [v for v, d in zip(g.vertices, dist) if d == np.inf]
-    if missing:
+    far = [i for i, d in enumerate(dist) if d == np.inf]
+    if far:
+        label = g._components[1].tolist()
+        anchored = {label[i] for i in sources.tolist()}
+        for i in far:
+            if label[i] in anchored:
+                raise InvalidQError(
+                    f"q = {q}: the distance dist_q({g.vertices[i]!r}, V0) overflows a float"
+                )
+        missing = [g.vertices[i] for i in far]
         raise DisconnectedError(f"vertices unreachable from the Dirichlet set: {missing}")
     return dist
 
@@ -164,58 +183,166 @@ def p_diameter_inverted(g: WeightedGraph, p: float) -> Distance:
     return float(_power(worst, p))
 
 
+def _fsum(values: Iterable[float]) -> float:
+    """The sum of nonnegative floats rounded once (``math.fsum``), so it
+    does not depend on the Python version; inf when it overflows."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+
+
+def _capforest(
+    adj: list[dict[int, float]], deg: list[float], lam: float
+) -> tuple[float, list[int], list[int]]:
+    """One Nagamochi-Ibaraki round on the contracted graph ``adj``.
+
+    Scans the super-vertices in maximum-adjacency order from super-vertex 0,
+    ties to the smaller index.  Each proper prefix of the scan is a cut of
+    weight cut_prev + d(x) - 2 r(x); that sum cancels once a prefix swallows
+    a heavy edge, so a prefix that seems to undercut ``lam`` is re-summed,
+    as the fsum of the r of the unscanned super-vertices, before it is
+    taken.  An edge (x, y) is marked when r(y) crosses ``lam`` as it is
+    scanned, so every cut between x and y weighs at least ``lam``
+    (Nagamochi-Ibaraki), or when its own weight is at least ``lam``
+    (Padberg-Rinaldi test 1).  Returns the lowered ``lam``, the prefix that
+    has it (empty if none undercut the given ``lam``) and, for each
+    super-vertex, the smallest index it is marked together with.
+    """
+    k = len(adj)
+    r = [0.0] * k
+    done = [False] * k
+    parent = list(range(k))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    def join(a: int, b: int) -> None:
+        a, b = find(a), find(b)
+        parent[max(a, b)] = min(a, b)
+
+    heap = [(-0.0, 0)]
+    order: list[int] = []
+    cut, cut_at = 0.0, 0
+    marked = False
+    while heap:
+        x = heappop(heap)[1]
+        if done[x]:
+            continue
+        done[x] = True
+        order.append(x)
+        for y, c in adj[x].items():
+            if done[y]:
+                continue
+            ry = r[y]
+            r[y] = ry_new = ry + c
+            if ry < lam <= ry_new or c >= lam:
+                join(x, y)
+                marked = True
+            heappush(heap, (-ry_new, y))
+        cut = cut + deg[x] - 2.0 * r[x]
+        if cut < lam and len(order) < k:
+            cut = _fsum(rv for rv, seen in zip(r, done) if not seen)
+            if cut < lam:
+                lam, cut_at = cut, len(order)
+    if not marked:
+        # The last super-vertex t ends with r(t) = d(t), so an edge of t
+        # crosses lam, unless r(t), added up in scan order, rounds below
+        # d(t), which fsum rounds once.  A maximum-adjacency order makes
+        # d(t) a minimum cut between the last two super-vertices
+        # (Stoer-Wagner), and d(t), a recorded candidate, is at least lam:
+        # contract the two.
+        join(order[-2], order[-1])
+    return lam, order[:cut_at], [find(v) for v in range(k)]
+
+
+def _contract(
+    adj: list[dict[int, float]], rep: list[int]
+) -> tuple[list[dict[int, float]], list[int]]:
+    """The graph with each super-vertex merged into ``rep`` of it (rep[v] <=
+    v), numbered by representative, and the new number of each old one."""
+    new = []
+    count = 0
+    for v, root in enumerate(rep):
+        if root == v:
+            new.append(count)
+            count += 1
+        else:
+            new.append(new[root])
+    merged: list[dict[int, float]] = [{} for _ in range(count)]
+    for u, row in enumerate(adj):
+        a = new[u]
+        out = merged[a]
+        for v, c in row.items():
+            b = new[v]
+            if a != b:
+                out[b] = out.get(b, 0.0) + c
+    return merged, new
+
+
 def min_cut_weight(g: WeightedGraph) -> float:
     """Global minimal cut weight: min over nontrivial bipartitions (V1, V2) of
-    the total edge weight crossing the cut.
+    the total edge weight crossing the cut.  Returns 0 exactly when the graph
+    is disconnected.
 
-    Deterministic maximum-adjacency (Stoer-Wagner) contraction scheme; the
-    most tightly connected vertex is chosen with ties broken by smallest
-    internal index, so the result does not depend on hash order.  Returns 0
-    exactly when the graph is disconnected.
+    Nagamochi-Ibaraki rounds on a contracted graph, held as one dict of
+    neighbour weights per super-vertex and built from the CSR arrays, so
+    memory is O(n + m).  The bound lam starts as the least weighted degree.
+    Each round runs one maximum-adjacency (CAPFOREST) scan, ``_capforest``:
+    a heap keyed by (-r, index) takes the most tightly attached
+    super-vertex, ties to the smallest index, starting from super-vertex 0.
+    The scan lowers lam to any lighter cut of a proper prefix of its order
+    (the full vertex set is not a cut) and marks the edges that no cut
+    lighter than lam can cross.  A union-find whose representative is the
+    smallest index contracts them all at once, and the degree of each new
+    super-vertex is a candidate cut.  A cut lighter than lam keeps every
+    edge across it unmarked, so it survives until lam falls to it; each
+    round contracts at least one pair, and when one super-vertex is left
+    lam is the minimal cut.
+
+    References: H. Nagamochi and T. Ibaraki, "Computing edge-connectivity in
+    multigraphs and capacitated graphs", SIAM J. Discrete Math. 5 (1992);
+    M. Henzinger, A. Noe, C. Schulz and D. Strash, "Practical Minimum Cut
+    Algorithms", ALENEX 2018.
+
+    The side of the best cut is re-summed in canonical edge order, so the
+    result is bit-identical to direct enumeration of that bipartition.  A
+    minimal cut that overflows a float raises NoConvergenceError.
     """
     n = g.vertex_count
     if n < 2:
         raise TooFewVerticesError(f"min cut needs at least 2 vertices, got {n}")
     if not g.is_connected:
         return 0.0
-
-    W = np.zeros((n, n))
-    W[g.ei, g.ej] = g.w
-    W[g.ej, g.ei] = g.w
-
-    active = list(range(n))
-    members: list[set[int]] = [{i} for i in range(n)]
-    best = np.inf
-    best_side: set[int] = set()
-    while len(active) > 1:
-        # maximum adjacency order starting from the smallest active index
-        start = active[0]
-        keys = {v: W[start, v] for v in active[1:]}
-        order = [start]
-        while keys:
-            top = max(keys.values())
-            tight = min(v for v, k in keys.items() if k == top)
-            order.append(tight)
-            del keys[tight]
-            for v in keys:
-                keys[v] += W[tight, v]
-        t = order[-1]
-        s = order[-2]
-        cut_of_phase = float(sum(W[t, v] for v in active if v != t))
-        if cut_of_phase < best:
-            best = cut_of_phase
-            best_side = set(members[t])
-        # contract t into s
-        W[s, :] += W[t, :]
-        W[:, s] += W[:, t]
-        W[s, s] = 0.0
-        members[s] |= members[t]
-        active.remove(t)
-    # re-sum the recorded bipartition in canonical edge order so the result
-    # is bit-identical to direct enumeration
-    side = np.zeros(n, dtype=bool)
-    side[list(best_side)] = True
-    return float(sum(g.w[side[g.ei] != side[g.ej]].tolist()))
+    bounds = g._indptr.tolist()
+    nbr, nbw = g._nbr.tolist(), g._nbw.tolist()
+    # adj[a] maps each neighbour of super-vertex a to the weight between
+    # them; label[v] is the super-vertex that holds vertex v
+    adj = [dict(zip(nbr[lo:hi], nbw[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+    label = list(range(n))
+    # vertex 0 alone stands in until a cut below inf turns up
+    best, side = math.inf, [v == 0 for v in label]
+    while len(adj) > 1:
+        deg = [_fsum(row.values()) for row in adj]
+        least = min(deg)
+        if least < best:
+            best, a = least, deg.index(least)
+            side = [s == a for s in label]
+        best, prefix, rep = _capforest(adj, deg, best)
+        if prefix:
+            inside = [False] * len(adj)
+            for x in prefix:
+                inside[x] = True
+            side = [inside[s] for s in label]
+        adj, new = _contract(adj, rep)
+        label = [new[s] for s in label]
+    cross = np.array(side)
+    value = float(sum(g.w[cross[g.ei] != cross[g.ej]].tolist()))
+    if not math.isfinite(value):
+        raise NoConvergenceError(f"the minimal cut weight {value} overflows a float")
+    return value
 
 
 @dataclass(frozen=True)

@@ -77,8 +77,16 @@ def _solution(asm, p: float, lam: float, u: np.ndarray, method: str, iterations:
     return SpectralSolution(lam, ground_state, _eigen_residual(asm, p, lam, u), method, iterations)
 
 
+def _finite(A: np.ndarray | sp.csc_matrix) -> None:
+    """NoConvergenceError if an entry of the assembled p = 2 matrix A
+    overflowed a float (the eigensolvers reject it with a ValueError)."""
+    if not np.isfinite(A if isinstance(A, np.ndarray) else A.data).all():
+        raise NoConvergenceError("an entry of the p = 2 operator overflows a float")
+
+
 def _lambda0_p2(asm) -> tuple[float, np.ndarray, str]:
     K = _System(asm, asm.g.w, asm.g.c)
+    _finite(K.A)
     m_free = asm.g.m[asm.free]
     if isinstance(K.A, np.ndarray):
         vals, vecs = scipy.linalg.eigh(K.A, np.diag(m_free))
@@ -163,6 +171,7 @@ def lambda1_p2(g: WeightedGraph) -> float:
         raise DisconnectedError("lambda1 needs a connected graph")
     asm = _assemble(ProblemSpec(g, frozenset(), 2.0))
     K = _System(asm, asm.g.w, asm.g.c).A
+    _finite(K)
     K = K if isinstance(K, np.ndarray) else K.toarray()
     vals = scipy.linalg.eigh(K, np.diag(asm.g.m), eigvals_only=True, subset_by_index=(0, 1))
     return float(vals[1])

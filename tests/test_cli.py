@@ -655,3 +655,41 @@ def test_cli_metrics_stay_finite_on_extreme_weights(tmp_path, capsys, make):
     assert main(["metrics", write(tmp_path, graph_document(make(4, "degree", 1e300, 2.0)))]) == 0
     out = _strict_json(capsys.readouterr().out)
     assert 0.0 < out["mean_distance"] <= out["inradius"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_metrics_with_an_overflowing_min_cut_is_a_numerical_failure(tmp_path, capsys):
+    # `torsio generate complete --n 3 --b 1e308 --p 2`: every cut crosses two
+    # edges and weighs 2e308, which is not "disconnected" (0)
+    doc = graph_document(make_complete(3, "unit", 1e308, 2.0))
+    assert main(["metrics", write(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "NoConvergenceError",
+        "message": "the minimal cut weight inf overflows a float",
+    }
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["lambda0", "bounds", "metrics"])
+def test_cli_star_with_an_overflowing_centre(tmp_path, capsys, command):
+    # `torsio generate star --n 3 --b 1e308 --p 2`: the centre's diagonal and
+    # the distances 2e308 of the far leaves overflow; the graph is connected
+    code = main([command, write(tmp_path, graph_document(make_star(3, "unit", 1e308, 2.0)))])
+    captured = capsys.readouterr()
+    if command == "bounds":
+        assert code == 0 and captured.err == ""
+        reasons = {row["id"]: row["reason"] for row in _strict_json(captured.out)["checks"]}
+        overflow = "an entry of the p = 2 operator overflows a float"
+        assert reasons["fiedler_neumann_p2"] == "lambda1 solve failed: " + overflow
+        assert reasons["fiedler_dirichlet"] == "spectral solve failed: " + overflow
+        return
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    if command == "lambda0":
+        assert code == 2 and err["error"] == "NoConvergenceError"
+        assert err["message"] == "an entry of the p = 2 operator overflows a float"
+    else:
+        assert code == 1 and err["error"] == "InvalidQError"
+        assert err["message"] == "q = 2.0: the distance dist_q('v2', V0) overflows a float"

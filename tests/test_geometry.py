@@ -1,23 +1,30 @@
 """Metric quantities and the global minimal cut.
 
 Distances are compared with networkx's Dijkstra for exact equality; the
-Stoer-Wagner result is compared against exhaustive bipartition
-enumeration, which serves as the oracle up to 12 vertices.
+min cut is compared against exhaustive bipartition enumeration, which
+serves as the oracle up to 12 vertices, and against networkx's
+Stoer-Wagner above that.
 """
 
+import math
+import tracemalloc
 from itertools import combinations
 
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torsio.geometry
-from conftest import random_general_spec
+from bench.workloads import random_records
+from conftest import dirichlet_grid, random_general_spec
 from torsio import (
     UNREACHABLE,
     DisconnectedError,
     EmptyDirichletSetError,
     InvalidQError,
+    NoConvergenceError,
     ProblemSpec,
     TooFewVerticesError,
     build_graph,
@@ -211,6 +218,25 @@ def test_overflowing_distance_power_is_an_invalid_q():
         p_diameter_inverted(make_path(10, "unit", 1e-300, 20.0).graph, 20.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_distance_on_a_connected_graph_is_an_invalid_q():
+    # `torsio generate star --n 3 --b 1e308 --p 2`: v2 and v3 are two edges
+    # of 1e308 from the Dirichlet leaf v0, and 2e308 overflows to inf
+    spec = make_star(3, "unit", 1e308, 2.0)
+    message = r"^q = 2.0: the distance dist_q\('v2', V0\) overflows a float$"
+    for metric in (q_inradius, q_mean_distance, torsio.geometry.q_inradius_and_mean):
+        with pytest.raises(InvalidQError, match=message):
+            metric(spec, 2.0)
+    # the overflow wins over a vertex of another component that is unreachable
+    g = build_graph(
+        [(v, 1, 0) for v in ("a", "b", "c", "z")], [("a", "b", 1e308), ("b", "c", 1e308)]
+    )
+    with pytest.raises(InvalidQError, match=r"dist_q\('c', V0\)"):
+        q_inradius(ProblemSpec(g, frozenset({"a"}), 2.0), 2.0)
+    with pytest.raises(DisconnectedError, match=r"\['z'\]$"):
+        q_inradius(ProblemSpec(g, frozenset({"b"}), 2.0), 2.0)
+
+
 def test_disconnected_error_names_vertices_in_vertex_order():
     g = build_graph(
         [("z", 1, 0), ("m", 1, 0), ("a", 1, 0), ("q", 1, 0), ("b", 1, 0)],
@@ -255,6 +281,132 @@ def test_min_cut_matches_brute_force():
         got = min_cut_weight(spec.graph)
         want = brute_force_min_cut(spec.graph)
         assert got == want
+
+
+def _atlas_graphs(weights):
+    """(index, graph) for each connected graph of the networkx atlas with at
+    least 2 vertices, with unit weights or with seeded U(0.5, 2) weights."""
+    for index, H in enumerate(nx.graph_atlas_g()):
+        if H.number_of_nodes() < 2 or not nx.is_connected(H):
+            continue
+        m = H.number_of_edges()
+        b = [1.0] * m if weights == "unit" else np.random.default_rng(index).uniform(0.5, 2.0, m)
+        edges = [(u, v, float(c)) for (u, v), c in zip(H.edges, b)]
+        yield index, build_graph([(v, 1.0, 0.0) for v in H.nodes], edges)
+
+
+def test_min_cut_when_the_scan_crosses_no_bound():
+    # atlas 50 with its seeded uniform weights: vertex 2 has the least
+    # degree and is scanned last, and its r, added up in scan order, rounds
+    # one ulp below that degree (an fsum), so no edge crosses lam and the
+    # round contracts only the last two vertices of the scan
+    g = next(g for index, g in _atlas_graphs("uniform") if index == 50)
+    adj = [{g.vertex_index(u): b for u, b in g.neighbors(v)} for v in g.vertices]
+    deg = [math.fsum(row.values()) for row in adj]
+    lam, prefix, rep = torsio.geometry._capforest(adj, deg, min(deg))
+    assert prefix == [0, 3, 4, 1] and lam == math.nextafter(deg[2], 0.0)
+    assert rep == [0, 1, 1, 3, 4]
+    assert min_cut_weight(g) == brute_force_min_cut(g)
+
+
+@pytest.mark.parametrize("weights", ["unit", "uniform"])
+def test_min_cut_matches_brute_force_on_the_graph_atlas(weights):
+    # 995 graphs of 2 to 7 vertices; with unit weights this includes atlas
+    # 450, where contracting every edge with 2c >= min(d(u), d(v)) at once
+    # gives 2 instead of 1
+    count = 0
+    for index, g in _atlas_graphs(weights):
+        assert min_cut_weight(g) == brute_force_min_cut(g), index
+        count += 1
+    assert count == 995
+
+
+@st.composite
+def _extreme_graphs(draw):
+    """Graphs of 2 to 9 vertices (connected or not) with weights in [1e-300, 1e300]."""
+    n = draw(st.integers(2, 9))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=n - 1, unique=True))
+    weights = draw(st.lists(st.floats(1e-300, 1e300), min_size=len(edges), max_size=len(edges)))
+    return build_graph(
+        [(f"v{i}", 1.0, 0.0) for i in range(n)],
+        [(f"v{a}", f"v{b}", w) for (a, b), w in zip(edges, weights)],
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_extreme_graphs())
+def test_min_cut_matches_brute_force_on_extreme_weights(g):
+    # a prefix cut cut_prev + d(x) - 2 r(x) that swallows a heavy edge
+    # cancels; on the star with leaves 1, 1, 2^53 and 4e31 it read 0 for a
+    # cut of weight 2
+    assert min_cut_weight(g) == brute_force_min_cut(g)
+
+
+def _stoer_wagner_resum(g):
+    """networkx's Stoer-Wagner side, re-summed in canonical edge order."""
+    G = nx.Graph()
+    G.add_nodes_from(g.vertices)
+    G.add_weighted_edges_from(g.edges)
+    _, (part, _) = nx.stoer_wagner(G)
+    side = set(part)
+    return sum(b for u, v, b in g.edges if (u in side) != (v in side))
+
+
+def test_min_cut_matches_networkx_stoer_wagner_on_larger_graphs():
+    grid = dirichlet_grid(20).graph
+    assert min_cut_weight(grid) == _stoer_wagner_resum(grid) == 2.0
+    mrc = make_random_connected(400, 6 / 400, (0.5, 2.0), 1).graph
+    assert min_cut_weight(mrc) == _stoer_wagner_resum(mrc)
+    assert min_cut_weight(dirichlet_grid(100).graph) == 2.0
+
+
+def test_min_cut_rounds(monkeypatch):
+    scans = []
+    capforest = torsio.geometry._capforest
+
+    def counted(*args):
+        scans.append(args)
+        return capforest(*args)
+
+    monkeypatch.setattr(torsio.geometry, "_capforest", counted)
+
+    def rounds(g):
+        scans.clear()
+        min_cut_weight(g)
+        return len(scans)
+
+    assert rounds(dirichlet_grid(20).graph) == 3
+    assert rounds(dirichlet_grid(100).graph) == 3
+    assert rounds(make_random_connected(400, 6 / 400, (0.5, 2.0), 1).graph) == 1
+    # the degrees of the super-vertices of the first contraction lower lam
+    # before the second scan, which then contracts the rest; without them a
+    # third scan is needed
+    assert rounds(make_random_connected(10, 0.3, (0.5, 2.0), 385).graph) == 2
+
+
+def test_min_cut_memory_is_linear():
+    # the dense n x n array of a Stoer-Wagner would be 72 MB at n = 3000
+    vertices, edges, _ = random_records(np.random.default_rng(1), 3000, 6.0, 4)
+    g = build_graph(vertices, edges)
+    g.is_connected  # the cached components are not the min cut's memory
+    tracemalloc.start()
+    try:
+        min_cut_weight(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [3, 4])
+def test_min_cut_that_overflows_is_a_numerical_failure(n):
+    # every cut of K3 or K4 with b = 1e308 crosses at least two edges
+    with pytest.raises(NoConvergenceError, match=r"^the minimal cut weight inf overflows a float$"):
+        min_cut_weight(make_complete(n, "unit", 1e308, 2.0).graph)
+    # one edge of 1e308 is a finite cut
+    assert min_cut_weight(make_star(3, "unit", 1e308, 2.0).graph) == 1e308
 
 
 def test_min_cut_monotone_under_weakening():

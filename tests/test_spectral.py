@@ -8,6 +8,7 @@ from conftest import dirichlet_grid, random_general_spec
 from torsio import (
     DisconnectedError,
     IllPosedError,
+    NoConvergenceError,
     ProblemSpec,
     UnboundedComponentError,
     ScaleParams,
@@ -148,6 +149,20 @@ def test_lambda1_needs_connected():
     g = build_graph([("a", 1, 0), ("b", 1, 0), ("c", 1, 0)], [("a", "b", 1)])
     with pytest.raises(DisconnectedError):
         lambda1_p2(g)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("free", [3, torsio.solver.DENSE_LIMIT + 1])
+def test_p2_eigensolves_of_an_overflowing_operator_are_a_numerical_failure(free):
+    # `torsio generate star --n 3 --b 1e308 --p 2`: the centre's diagonal
+    # 3e308 overflows; a path of b = 1e308 overflows at every inner vertex,
+    # and above DENSE_LIMIT its operator is sparse
+    spec = make_star(3, "unit", 1e308, 2.0) if free == 3 else make_path(free, "unit", 1e308, 2.0)
+    message = r"^an entry of the p = 2 operator overflows a float$"
+    with pytest.raises(NoConvergenceError, match=message):
+        lambda0(spec)
+    with pytest.raises(NoConvergenceError, match=message):
+        lambda1_p2(spec.graph)
 
 
 def test_lanczos_is_deterministic():
