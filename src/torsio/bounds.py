@@ -551,48 +551,32 @@ class BoundReport:
     def to_dict(self) -> dict:
         return {
             "summary": dict(self.summary),
-            "checks": [
-                {
-                    "id": c.id,
-                    "statement": c.statement,
-                    "applicable": c.applicable,
-                    "reason": c.reason,
-                    "lhs": c.lhs,
-                    "rhs": c.rhs,
-                    "satisfied": c.satisfied,
-                    "slack": c.slack,
-                }
-                for c in self.checks
-            ],
+            "checks": [dict(vars(c)) for c in self.checks],
             "diagnostics": dict(self.diagnostics),
             "violations": len(self.violations),
         }
 
-    def to_markdown(self) -> str:
-        lines = [
-            "| id | applicable | lhs | rhs | satisfied | slack | reason |",
-            "| --- | --- | --- | --- | --- | --- | --- |",
+    def _rows(self, digits: str, yes: str, no: str, violated: str) -> list[tuple[str, ...]]:
+        """The header and one row per check of to_markdown and to_csv:
+        numbers in the format digits, applicable as yes or no, satisfied as
+        yes or violated, and an empty cell for None."""
+        num = lambda x: "" if x is None else format(x, digits)
+        sat = lambda x: "" if x is None else (yes if x else violated)
+        return [("id", "applicable", "lhs", "rhs", "satisfied", "slack", "reason")] + [
+            (c.id, yes if c.applicable else no, num(c.lhs), num(c.rhs), sat(c.satisfied),
+             num(c.slack), c.reason)
+            for c in self.checks
         ]
-        for c in self.checks:
-            fmt = lambda x: "" if x is None else format(x, ".12g")
-            sat = "" if c.satisfied is None else ("yes" if c.satisfied else "NO")
-            lines.append(
-                f"| {c.id} | {'yes' if c.applicable else 'no'} | {fmt(c.lhs)} | "
-                f"{fmt(c.rhs)} | {sat} | {fmt(c.slack)} | {c.reason} |"
-            )
-        return "\n".join(lines)
+
+    def to_markdown(self) -> str:
+        header, *rows = self._rows(".12g", "yes", "no", "NO")
+        rows = [header, ("---",) * len(header), *rows]
+        return "\n".join(f"| {' | '.join(r)} |" for r in rows)
 
     def to_csv(self) -> str:
-        fmt = lambda x: "" if x is None else format(x, ".17g")
-        lines = ["id,applicable,lhs,rhs,satisfied,slack,reason"]
-        for c in self.checks:
-            sat = "" if c.satisfied is None else ("true" if c.satisfied else "false")
-            reason = c.reason.replace(",", ";")
-            lines.append(
-                f"{c.id},{'true' if c.applicable else 'false'},{fmt(c.lhs)},"
-                f"{fmt(c.rhs)},{sat},{fmt(c.slack)},{reason}"
-            )
-        return "\n".join(lines)
+        rows = self._rows(".17g", "true", "false", "false")
+        # a comma inside a cell (in a reason) would start a new column
+        return "\n".join(",".join(x.replace(",", ";") for x in r) for r in rows)
 
 
 def check_all(spec: ProblemSpec, opts: SolverOptions | None = None) -> BoundReport:

@@ -1,41 +1,9 @@
 """Exception hierarchy for torsio.
 
 Every structural precondition failure has its own class so callers can gate
-on the exact failure mode instead of parsing messages.
+on the exact failure mode instead of parsing messages.  The module defines
+nothing but these classes, so ``from .errors import *`` exports exactly them.
 """
-
-from __future__ import annotations
-
-__all__ = [
-    "TorsioError",
-    "DuplicateVertexError",
-    "UnknownEndpointError",
-    "UnknownVertexError",
-    "SelfLoopError",
-    "NonpositiveMassError",
-    "NegativeWeightError",
-    "NegativePotentialError",
-    "InvalidExponentError",
-    "InvalidSizeError",
-    "EmptyDirichletSetError",
-    "WeightIncreasedError",
-    "DirichletAttachmentError",
-    "NonzeroGuestPotentialError",
-    "InvalidQError",
-    "DisconnectedError",
-    "TooFewVerticesError",
-    "DomainMismatchError",
-    "DirichletViolationError",
-    "ZeroFunctionError",
-    "ZeroEnergyError",
-    "IllPosedError",
-    "UnboundedComponentError",
-    "NoConvergenceError",
-    "AsymmetricDataError",
-    "EvenVertexCountError",
-    "UnsupportedCombinationError",
-    "SchemaError",
-]
 
 
 class TorsioError(Exception):

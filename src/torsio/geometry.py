@@ -7,8 +7,12 @@ with each weight b replaced by the edge cost b^(1/(q-1)): one source for
 the mean distance, and every vertex, a block of rows at a time, for the
 diameter.  With positive costs any Dijkstra returns, for each vertex, the
 minimum over paths of the float sum of the costs along the path, so the
-values do not depend on the visit order.  The costs are computed with
-Python's float power, which calls libm ``pow``; numpy's array power may
+values do not depend on the visit order.  Reachability is read from the
+graph's connected components, never from a distance: two vertices in
+different components are UNREACHABLE (for the inradius and the mean
+distance, a DisconnectedError), and an infinite distance within one
+component is a float overflow, an InvalidQError.  The costs are computed
+with Python's float power, which calls libm ``pow``; numpy's array power may
 differ from it in the last bit, and these values reach CLI output.  Powers
 d^(q-1), maxima and the mass-weighted sum are Python float operations too.
 
@@ -42,7 +46,7 @@ from .graphs import ProblemSpec, VertexId, WeightedGraph, invert_edge_weights
 
 
 class Unreachable:
-    """Typed marker for an infinite distance (disconnected vertices)."""
+    """Typed marker for the distance between vertices in different components."""
 
     _instance = None
 
@@ -92,14 +96,21 @@ def q_distance(g: WeightedGraph, q: float, v: VertexId, w: VertexId) -> Distance
     """dist_{q,b}(v, w): infimum over paths of sum b(e)^(1/(q-1)).
 
     Agrees with the ordinary weighted shortest-path distance for q = 2.
-    Returns UNREACHABLE when v and w lie in different components.
+    Returns UNREACHABLE when v and w lie in different components; an
+    infinite distance between them otherwise raises InvalidQError.
     """
     q = _check_q(q)
     i, j = g.vertex_index(v), g.vertex_index(w)  # raise for unknown vertices
     if v == w:
         return 0.0
-    d = float(csgraph.dijkstra(_cost_matrix(g, q), indices=i)[j])
-    return UNREACHABLE if d == np.inf else d
+    cost = _cost_matrix(g, q)
+    label = g._components[1]
+    if label[i] != label[j]:
+        return UNREACHABLE
+    d = float(csgraph.dijkstra(cost, indices=i)[j])
+    if d == np.inf:
+        raise InvalidQError(f"q = {q}: the distance dist_q({v!r}, {w!r}) overflows a float")
+    return d
 
 
 def _free_distances(spec: ProblemSpec, q: float) -> list[float]:
@@ -133,14 +144,9 @@ def _power(d: float, q: float) -> float:
         raise InvalidQError(f"q = {q}: the power d^(q-1) of the distance d = {d} overflows a float") from None
 
 
-def _inradius(dist: list[float], q: float) -> float:
-    return float(max(_power(d, q) for d in dist))
-
-
 def q_inradius(spec: ProblemSpec, q: float) -> float:
     """Inr_q = max over vertices of dist_{q,b}(v, V0)^(q-1)."""
-    q = _check_q(q)
-    return _inradius(_free_distances(spec, q), q)
+    return q_inradius_and_mean(spec, q)[0]
 
 
 def q_mean_distance(spec: ProblemSpec, q: float) -> float:
@@ -158,27 +164,32 @@ def q_inradius_and_mean(spec: ProblemSpec, q: float) -> tuple[float, float]:
     if not math.isfinite(mean):
         # d^(q-1) m overflows, but an average of values at most Inr_q does not
         mean = float(sum(d * (w / total) for d, w in terms))
-    return _inradius(dist, q), mean
+    # the Dirichlet vertices, at distance 0, cannot raise the maximum
+    return max((d for d, _ in terms), default=0.0), mean
 
 
 def p_diameter_inverted(g: WeightedGraph, p: float) -> Distance:
     """max over vertex pairs of dist_{p, 1/b}(v, w)^(p-1), UNREACHABLE if disconnected.
 
-    The sources run in blocks of rows of at most DIAMETER_BLOCK_ENTRIES
-    distances, so memory stays O(n + m) beside that fixed block."""
+    A disconnected graph is known from its components before any search; an
+    infinite distance in a connected one raises InvalidQError.  The sources
+    run in blocks of rows of at most DIAMETER_BLOCK_ENTRIES distances, so
+    memory stays O(n + m) beside that fixed block."""
     p = _check_q(p)
     gi = invert_edge_weights(g)
     n = g.vertex_count
     if n <= 1:
         return 0.0
     cost = _cost_matrix(gi, p)
+    if not g.is_connected:
+        return UNREACHABLE
     rows = max(1, DIAMETER_BLOCK_ENTRIES // n)
     worst = 0.0
     for lo in range(0, n, rows):
         block = csgraph.dijkstra(cost, indices=np.arange(lo, min(lo + rows, n)))
         far = float(block.max())
         if far == np.inf:
-            return UNREACHABLE
+            raise InvalidQError(f"q = {p}: a distance of the weight-inverted graph overflows a float")
         worst = max(worst, far)
     return float(_power(worst, p))
 

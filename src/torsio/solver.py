@@ -20,9 +20,12 @@ potential is somewhere positive).  Three methods are available:
 A problem is assembled once: ``_assemble`` reads the graph's arrays and the
 spec's free vertices and derives only the CSR pattern of the Laplacian on
 them; objective and gradient are the array kernels of ``energy``.  The p = 2
-matrix, the Newton Hessian and the p = 2 eigenproblems of ``spectral`` are
-all one symmetric positive definite reweighted Laplacian on the free
-vertices, a ``_System`` with one solve policy.  A solve that names a
+operator (the Laplacian plus the potential), the Newton Hessian and the
+p = 2 eigenproblems of ``spectral`` are all one symmetric positive definite
+reweighted Laplacian on the free vertices, a ``_System`` with one solve
+policy.  One constructor, ``_operator``, builds the p = 2 operator for the
+p = 2 solve, the rigidity bracket and both eigenproblems, and refuses an
+entry that overflows a float.  A solve that names a
 residual target on a Krylov-side problem (below) runs Jacobi-PCG in place
 on the CSR arrays.  Every other solve is exact to rounding, by Cholesky
 with general LU on a non-positive pivot: up to BAND_MIN_FREE free vertices
@@ -148,18 +151,20 @@ class SolverOptions:
     method is one of 'auto', 'gauss_seidel', 'newton', 'direct_p2'; 'auto'
     picks direct_p2 for p = 2 and Newton otherwise.  tol must be None or a
     finite number >= 0 (0 solves to rounding, and a Newton or direct_p2 solve
-    is then judged on its bracket), and max_iterations an int >= 1; anything
-    else raises ValueError."""
+    is then judged on its bracket), and max_iterations an int >= 1, neither
+    of them a bool; anything else raises ValueError."""
 
     tol: float | None = None
     max_iterations: int = 1_000_000
     method: str = "auto"
 
     def __post_init__(self) -> None:
-        if self.tol is not None and not (np.isfinite(self.tol) and self.tol >= 0):
-            raise ValueError(f"tol must be None or a finite number >= 0, got {self.tol!r}")
-        if not isinstance(self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be an int >= 1, got {self.max_iterations!r}")
+        tol, cap = self.tol, self.max_iterations
+        number = isinstance(tol, (int, float, np.integer, np.floating)) and not isinstance(tol, bool)
+        if tol is not None and not (number and np.isfinite(tol) and tol >= 0):
+            raise ValueError(f"tol must be None or a finite number >= 0, got {tol!r}")
+        if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:
+            raise ValueError(f"max_iterations must be an int >= 1, got {cap!r}")
         if self.method not in _METHODS:
             raise ValueError(f"method {self.method!r} not in {_METHODS}")
 
@@ -410,11 +415,20 @@ class _System:
         return self.solve(b)
 
 
+def _operator(asm: _Assembled) -> _System:
+    """The p = 2 operator on the free vertices, the weighted Laplacian plus
+    the potential; NoConvergenceError if an entry overflows a float."""
+    K = _System(asm, asm.g.w, asm.g.c)
+    if not np.isfinite(K._data).all():
+        raise NoConvergenceError("an entry of the p = 2 operator overflows a float")
+    return K
+
+
 def _torsion_p2(asm: _Assembled, rhs: np.ndarray, tol: float) -> np.ndarray:
     """The p = 2 solution of L u = rhs on the free vertices (zero on the
     Dirichlet set), to residual tol where PCG runs."""
     u = np.zeros(asm.g.vertex_count)
-    u[asm.free] = _System(asm, asm.g.w, asm.g.c).solve(rhs[asm.free], tol)
+    u[asm.free] = _operator(asm).solve(rhs[asm.free], tol)
     if not np.isfinite(u).all():
         raise NoConvergenceError("tau overflows a float in the p = 2 solve")
     return u
@@ -626,7 +640,7 @@ def _rigidity_bracket(
     energy = _power_sum(asm.g.w, d, p) + _power_sum(asm.g.c, u, p)
     lower = float(np.dot(rhs, np.abs(u))) ** p / energy
     z = np.zeros(len(u))
-    z[asm.free] = _System(asm, asm.g.w, asm.g.c).solve(_gradient(asm, p, rhs, u)[0])
+    z[asm.free] = _operator(asm).solve(_gradient(asm, p, rhs, u)[0])
     x = phi_p(d, p) - (z[asm.g.ei] - z[asm.g.ej])
     y = phi_p(u, p) - z
     q = p / (p - 1.0)
@@ -710,7 +724,9 @@ def _gs_sweeps(
     u: np.ndarray,
 ) -> tuple[np.ndarray, int, float]:
     """Cyclic exact scalar solves in ascending internal vertex order: the
-    gauss_seidel method.  No other method calls it."""
+    gauss_seidel method.  No other method calls it.  A float operation of a
+    sweep that overflows or turns invalid, in Python or in numpy, stops the
+    solve with NoConvergenceError in that sweep."""
     cut = asm.g._indptr[1:-1]
     nbi, nbw = np.split(asm.g._nbr, cut), np.split(asm.g._nbw, cut)
 
@@ -719,9 +735,10 @@ def _gs_sweeps(
     while res > tol and sweeps < max_sweeps:
         sweeps += 1
         try:
-            for i in asm.free:
-                u[i] = _scalar_solve(u[nbi[i]], nbw[i], float(asm.g.c[i]), float(rhs[i]), float(u[i]), p)
-        except OverflowError:
+            with np.errstate(over="raise", invalid="raise"):
+                for i in asm.free:
+                    u[i] = _scalar_solve(u[nbi[i]], nbw[i], float(asm.g.c[i]), float(rhs[i]), float(u[i]), p)
+        except ArithmeticError:
             msg = f"tau overflows a float at vertex {asm.g.vertices[i]!r} in Gauss-Seidel sweep {sweeps}"
             raise NoConvergenceError(msg, sweeps, res) from None
         _, res = _gradient(asm, p, rhs, u)

@@ -3,8 +3,10 @@ of the operator without Dirichlet conditions.
 
 For p = 2 the problem is the generalized symmetric eigenproblem
 K phi = lambda M phi with K the weighted Laplacian plus potential restricted
-to the free vertices (the solver's ``_System``) and M = diag(m); it is
-solved exactly by a dense symmetric eigensolver up to the solver's
+to the free vertices and M = diag(m).  K is the solver's ``_operator``, also
+for ``lambda1_p2`` on all vertices, so an entry of K that overflows a float
+is a NoConvergenceError before any eigensolver runs.  The problem is solved
+exactly by a dense symmetric eigensolver up to the solver's
 DENSE_LIMIT free vertices and by shift-invert Lanczos, from a fixed positive
 start vector, above.  Lanczos inverts K with the solver's p = 2 solve, to a
 residual target of 1e-11 * max|b/m| for each right-hand side b: Jacobi-PCG
@@ -37,7 +39,7 @@ import scipy.sparse.linalg as spla
 from .energy import _mlp, _qp, phi_p
 from .errors import DisconnectedError, NoConvergenceError
 from .graphs import ProblemSpec, VertexId, WeightedGraph
-from .solver import SolverOptions, _assemble, _check_bounded, _newton_leg, _System
+from .solver import SolverOptions, _assemble, _check_bounded, _newton_leg, _operator
 
 
 @dataclass(frozen=True)
@@ -77,16 +79,8 @@ def _solution(asm, p: float, lam: float, u: np.ndarray, method: str, iterations:
     return SpectralSolution(lam, ground_state, _eigen_residual(asm, p, lam, u), method, iterations)
 
 
-def _finite(A: np.ndarray | sp.csc_matrix) -> None:
-    """NoConvergenceError if an entry of the assembled p = 2 matrix A
-    overflowed a float (the eigensolvers reject it with a ValueError)."""
-    if not np.isfinite(A if isinstance(A, np.ndarray) else A.data).all():
-        raise NoConvergenceError("an entry of the p = 2 operator overflows a float")
-
-
 def _lambda0_p2(asm) -> tuple[float, np.ndarray, str]:
-    K = _System(asm, asm.g.w, asm.g.c)
-    _finite(K.A)
+    K = _operator(asm)
     m_free = asm.g.m[asm.free]
     if isinstance(K.A, np.ndarray):
         vals, vecs = scipy.linalg.eigh(K.A, np.diag(m_free))
@@ -170,8 +164,7 @@ def lambda1_p2(g: WeightedGraph) -> float:
     if not g.is_connected:
         raise DisconnectedError("lambda1 needs a connected graph")
     asm = _assemble(ProblemSpec(g, frozenset(), 2.0))
-    K = _System(asm, asm.g.w, asm.g.c).A
-    _finite(K)
+    K = _operator(asm).A
     K = K if isinstance(K, np.ndarray) else K.toarray()
     vals = scipy.linalg.eigh(K, np.diag(asm.g.m), eigvals_only=True, subset_by_index=(0, 1))
     return float(vals[1])

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -590,3 +591,42 @@ def test_a_side_that_is_not_finite_is_inconclusive(lhs, rhs):
     chk = bounds._bound("x", "x <= y", lhs, "<=", rhs)
     assert chk.inconclusive and "not finite" in chk.reason
     assert (chk.lhs, chk.rhs, chk.satisfied, chk.slack) == (None, None, None, None)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "spec",
+    # inapplicable, inconclusive and violated rows, reasons with commas
+    [make_path(2), make_star(4, "degree", 1e300, 2.0), make_star(4, "degree", 1e30, 1.5),
+     make_star(4, "unit", 1e-300, 8.0)],
+)
+def test_report_cells_are_the_dict_values(spec):
+    report = check_all(spec)
+    rows = report.to_dict()["checks"]
+    assert [list(row) for row in rows] == [[f.name for f in fields(bounds.BoundCheck)]] * len(rows)
+    columns = ["id", "applicable", "lhs", "rhs", "satisfied", "slack", "reason"]
+
+    def cells(row, digits, yes, no, violated):
+        flags = {"applicable": {True: yes, False: no}, "satisfied": {True: yes, False: violated}}
+        out = []
+        for key in columns:
+            value = row[key]
+            if value is None:
+                out.append("")
+            elif key in flags:
+                out.append(flags[key][value])
+            elif isinstance(value, float):
+                out.append(format(value, digits))
+            else:
+                out.append(value)
+        return out
+
+    csv = report.to_csv().split("\n")
+    assert csv[0] == ",".join(columns)
+    for line, row in zip(csv[1:], rows, strict=True):
+        want = cells(row, ".17g", "true", "false", "false")
+        assert line.split(",") == want[:-1] + [want[-1].replace(",", ";")]
+    md = report.to_markdown().split("\n")
+    assert md[:2] == ["| " + " | ".join(columns) + " |", "| " + " | ".join(["---"] * 7) + " |"]
+    for line, row in zip(md[2:], rows, strict=True):
+        assert line == "| " + " | ".join(cells(row, ".12g", "yes", "no", "NO")) + " |"

@@ -693,3 +693,35 @@ def test_cli_star_with_an_overflowing_centre(tmp_path, capsys, command):
     else:
         assert code == 1 and err["error"] == "InvalidQError"
         assert err["message"] == "q = 2.0: the distance dist_q('v2', V0) overflows a float"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        ([], "an entry of the p = 2 operator overflows a float"),
+        # the sum of the centre's weights overflows in the first sweep, not
+        # after the sweep cap of 10^6
+        (["--method", "gauss_seidel"], "tau overflows a float at vertex 'v1' in Gauss-Seidel sweep 1"),
+    ],
+)
+def test_cli_torsion_on_a_star_with_an_overflowing_centre(tmp_path, capsys, option, message):
+    path = write(tmp_path, graph_document(make_star(3, "unit", 1e308, 2.0)))
+    assert main(["torsion", path, *option]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "NoConvergenceError", "message": message}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_metrics_with_an_overflowing_inverted_distance(tmp_path, capsys):
+    # `torsio generate star --n 3 --b 1e-308 --p 2`: the graph is connected,
+    # so an infinite leaf-to-leaf distance of the inverted graph (2e308) is
+    # an overflow, not "unreachable"
+    assert main(["metrics", write(tmp_path, graph_document(make_star(3, "unit", 1e-308, 2.0)))]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "InvalidQError",
+        "message": "q = 2.0: a distance of the weight-inverted graph overflows a float",
+    }

@@ -427,3 +427,38 @@ def test_geometry_summary():
     assert s.diameter_inverted == pytest.approx(3.0)
     assert s.min_cut_weight == 1.0
     assert s.inradius >= s.mean_distance
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_infinite_distance_in_one_component_is_an_invalid_q():
+    # `torsio generate star --n 3 --b 1e308 --p 2`: the leaves v2 and v3 are
+    # 2e308 apart; with b = 1e-308 the inverted graph has those distances
+    message = r"^q = 2.0: the distance dist_q\('v2', 'v3'\) overflows a float$"
+    with pytest.raises(InvalidQError, match=message):
+        q_distance(make_star(3, "unit", 1e308).graph, 2.0, "v2", "v3")
+    message = "^q = 2.0: a distance of the weight-inverted graph overflows a float$"
+    with pytest.raises(InvalidQError, match=message):
+        p_diameter_inverted(make_star(3, "unit", 1e-308).graph, 2.0)
+
+
+def test_unreachable_comes_from_the_components_alone(monkeypatch):
+    g = build_graph([(v, 1, 0) for v in "abcd"], [("a", "b", 1e-16), ("c", "d", 1.0)])
+    whole = p_diameter_inverted(g, 2.0)
+
+    def search(*args, **kwargs):
+        raise AssertionError("a search ran across components")
+
+    monkeypatch.setattr(torsio.geometry.csgraph, "dijkstra", search)
+    assert whole is UNREACHABLE
+    assert p_diameter_inverted(g, 2.0) is UNREACHABLE
+    assert q_distance(g, 2.0, "a", "d") is UNREACHABLE
+    # an overflowing edge cost is still refused before the components decide
+    with pytest.raises(InvalidQError, match=r"b = 1e\+16 overflows"):
+        p_diameter_inverted(g, 1.05)
+
+
+def test_inradius_is_the_first_of_inradius_and_mean():
+    for seed in range(5):
+        spec = random_general_spec(seed)
+        for q in (1.5, 2.0, 3.0):
+            assert q_inradius(spec, q) == torsio.geometry.q_inradius_and_mean(spec, q)[0]

@@ -23,6 +23,7 @@ from torsio import (
     balance_check,
     build_graph,
     lambda0,
+    make_complete,
     make_path,
     make_star,
     pointwise_residual,
@@ -287,6 +288,13 @@ def test_unknown_or_unsupported_methods_raise():
         ("max_iterations", 0),
         ("max_iterations", -5),
         ("max_iterations", 2.5),
+        # a bool is not a number here (True read as tol 1 or 1 step), and a
+        # string is not one either
+        ("tol", True),
+        ("tol", False),
+        ("tol", "1e-3"),
+        ("max_iterations", True),
+        ("max_iterations", "3"),
     ],
 )
 def test_solver_options_out_of_range_raise(field, value):
@@ -1164,3 +1172,39 @@ def test_max_iterations_caps_the_whole_newton_solve(p):
     with pytest.raises(NoConvergenceError) as info:
         solve_torsion(dirichlet_grid(20, p=p), SolverOptions(max_iterations=3))
     assert info.value.iterations <= 3
+
+
+OPERATOR_OVERFLOW = "^an entry of the p = 2 operator overflows a float$"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 8.0])
+@pytest.mark.parametrize(
+    "make, n, b",
+    # the centre's (or each vertex's) diagonal sums weights to above 1.8e308
+    [(make_star, 3, 1e308), (make_complete, 4, 1e308), (make_star, 10, 3e307)],
+)
+def test_an_overflowing_p2_operator_is_one_error(make, n, b, p):
+    # every solve starts from the p = 2 operator, which refuses an infinite
+    # entry; before, each method met it later under another name
+    spec = make(n, "unit", b, p)
+    methods = ["auto", "newton"] + (["direct_p2"] if p == 2.0 else [])
+    for method in methods:
+        with pytest.raises(NoConvergenceError, match=OPERATOR_OVERFLOW):
+            solve_torsion(spec, SolverOptions(method=method))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "spec, vertex",
+    # the star's centre sums 3e308 at p = 2, and phi_p overflows on the
+    # stiff path at p = 20
+    [(make_star(3, "unit", 1e308, 2.0), "v1"), (make_path(5, "unit", 1e-300, 20.0), "v1")],
+)
+def test_gauss_seidel_overflow_stops_in_the_first_sweep(spec, vertex):
+    # a numpy overflow used to pass unnoticed until the sweep cap
+    opts = SolverOptions(method="gauss_seidel", max_iterations=1000)
+    message = f"^tau overflows a float at vertex {vertex!r} in Gauss-Seidel sweep 1$"
+    with pytest.raises(NoConvergenceError, match=message) as exc:
+        solve_torsion(spec, opts)
+    assert exc.value.iterations == 1
