@@ -14,8 +14,8 @@ potential is somewhere positive).  Three methods are available:
                    regularization and an Armijo line search on F_p, started
                    from the p = 2 solution and continued in s = 1/(p-1);
 * ``gauss_seidel`` cyclic exact scalar solves per free vertex, each a
-                   strictly monotone one-dimensional equation handled by
-                   safeguarded Newton/bisection.
+                   strictly monotone one-dimensional equation solved by
+                   Brent's method on an expanding bracket.
 
 A problem is assembled once: ``_assemble`` reads the graph's arrays and the
 spec's free vertices and derives only the CSR pattern of the Laplacian on
@@ -653,11 +653,21 @@ def _scalar_solve(
 ) -> float:
     """Solve sum_w b phi_p(t - u_w) + c phi_p(t) = rhs for the scalar t.
 
-    The left side is strictly increasing, so an expanding bracket plus
-    bisection with Newton acceleration is globally safe.
+    The left side h(t) + rhs is strictly increasing, so a bracket expanded
+    from the warm start t0 until h changes sign holds the one root, which
+    Brent's method (``scipy.optimize.brentq``; Brent 1973) finds to within
+    8 units in the last place of t.  A root near 0 in a bracket of width
+    >= 1 can take more than 200 steps (205 for t = 9.7e-62 at p = 1.05);
+    bisection alone narrows any bracket of finite floats to the absolute
+    tolerance 2^-1022 in 2047, so the cap is 2048 steps.  A root not
+    reached by then is left to the next sweep, which the residual judges.
+    At p = 2 the equation is linear and solved in closed form.
     """
     if p == 2.0:
         return (rhs + float(np.dot(nb_w, nb_vals))) / (float(np.sum(nb_w)) + cv)
+    # imported here, not at the top: scipy.optimize adds about 0.2 s and 15 MB
+    # to every `import torsio`, and only Gauss-Seidel needs it
+    from scipy.optimize import brentq
 
     def h(t: float) -> float:
         val = float(np.dot(nb_w, phi_p(t - nb_vals, p)))
@@ -665,54 +675,19 @@ def _scalar_solve(
             val += cv * float(phi_p(t, p))
         return val - rhs
 
-    lo = hi = t0
     h0 = h(t0)
     if h0 == 0.0:
         return t0
-    total_w = float(np.sum(nb_w)) + cv
-    step = max(1.0, (abs(rhs) / total_w) ** (1.0 / (p - 1.0)))
-    if nb_vals.size:
-        step = max(step, float(np.max(nb_vals) - np.min(nb_vals)))
-    if h0 < 0.0:
-        hi = t0 + step
-        while h(hi) < 0.0:
-            lo = hi
-            step *= 2.0
-            hi += step
-    else:
-        lo = t0 - step
-        while h(lo) > 0.0:
-            hi = lo
-            step *= 2.0
-            lo -= step
-
-    t = 0.5 * (lo + hi)
-    for _ in range(200):
-        ht = h(t)
-        if ht > 0.0:
-            hi = t
-        elif ht < 0.0:
-            lo = t
-        else:
-            return t
-        width = hi - lo
-        if width <= 1e-16 * max(1.0, abs(lo), abs(hi)):
-            return t
-        if np.nextafter(lo, hi) >= hi:  # no float left strictly inside
-            return 0.5 * (lo + hi)
-        with np.errstate(divide="ignore"):
-            # an exact hit on a neighbor value gives an infinite derivative
-            # for p < 2; the finiteness check below falls back to bisection
-            dv = float(np.dot(nb_w, (p - 1.0) * np.abs(t - nb_vals) ** (p - 2.0)))
-        if cv != 0.0 and t != 0.0:
-            dv += cv * (p - 1.0) * abs(t) ** (p - 2.0)
-        if np.isfinite(dv) and dv > 0.0:
-            tn = t - ht / dv
-            if lo < tn < hi:
-                t = tn
-                continue
-        t = 0.5 * (lo + hi)
-    return t
+    # from t0 toward the root, doubling the step until h changes sign
+    spread = float(np.max(nb_vals) - np.min(nb_vals)) if nb_vals.size else 0.0
+    step = max(1.0, (abs(rhs) / (float(np.sum(nb_w)) + cv)) ** (1.0 / (p - 1.0)), spread)
+    toward = 1.0 if h0 < 0.0 else -1.0
+    near, far = t0, t0 + toward * step
+    while toward * h(far) < 0.0:
+        near, step = far, 2.0 * step
+        far += toward * step
+    lo, hi = min(near, far), max(near, far)
+    return brentq(h, lo, hi, xtol=np.finfo(float).tiny, rtol=4 * np.finfo(float).eps, maxiter=2048, disp=False)
 
 
 def _gs_sweeps(

@@ -25,6 +25,10 @@ Krylov side its Hessians are solved inexactly by Jacobi-PCG at every p, and
 otherwise exactly.  Started from positive constant data the iterate stays
 nonnegative; the result is a variational upper bound for the bottom of the
 spectrum, believed exact, and is labeled as such.
+
+At both p, an iterate whose l^p(m) norm leaves float range (sum |u|^p m is
+0 or not finite, as when |u|^p overflows against subnormal masses) is a
+NoConvergenceError.
 """
 
 from __future__ import annotations
@@ -64,14 +68,21 @@ def _eigen_residual(asm, p: float, lam: float, u: np.ndarray) -> float:
     return float(np.max(np.abs(res))) if len(res) else 0.0
 
 
+def _lp_mass(asm, p: float, u: np.ndarray) -> float:
+    """sum |u|^p m over the free vertices, the p-th power of the l^p(m) norm."""
+    with np.errstate(over="ignore"):
+        lp = float(np.sum(np.abs(u[asm.free]) ** p * asm.g.m[asm.free]))
+    if not 0.0 < lp < np.inf:
+        raise NoConvergenceError(f"the l^p(m) norm of the lambda0 eigenvector at p = {p:g} leaves float range")
+    return lp
+
+
 def _normalize(asm, p: float, u: np.ndarray) -> np.ndarray:
-    norm = float(np.sum(np.abs(u[asm.free]) ** p * asm.g.m[asm.free])) ** (1.0 / p)
-    return u / norm
+    return u / _lp_mass(asm, p, u) ** (1.0 / p)
 
 
 def _rayleigh(asm, p: float, u: np.ndarray) -> float:
-    lp = float(np.sum(np.abs(u[asm.free]) ** p * asm.g.m[asm.free]))
-    return p * _qp(asm.g, p, u) / lp
+    return p * _qp(asm.g, p, u) / _lp_mass(asm, p, u)
 
 
 def _solution(asm, p: float, lam: float, u: np.ndarray, method: str, iterations: int):

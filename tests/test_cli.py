@@ -725,3 +725,45 @@ def test_cli_metrics_with_an_overflowing_inverted_distance(tmp_path, capsys):
         "error": "InvalidQError",
         "message": "q = 2.0: a distance of the weight-inverted graph overflows a float",
     }
+
+
+LP_NORM_RANGE = "the l^p(m) norm of the lambda0 eigenvector at p = {p:g} leaves float range"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_lambda0_with_an_lp_norm_out_of_float_range(tmp_path, capsys):
+    # `torsio generate path --free 3 --m-mode degree --b 1e-300 --p 20`: the
+    # 20th powers of the iterate overflow
+    path = write(tmp_path, graph_document(make_path(3, "degree", 1e-300, 20.0)))
+    assert main(["lambda0", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "NoConvergenceError", "message": LP_NORM_RANGE.format(p=20)}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_bounds_with_an_lp_norm_out_of_float_range(tmp_path, capsys):
+    # `torsio generate path --free 3 --m-mode degree --b 1e-320 --p 2`: the
+    # squares of the M-normalized eigenvector overflow, so the lambda0 rows
+    # are inconclusive and the report completes
+    path = write(tmp_path, graph_document(make_path(3, "degree", 1e-320, 2.0)))
+    assert main(["bounds", path]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = _strict_json(captured.out)
+    message = LP_NORM_RANGE.format(p=2)
+    assert report["diagnostics"]["lambda0_error"] == message
+    reasons = {row["id"]: row["reason"] for row in report["checks"]}
+    for cid in ("rayleigh_symmetrization_lower", "mean_distance_lambda_lower", "inradius_lambda_lower"):
+        assert reasons[cid] == "spectral solve failed: " + message
+
+
+def test_cli_validate_with_a_negative_potential(tmp_path, capsys):
+    doc = {**MINIMAL, "vertices": [{"id": "a", "m": 1, "c": -1}, {"id": "b", "m": 1}]}
+    assert main(["validate", write(tmp_path, doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "NegativePotentialError",
+        "message": "vertex 'a' has c = -1.0, needs c >= 0",
+    }

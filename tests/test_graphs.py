@@ -14,6 +14,7 @@ from torsio import (
     EmptyDirichletSetError,
     InvalidExponentError,
     InvalidSizeError,
+    NegativePotentialError,
     NegativeWeightError,
     NonpositiveMassError,
     NonzeroGuestPotentialError,
@@ -85,6 +86,11 @@ def test_build_graph_isolated_vertex():
 def test_build_graph_errors(vertices, edges, err):
     with pytest.raises(err):
         build_graph(vertices, edges)
+
+
+def test_negative_potential_is_refused():
+    with pytest.raises(NegativePotentialError, match=r"^vertex 'a' has c = -1\.0, needs c >= 0$"):
+        build_graph([("a", 1.0, -1.0)], [])
 
 
 def test_construction_invariants_on_random_graphs():

@@ -1,6 +1,8 @@
 """Torsion solver: closed-form cases, residuals, balance, uniqueness, and the
 independent brute-force oracle for tiny graphs."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,7 +13,7 @@ import torsio.solver
 import torsio.spectral
 from bench.workloads import random_records
 from conftest import dirichlet_grid, random_general_spec
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from torsio import (
     IllPosedError,
@@ -39,6 +41,7 @@ from torsio.closed_forms import (
     star_rigidity,
     star_torsion,
 )
+from torsio.energy import phi_p
 
 TIGHT = SolverOptions(tol=1e-12)
 
@@ -268,6 +271,30 @@ def test_gauss_seidel_out_of_sweeps_raises():
     with pytest.raises(NoConvergenceError, match=r"^Gauss-Seidel stopped at residual .* after 2 sweeps$") as info:
         solve_torsion(make_path(10, p=3.0), SolverOptions(method="gauss_seidel", max_iterations=2))
     assert info.value.iterations == 2
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(
+    p=st.sampled_from([1.05, 1.5, 3.0, 8.0, 20.0]),
+    neighbours=st.lists(st.tuples(st.floats(-100.0, 100.0), st.floats(1e-3, 1e3)), max_size=6),
+    cv=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+    rhs=st.floats(1e-3, 1e3),
+    t0=st.one_of(st.floats(-100.0, 100.0), st.floats(-1e4, 1e4)),
+)
+def test_scalar_solve_returns_a_sign_change_of_h(p, neighbours, cv, rhs, t0):
+    # the coordinate step of Gauss-Seidel: h(t) = sum b phi_p(t - u_w) +
+    # c phi_p(t) - rhs is strictly increasing, and the returned t lies within
+    # 8 ulps of where h, evaluated in floats as the solver does, changes sign;
+    # a start far outside the neighbour values makes the bracket expand
+    assume(neighbours or cv > 0.0)  # otherwise h is the constant -rhs
+    nb_vals = np.array([u for u, _ in neighbours])
+    nb_w = np.array([w for _, w in neighbours])
+
+    def h(t):
+        return float(np.dot(nb_w, phi_p(t - nb_vals, p))) + cv * float(phi_p(t, p)) - rhs
+
+    t = torsio.solver._scalar_solve(nb_vals, nb_w, cv, rhs, t0, p)
+    assert h(t - 8.0 * math.ulp(t)) <= 0.0 <= h(t + 8.0 * math.ulp(t))
 
 
 def test_unknown_or_unsupported_methods_raise():

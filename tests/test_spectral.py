@@ -1,5 +1,7 @@
 """Bottom of the p-spectrum and the p = 2 spectral gap."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from torsio import (
     ProblemSpec,
     UnboundedComponentError,
     ScaleParams,
+    TorsioError,
     build_graph,
     gradient_Fp,
     lambda0,
@@ -163,6 +166,39 @@ def test_p2_eigensolves_of_an_overflowing_operator_are_a_numerical_failure(free)
         lambda0(spec)
     with pytest.raises(NoConvergenceError, match=message):
         lambda1_p2(spec.graph)
+
+
+LP_NORM_RANGE = r"^the l\^p\(m\) norm of the lambda0 eigenvector at p = {p:g} leaves float range$"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("make", [make_path, make_star, make_complete])
+@pytest.mark.parametrize("m_mode", ["unit", "degree"])
+def test_lambda0_on_extreme_weights_is_finite_or_a_torsio_error(make, m_mode):
+    # with degree masses the l^p(m) mass sum |u|^p m of the eigenvector can
+    # overflow (|u|^p) or underflow while each product is in range.  With
+    # unit masses and b = 5e-324 lambda0 itself underflows to 0.0 or 5e-324
+    sizes, weights, exponents = (2, 3, 5), (5e-324, 1e-320, 1e-310, 1e-300), (1.05, 1.5, 2.0, 3.0, 8.0, 20.0)
+    for n, b, p in itertools.product(sizes, weights, exponents):
+        try:
+            lam = lambda0(make(n, m_mode, b, p)).lambda0
+        except TorsioError:
+            continue
+        assert 0.0 <= lam < np.inf
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "spec",
+    # the squares of the M-normalized eigenvector (entries near 7e154)
+    # overflow; the 20th powers of the path's iterate overflow although b is
+    # in normal float range
+    [make_path(2, "degree", 1e-310), make_path(3, "degree", 1e-300, 20.0),
+     make_path(5, "degree", 1e-300, 20.0)],
+)
+def test_lambda0_with_an_lp_norm_out_of_float_range_is_a_numerical_failure(spec):
+    with pytest.raises(NoConvergenceError, match=LP_NORM_RANGE.format(p=spec.p)):
+        lambda0(spec)
 
 
 def test_lanczos_is_deterministic():
