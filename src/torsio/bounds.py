@@ -18,11 +18,14 @@ check inconclusive, never a report failure.
 
 The body runs with numpy's floating-point warnings off.  It makes the check
 inconclusive by raising ``_Inconclusive`` (a failed path-comparison solve,
-lambda0 outside [0, 2] in the modified Kohler-Jobin product) or an
-ArithmeticError of its own float arithmetic (a power that overflows, a
+lambda0 outside [0, 2] in the modified Kohler-Jobin product, a
+weight-inverted graph that leaves float range in the four mean-distance and
+inradius rows: an inverted weight 1/b or a distance of it that overflows)
+or an ArithmeticError of its own float arithmetic (a power that overflows, a
 division by a distance that underflowed to 0), and ``_bound`` does the same
-for a side that is not finite.  Typed errors of the geometry it calls, such
-as an edge cost that overflows (InvalidQError), propagate.  Satisfaction
+for a side that is not finite.  Other typed errors of the geometry it
+calls, such as an edge cost of the input graph that overflows
+(InvalidQError), propagate.  Satisfaction
 allows a relative slack of -1e-9 * (1 + |rhs|) so solver noise cannot flip a
 proven inequality.
 """
@@ -38,7 +41,7 @@ import numpy as np
 
 from .closed_forms import PathSpecParams, path_rigidity, reference_values
 from .energy import VertexFunction
-from .errors import TorsioError
+from .errors import InvalidQError, NegativeWeightError, TorsioError
 from .geometry import min_cut_weight, q_inradius, q_inradius_and_mean
 from .graphs import (
     ProblemSpec,
@@ -152,9 +155,14 @@ class _Ctx:
 
     @cached_property
     def inverted_distances(self) -> tuple[float, float]:
-        """(Inr_p, Mean_p) of the weight-inverted graph."""
-        inv_spec = ProblemSpec(invert_edge_weights(self.g), self.spec.dirichlet, self.spec.p)
-        return q_inradius_and_mean(inv_spec, self.spec.p)
+        """(Inr_p, Mean_p) of the weight-inverted graph; _Inconclusive when
+        an inverted weight 1/b or a distance of it leaves float range, which
+        cached_property does not cache, so each row that asks recomputes it."""
+        try:
+            inv_spec = ProblemSpec(invert_edge_weights(self.g), self.spec.dirichlet, self.spec.p)
+            return q_inradius_and_mean(inv_spec, self.spec.p)
+        except (NegativeWeightError, InvalidQError) as exc:
+            raise _Inconclusive(f"the weight-inverted graph leaves float range: {exc}") from None
 
     @cached_property
     def torsion(self) -> TorsionSolution | TorsioError | np.linalg.LinAlgError:
@@ -587,8 +595,10 @@ def check_all(spec: ProblemSpec, opts: SolverOptions | None = None) -> BoundRepo
     it needs failed (a typed error or numpy's LinAlgError), when its path
     comparison solve failed, when its own float arithmetic raises an
     ArithmeticError (an overflowing power, a division by zero) or when a
-    side is not finite.  A typed geometry error still raises: an edge cost
-    or distance power that overflows a float is an InvalidQError.
+    side is not finite, and in the four mean-distance and inradius rows
+    when the weight-inverted graph leaves float range.  Any other typed
+    geometry error still raises: an edge cost or distance power of the
+    input graph that overflows a float is an InvalidQError.
     """
     ctx = _Ctx(spec, opts)
     checks = tuple(_evaluate(ctx, *row) for row in _REGISTRY)

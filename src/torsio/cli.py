@@ -48,47 +48,59 @@ SCHEMA_VERSION = 1
 # --- deterministic rendering ----------------------------------------------
 
 
+# a float at 17 significant digits
+_FLOAT = "{:.17g}".format
+
+
 def _fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
+    return _FLOAT(float(x))
 
 
 def render_json(obj: Any, indent: int = 0) -> str:
-    """JSON with floats at 17 significant digits and insertion-ordered keys."""
+    """JSON with floats at 17 significant digits and insertion-ordered keys.
+
+    Renders None, bools, ints, floats, numpy's float64, strings, dicts,
+    lists and tuples, each leaf by its exact type; anything else (a subclass
+    of str or int, numpy's int64) is a TypeError.  Strings are escaped as
+    json.dumps does."""
     out: list[str] = []
     _emit(obj, "\n" + "  " * indent, out)
     return "".join(out)
 
 
+# the rendering of each JSON leaf, by its exact type: built-in callables
+# where they exist, so most leaves cost no Python call
+_LEAVES: dict[type, Callable[[Any], str]] = {
+    str: _quote,
+    float: _FLOAT,
+    np.float64: _fmt_float,
+    int: str,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
 def _emit(obj: Any, nl: str, out: list[str]) -> None:
     """Append the rendering of obj to out; nl is the newline and indent of
-    the line obj starts on.  Strings are escaped as json.dumps does."""
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(_fmt_float(obj))
-    elif isinstance(obj, str):
-        out.append(_quote(obj))
+    the line obj starts on."""
+    leaf = _LEAVES.get(type(obj))
+    if leaf is not None:
+        out.append(leaf(obj))
     elif isinstance(obj, dict):
         inner = nl + "  "
-        sep = "{" + inner
+        sep, comma = "{" + inner, "," + inner
         for k, v in obj.items():
             out += (sep, _quote(str(k)), ": ")
             _emit(v, inner, out)
-            sep = "," + inner
+            sep = comma
         out.append(nl + "}" if obj else "{}")
     elif isinstance(obj, (list, tuple)):
         inner = nl + "  "
-        sep = "[" + inner
+        sep, comma = "[" + inner, "," + inner
         for v in obj:
             out.append(sep)
             _emit(v, inner, out)
-            sep = "," + inner
+            sep = comma
         out.append(nl + "]" if obj else "[]")
     else:
         raise TypeError(f"cannot render {type(obj)!r}")
@@ -97,19 +109,37 @@ def _emit(obj: Any, nl: str, out: list[str]) -> None:
 # --- graph document parsing ------------------------------------------------
 
 
-def _number(value: Any, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+_VERTEX_FIELDS = frozenset({"id", "m", "c"})
+_EDGE_FIELDS = frozenset({"u", "v", "b"})
+# the exact types of a JSON number; bool, a subclass of int, is not one
+_NUMBER_TYPES = (int, float)
 
 
-def _record(rec: Any, where: str, fields: set[str]) -> None:
-    """SchemaError unless rec is an object with no field outside fields."""
-    if not isinstance(rec, dict):
-        raise SchemaError(f"{where}: expected an object")
-    unknown = set(rec) - fields
-    if unknown:
-        raise SchemaError(f"{where}: unknown fields {sorted(unknown)}")
+def _number(value: Any, where: str, i: int = 0) -> float:
+    """value as a float; a SchemaError naming the field where.format(i)
+    unless it is a JSON number within float range."""
+    if type(value) in _NUMBER_TYPES:
+        try:
+            return float(value)
+        except OverflowError:
+            problem = "integer out of float range"
+    else:
+        problem = f"expected a number, got {value!r}"
+    raise SchemaError(f"{where.format(i)}: {problem}")
+
+
+def _record(rec: Any, where: str, i: int, fields: frozenset[str]) -> dict:
+    """rec; a SchemaError naming where.format(i) unless it is an object with
+    no field outside fields."""
+    if type(rec) is not dict:
+        raise SchemaError(f"{where.format(i)}: expected an object")
+    if not rec.keys() <= fields:
+        raise SchemaError(f"{where.format(i)}: unknown fields {sorted(rec.keys() - fields)}")
+    return rec
+
+
+def _refuse_constant(name: str) -> None:
+    raise SchemaError(f"non-finite number {name!r} not allowed")
 
 
 def parse_graph(text: str) -> ProblemSpec:
@@ -117,15 +147,13 @@ def parse_graph(text: str) -> ProblemSpec:
 
     Schema: {version: 1, vertices: [{id, m, c?}], edges: [{u, v, b}],
     dirichlet?: [id], p?: number}.  Unknown fields are rejected; error
-    messages cite the offending line or field.
+    messages cite the offending line or field, and a number is an int or a
+    float (not a bool) within float range.  Each vertex and edge record is
+    checked in one pass, and the location (``vertices[3].m``) is formatted
+    only for the first thing wrong with a record.
     """
     try:
-        doc = json.loads(
-            text,
-            parse_constant=lambda s: (_ for _ in ()).throw(
-                SchemaError(f"non-finite number {s!r} not allowed")
-            ),
-        )
+        doc = json.loads(text, parse_constant=_refuse_constant)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
 
@@ -144,21 +172,18 @@ def parse_graph(text: str) -> ProblemSpec:
 
     vertex_records = []
     for i, rec in enumerate(doc["vertices"]):
-        where = f"vertices[{i}]"
-        _record(rec, where, {"id", "m", "c"})
-        if not isinstance(rec.get("id"), str):
-            raise SchemaError(f"{where}.id: expected a string")
-        m = _number(rec.get("m"), f"{where}.m")
-        c = _number(rec.get("c", 0.0), f"{where}.c")
-        vertex_records.append((rec["id"], m, c))
+        vid = _record(rec, "vertices[{}]", i, _VERTEX_FIELDS).get("id")
+        if type(vid) is not str:
+            raise SchemaError(f"vertices[{i}].id: expected a string")
+        m = _number(rec.get("m"), "vertices[{}].m", i)
+        vertex_records.append((vid, m, _number(rec.get("c", 0.0), "vertices[{}].c", i)))
 
     edge_records = []
     for i, rec in enumerate(doc.get("edges", [])):
-        where = f"edges[{i}]"
-        _record(rec, where, {"u", "v", "b"})
-        if not isinstance(rec.get("u"), str) or not isinstance(rec.get("v"), str):
-            raise SchemaError(f"{where}: u and v must be strings")
-        edge_records.append((rec["u"], rec["v"], _number(rec.get("b"), f"{where}.b")))
+        u, v = _record(rec, "edges[{}]", i, _EDGE_FIELDS).get("u"), rec.get("v")
+        if type(u) is not str or type(v) is not str:
+            raise SchemaError(f"edges[{i}]: u and v must be strings")
+        edge_records.append((u, v, _number(rec.get("b"), "edges[{}].b", i)))
 
     graph = build_graph(vertex_records, edge_records)
 

@@ -8,6 +8,15 @@ a CSR adjacency.  The solver, the spectral code and the energy kernels read
 those arrays; the id-based queries of :class:`WeightedGraph` are thin
 adapters over them.  All values are immutable after construction; every
 operation here is a pure function returning a fresh graph or problem spec.
+
+Surgery that keeps V and E (:func:`scale`, :func:`invert_edge_weights`)
+revalues the built arrays instead of sending records back through
+build_graph: it checks the new values as build_graph would, with the same
+errors and messages, and ends in the constructor build_graph ends in, so
+the result equals the graph build_graph gives for the revalued records in
+vertex and ``edges`` order, rows of the CSR adjacency included.  Surgery
+that changes V or E (:func:`merge_dirichlet`, :func:`weaken`,
+:func:`insert_graph`) builds from records.
 """
 
 from __future__ import annotations
@@ -140,45 +149,85 @@ def build_graph(
     """
     vrec = [(str(v), float(m), float(c)) for v, m, c in vertex_records]
     erec = [(str(u), str(v), float(b)) for u, v, b in edge_records]
-    vertices = tuple(r[0] for r in vrec)
+    vertices = tuple([r[0] for r in vrec])
     n = len(vertices)
-    m, c = (np.array([r[k] for r in vrec], dtype=float) for k in (1, 2))
-    # the first record of each id; any later record of it is a duplicate
-    index = dict(zip(reversed(vertices), range(n - 1, -1, -1)))
-    dup = np.ones(n, dtype=bool)
-    dup[list(index.values())] = False
-    bad_m, bad_c = ~(m > 0.0) | ~np.isfinite(m), ~(c >= 0.0) | ~np.isfinite(c)
-    bad = np.flatnonzero(dup | bad_m | bad_c)
-    if len(bad):
-        k = bad[0]
-        vid, mk, ck = vrec[k]
-        if dup[k]:
-            raise DuplicateVertexError(f"duplicate vertex record {vid!r}")
-        if bad_m[k]:
-            raise NonpositiveMassError(f"vertex {vid!r} has m = {mk}, needs m > 0")
-        raise NegativePotentialError(f"vertex {vid!r} has c = {ck}, needs c >= 0")
+    index = dict(zip(vertices, range(n)))
+    m = np.array([r[1] for r in vrec], dtype=float)
+    c = np.array([r[2] for r in vrec], dtype=float)
+    if len(index) < n or not (_positive(m) and _nonnegative(c)):
+        _check_vertices(vertices, m.tolist(), c.tolist())
 
-    ia = np.array([index.get(r[0], -1) for r in erec], dtype=int)
-    ib = np.array([index.get(r[1], -1) for r in erec], dtype=int)
     wt = np.array([r[2] for r in erec], dtype=float)
-    bad_w = ~(wt > 0.0) | ~np.isfinite(wt)
-    bad = np.flatnonzero((ia < 0) | (ib < 0) | (ia == ib) | bad_w)
-    if len(bad):
-        k = bad[0]
-        u, v, bk = erec[k]
-        if ia[k] < 0:
-            raise UnknownEndpointError(f"edge ({u!r}, {v!r}) references unknown vertex {u!r}")
-        if ib[k] < 0:
-            raise UnknownEndpointError(f"edge ({u!r}, {v!r}) references unknown vertex {v!r}")
-        if ia[k] == ib[k]:
-            raise SelfLoopError(f"edge ({u!r}, {v!r}) is a self loop")
-        raise NegativeWeightError(f"edge ({u!r}, {v!r}) has b = {bk}, needs b > 0")
+    try:
+        a = np.array([index[r[0]] for r in erec], dtype=np.intp)
+        b = np.array([index[r[1]] for r in erec], dtype=np.intp)
+        valid = not (a == b).any() and _positive(wt)
+    except KeyError:  # an unknown endpoint
+        valid = False
+    if not valid:
+        ia, ib = ([index.get(r[k], -1) for r in erec] for k in (0, 1))
+        _check_edges(erec, ia, ib, wt.tolist())
 
-    lo, hi = np.minimum(ia, ib), np.maximum(ia, ib)
-    _, first, pair = np.unique(lo * n + hi, return_index=True, return_inverse=True)
-    # bincount adds the parallel records of a pair in record order
-    w = np.bincount(pair, weights=wt, minlength=len(first))
-    ei, ej = lo[first], hi[first]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    key = lo * n + hi
+    # a stable sort lists the parallel records of a pair in record order
+    order = key.argsort(kind="stable")
+    ordered = key[order]
+    new = np.empty(len(order), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    first = order[new]  # the first record of each pair
+    # bincount adds the parallel records of a pair in record order; it
+    # returns ints when there are no records
+    w = np.bincount(new.cumsum() - 1, weights=wt[order]).astype(float, copy=False)
+    return _graph(vertices, index, m, c, lo[first], hi[first], w, first)
+
+
+def _positive(x: np.ndarray) -> bool:
+    """Whether every entry lies in (0, inf); NaN does not."""
+    return not len(x) or bool(x.min() > 0.0 and x.max() < np.inf)
+
+
+def _nonnegative(x: np.ndarray) -> bool:
+    """Whether every entry lies in [0, inf); NaN does not."""
+    return not len(x) or bool(x.min() >= 0.0 and x.max() < np.inf)
+
+
+def _check_vertices(vertices: Sequence[VertexId], m: list[float], c: list[float]) -> None:
+    """Raise for the first vertex record that repeats an id or has an m
+    outside (0, inf) or a c outside [0, inf), in that order of precedence."""
+    seen: set[VertexId] = set()
+    for vid, mk, ck in zip(vertices, m, c):
+        if vid in seen:
+            raise DuplicateVertexError(f"duplicate vertex record {vid!r}")
+        seen.add(vid)
+        if not 0.0 < mk < np.inf:
+            raise NonpositiveMassError(f"vertex {vid!r} has m = {mk}, needs m > 0")
+        if not 0.0 <= ck < np.inf:
+            raise NegativePotentialError(f"vertex {vid!r} has c = {ck}, needs c >= 0")
+
+
+def _check_edges(records: Iterable[tuple], ia: list[int], ib: list[int], w: list[float]) -> None:
+    """Raise for the first edge record (u, v, ...) with an unknown endpoint
+    (index -1), a self loop or a b outside (0, inf), in that order of
+    precedence; w holds the b of each record."""
+    for (u, v, *_), i, j, bk in zip(records, ia, ib, w):
+        if i < 0:
+            raise UnknownEndpointError(f"edge ({u!r}, {v!r}) references unknown vertex {u!r}")
+        if j < 0:
+            raise UnknownEndpointError(f"edge ({u!r}, {v!r}) references unknown vertex {v!r}")
+        if i == j:
+            raise SelfLoopError(f"edge ({u!r}, {v!r}) is a self loop")
+        if not 0.0 < bk < np.inf:
+            raise NegativeWeightError(f"edge ({u!r}, {v!r}) has b = {bk}, needs b > 0")
+
+
+def _graph(vertices, index, m, c, ei, ej, w, first) -> WeightedGraph:
+    """The graph on ``vertices`` (``index`` maps each id to its position) with
+    the checked values m, c and the edges (ei, ej, w) in canonical order:
+    ei < ej, sorted by (ei, ej).  ``first`` ranks the edges in the order each
+    neighbor row lists them, the order their records first appeared."""
+    n = len(vertices)
     src = np.concatenate((ei, ej))
     order = np.lexsort((np.concatenate((first, first)), src))
     indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
@@ -192,6 +241,18 @@ def build_graph(
     return WeightedGraph(
         vertices, measure, potential, edges, m, c, ei, ej, w, indptr, nbr, nbw, index
     )
+
+
+def _revalued(g: WeightedGraph, m: np.ndarray, c: np.ndarray, w: np.ndarray) -> WeightedGraph:
+    """g's vertices and edges with the values m, c and w (w in edge order),
+    checked as build_graph checks them: the graph that build_graph gives for
+    g's records in vertex and ``g.edges`` order, whose rows list each
+    vertex's neighbors in ``g.edges`` order."""
+    if not (_positive(m) and _nonnegative(c)):
+        _check_vertices(g.vertices, m.tolist(), c.tolist())
+    if not _positive(w):
+        _check_edges(g.edges, g.ei.tolist(), g.ej.tolist(), w.tolist())
+    return _graph(g.vertices, g._index, m, c, g.ei, g.ej, w, np.arange(len(w)))
 
 
 def degree(g: WeightedGraph, v: VertexId) -> float:
@@ -286,19 +347,19 @@ class ScaleParams:
 
 
 def scale(g: WeightedGraph, s: ScaleParams) -> WeightedGraph:
-    """Return (V, mu*m, lam*b, lam*c)."""
-    return build_graph(
-        [(v, s.mu * g.measure[v], s.lam * g.potential[v]) for v in g.vertices],
-        [(u, v, s.lam * b) for u, v, b in g.edges],
-    )
+    """Return (V, mu*m, lam*b, lam*c); a value that leaves float range
+    raises the error build_graph gives for it."""
+    mu, lam = float(s.mu), float(s.lam)
+    # inf * 0 for lam = inf and c = 0 is NaN, which _revalued rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _revalued(g, mu * g.m, lam * g.c, lam * g.w)
 
 
 def invert_edge_weights(g: WeightedGraph) -> WeightedGraph:
-    """Replace each positive edge weight by its reciprocal; m, c unchanged."""
-    return build_graph(
-        [(v, g.measure[v], g.potential[v]) for v in g.vertices],
-        [(u, v, 1.0 / b) for u, v, b in g.edges],
-    )
+    """Replace each positive edge weight by its reciprocal; m, c unchanged.
+    A reciprocal that overflows to inf raises NegativeWeightError."""
+    with np.errstate(over="ignore"):
+        return _revalued(g, g.m, g.c, 1.0 / g.w)
 
 
 def merge_dirichlet(spec: ProblemSpec) -> ProblemSpec:

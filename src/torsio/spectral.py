@@ -28,7 +28,8 @@ spectrum, believed exact, and is labeled as such.
 
 At both p, an iterate whose l^p(m) norm leaves float range (sum |u|^p m is
 0 or not finite, as when |u|^p overflows against subnormal masses) is a
-NoConvergenceError.
+NoConvergenceError, and so is a result whose eigen-residual on a free
+vertex is not finite.
 """
 
 from __future__ import annotations
@@ -64,8 +65,15 @@ class SpectralSolution:
 
 
 def _eigen_residual(asm, p: float, lam: float, u: np.ndarray) -> float:
-    res = _mlp(asm.g, p, u)[asm.free] / asm.g.m[asm.free] - lam * phi_p(u[asm.free], p)
-    return float(np.max(np.abs(res))) if len(res) else 0.0
+    """max over the free rows of |L_p u - lam phi_p(u)|; NoConvergenceError
+    if a free row's residual is not finite.  The fluxes summed into a
+    Dirichlet row, which is dropped, may overflow harmlessly."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = _mlp(asm.g, p, u)[asm.free] / asm.g.m[asm.free] - lam * phi_p(u[asm.free], p)
+        worst = float(np.max(np.abs(res))) if len(res) else 0.0
+    if not np.isfinite(worst):
+        raise NoConvergenceError(f"the lambda0 eigen-residual at p = {p:g} leaves float range")
+    return worst
 
 
 def _lp_mass(asm, p: float, u: np.ndarray) -> float:

@@ -570,7 +570,9 @@ def test_check_all_on_extreme_weights_completes_or_raises_a_typed_geometry_error
             if c.applicable and c.satisfied is None:
                 assert sides == (None, None, None) and c.reason, c
         json.loads(render_json(report.to_dict()))  # no inf or nan: valid JSON
-    assert completed == 144 - 16
+    # the 3 that raise overflow an edge cost of the input graph; an inverted
+    # graph out of float range leaves its four rows inconclusive instead
+    assert completed == 144 - 3
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -584,6 +586,37 @@ def test_a_check_whose_arithmetic_fails_is_inconclusive():
     chk = saint_venant_general(make_star(4, "degree", 1e300, 2.0))
     assert chk.inconclusive and chk.reason.startswith("OverflowError: ")
     assert (chk.lhs, chk.rhs, chk.slack) == (None, None, None)
+
+
+INVERTED_OUT_OF_RANGE = "the weight-inverted graph leaves float range: "
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "spec, cause",
+    [
+        # 1/b of the subnormal b = 1e-310 is inf
+        (make_path(3, "unit", 1e-310, 2.0), "edge ('v0', 'v1') has b = inf, needs b > 0"),
+        # a distance d of the inverted graph has d^(q-1) beyond float range at q = 20
+        (make_path(3, "degree", 1e-300, 20.0), "q = 20.0: the power d^(q-1) of the distance d = "),
+        # the inverted weight 1e16 has the edge cost 1e16^(1/(q-1)) = 1e320 at q = 1.05
+        (make_path(2, "unit", 1e-16, 1.05), "q = 1.05: the edge cost b^(1/(q-1)) of the weight b = 1e+16 overflows"),
+    ],
+)
+def test_an_inverted_graph_out_of_float_range_leaves_its_rows_inconclusive(spec, cause):
+    report = check_all(spec)
+    rows = {c.id: c for c in report.checks}
+    named = 0
+    for cid in ("mean_distance_lambda_lower", "mean_distance_rigidity_upper",
+                "inradius_lambda_lower", "inradius_rigidity_upper"):
+        row = rows[cid]
+        assert row.inconclusive and (row.lhs, row.rhs, row.slack) == (None, None, None)
+        # a row whose solve failed says so first
+        if " solve failed: " not in row.reason:
+            assert row.reason.startswith(INVERTED_OUT_OF_RANGE + cause), row.reason
+            named += 1
+    assert named >= 1
+    json.loads(render_json(report.to_dict()))
 
 
 @pytest.mark.parametrize("lhs, rhs", [(np.inf, 1.0), (1.0, np.nan), (-np.inf, np.inf)])

@@ -78,6 +78,15 @@ def _minimal_with(mutate):
     return json.dumps(doc)
 
 
+def _path3_with(mutate):
+    doc = json.loads(json.dumps(PATH3))
+    mutate(doc)
+    return json.dumps(doc)
+
+
+HUGE = 10**400 - 1  # 400 nines: an integer float() cannot convert
+
+
 # (message fragment, document text) for each schema error of parse_graph
 SCHEMA_ERRORS = [
     ("non-finite number 'NaN'", json.dumps(MINIMAL).replace('"p": 2', '"p": NaN')),
@@ -91,6 +100,17 @@ SCHEMA_ERRORS = [
     ("edges[0]: unknown fields ['w']", _minimal_with(lambda d: d["edges"][0].update(w=1))),
     ("edges[0]: u and v must be strings", _minimal_with(lambda d: d["edges"][0].update(v=2))),
     ("dirichlet: expected an array of vertex ids", _minimal_with(lambda d: d.update(dirichlet="a"))),
+    # a failure at a later record names that record and field with the full
+    # message; records before it pass the one-pass check
+    ("vertices[3].m: expected a number, got True", _path3_with(lambda d: d["vertices"][3].update(m=True))),
+    ("vertices[2].c: expected a number, got '1'", _path3_with(lambda d: d["vertices"][2].update(c="1"))),
+    ("edges[2]: unknown fields ['w']", _path3_with(lambda d: d["edges"][2].update(w=1))),
+    ("edges[1]: u and v must be strings", _path3_with(lambda d: d["edges"][1].update(u=1))),
+    # an integer beyond float range is named, not an OverflowError traceback
+    ("vertices[1].m: integer out of float range", _path3_with(lambda d: d["vertices"][1].update(m=HUGE))),
+    ("vertices[2].c: integer out of float range", _path3_with(lambda d: d["vertices"][2].update(c=-HUGE))),
+    ("edges[1].b: integer out of float range", _path3_with(lambda d: d["edges"][1].update(b=HUGE))),
+    ("p: integer out of float range", _path3_with(lambda d: d.update(p=HUGE))),
 ]
 
 
@@ -210,6 +230,22 @@ def test_render_json_matches_the_recursive_renderer_on_documents(obj):
     # thing the CLI prints
     assert render_json(obj) == _recursive_render_json(obj)
     assert render_json(obj, 2) == _recursive_render_json(obj, 2)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"ok": True, "no": False, "n": -3, "none": None, "zero": -0.0, "np": np.float64(0.1),
+         "pair": (1, 2.5), "empty": {}, "nil": [], "unit": (), "clé €": "ünï", "nested": {"x": [np.float64(-0.0), 1e-320]}},
+        [-0.0, np.float64(2.0), (), {}, None, True, False, 0, 2**70, "\u00e9\n"],
+        -0.0, np.float64(1.0 / 3.0), "naïve", (), {}, [], True, None, 7,
+    ],
+)
+def test_render_json_matches_the_recursive_renderer_on_every_leaf_kind(obj):
+    # each leaf kind, numpy's float64 included, is looked up by its exact
+    # type; tuples and empty containers take the container branches
+    for indent in (0, 1):
+        assert render_json(obj, indent) == _recursive_render_json(obj, indent)
 
 
 @pytest.mark.parametrize("obj", [{"x": np.int64(1)}, [1, {2, 3}], b"bytes"])
@@ -347,16 +383,49 @@ def _stiff_path(b):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("command, b", [("metrics", 1e16), ("bounds", 1e-16)])
+@pytest.mark.parametrize("command, b", [("metrics", 1e16)])
 def test_cli_overflowing_edge_cost_is_an_input_error(tmp_path, capsys, command, b):
-    # the edge cost 1e16^(1/(p-1)) = 1e320 overflows; bounds meets it on the
-    # weight-inverted graph of its mean-distance checks
+    # the edge cost 1e16^(1/(p-1)) = 1e320 overflows
     assert main([command, write(tmp_path, _stiff_path(b))]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     err = json.loads(captured.err)
     assert err["error"] == "InvalidQError"
     assert err["message"].startswith("q = 1.05: ") and "b = 1e+16" in err["message"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "doc, fmt",
+    [
+        # bounds meets the edge cost 1e16^(1/(p-1)) = 1e320 on the
+        # weight-inverted graph of its mean-distance and inradius rows
+        (_stiff_path(1e-16), "json"),
+        # `torsio generate path --free 3 --b 1e-310 --p 2`: 1/b is inf
+        (graph_document(make_path(3, "unit", 1e-310, 2.0)), "json"),
+        (graph_document(make_path(3, "unit", 1e-310, 2.0)), "md"),
+        # `... --m-mode degree --b 1e-300 --p 20`: d^(q-1) of a distance overflows
+        (graph_document(make_path(3, "degree", 1e-300, 20.0)), "csv"),
+    ],
+    ids=["stiff-path-json", "subnormal-b-json", "subnormal-b-md", "degree-p20-csv"],
+)
+def test_cli_bounds_on_an_inverted_graph_out_of_float_range_completes(tmp_path, capsys, doc, fmt):
+    assert main(["bounds", write(tmp_path, doc), "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "the weight-inverted graph leaves float range: " in captured.out
+    if fmt == "json":
+        _strict_json(captured.out)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_lambda0_with_an_overflowing_dirichlet_row_is_silent(tmp_path, capsys):
+    # `torsio generate complete --n 3 --b 1e308 --p 1.05`: the fluxes into
+    # the Dirichlet vertex overflow, but its row is not part of the residual
+    assert main(["lambda0", write(tmp_path, graph_document(make_complete(3, "unit", 1e308, 1.05)))]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert _strict_json(captured.out)["lambda0"] == 1e308
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -437,3 +437,116 @@ def test_merge_dirichlet_sums_in_vertex_order():
     merged = merge_dirichlet(ProblemSpec(g, frozenset({"a", "b", "c"}), 2.0))
     assert merged.graph.measure["v0"] == 0.1 + 0.2 + 0.3
     assert merged.graph.potential["v0"] == 0.1 + 0.2 + 0.3
+
+
+def _record_rebuild(g, m_of, c_of, b_of):
+    """build_graph on g's records in vertex and ``g.edges`` order, each value
+    mapped: how scale and invert_edge_weights built their graphs before they
+    revalued the arrays.  Returns the graph or the error it raises."""
+    try:
+        return build_graph(
+            [(v, m_of(g.measure[v]), c_of(g.potential[v])) for v in g.vertices],
+            [(u, v, b_of(b)) for u, v, b in g.edges],
+        )
+    except (NonpositiveMassError, NegativePotentialError, NegativeWeightError) as exc:
+        return exc
+
+
+def _assert_same_graph(got, want):
+    assert got == want and got.edges == want.edges
+    for name in ("m", "c", "ei", "ej", "w", "_indptr", "_nbr", "_nbw"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert not a.flags.writeable
+    for v in want.vertices:
+        assert got.neighbors(v) == want.neighbors(v)
+        assert degree(got, v) == degree(want, v)
+        assert got.vertex_index(v) == want.vertex_index(v)
+    assert got.is_connected == want.is_connected
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    n=st.integers(1, 10),
+    records=st.lists(
+        st.tuples(st.integers(0, 9), st.integers(0, 9), st.floats(0.1, 4.0), st.booleans()),
+        max_size=30,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    mu=st.floats(0.01, 100.0),
+    lam=st.floats(0.01, 100.0),
+)
+def test_scale_and_invert_revalue_as_the_record_rebuild(n, records, seed, mu, lam):
+    # edge records out of canonical order, with parallel records in the
+    # other orientation: the revalued graph lists each row in g.edges order,
+    # as the rebuild from g's records does, not in the input's record order
+    rng = np.random.default_rng(seed)
+    ids = [f"u{k}" for k in rng.permutation(n)]
+    edge_records = []
+    for i, j, b, flip in records:
+        if i % n != j % n:
+            edge_records.append((ids[i % n], ids[j % n], b))
+            if flip:
+                edge_records.append((ids[j % n], ids[i % n], b / 3.0))
+    rng.shuffle(edge_records)
+    g = build_graph([(v, float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.0, 1.0))) for v in ids],
+                    edge_records)
+    _assert_same_graph(scale(g, ScaleParams(mu, lam)),
+                       _record_rebuild(g, lambda m: mu * m, lambda c: lam * c, lambda b: lam * b))
+    _assert_same_graph(invert_edge_weights(g),
+                       _record_rebuild(g, lambda m: m, lambda c: c, lambda b: 1.0 / b))
+
+
+@pytest.mark.parametrize(
+    "mu, lam, err",
+    [
+        (1e308, 1.0, NonpositiveMassError),  # m = 2 * 1e308 overflows
+        (1.0, 1e308, NegativePotentialError),  # c = 3 * 1e308 overflows before any b
+        (1.0, float("inf"), NegativePotentialError),  # inf * 0 is NaN at the vertex with c = 0
+        (1.0, 5e-324, NegativeWeightError),  # b = 0.5 * 5e-324 underflows to 0
+        (5e-324, 1.0, NonpositiveMassError),  # so does m = 0.25 * 5e-324
+    ],
+)
+def test_scale_out_of_float_range_raises_as_the_record_rebuild(mu, lam, err):
+    g = build_graph([("a", 1.0, 0.0), ("b", 2.0, 3.0), ("c", 0.25, 0.0)],
+                    [("c", "b", 0.5), ("a", "b", 4.0)])
+    want = _record_rebuild(g, lambda m: mu * m, lambda c: lam * c, lambda b: lam * b)
+    assert isinstance(want, err)
+    with pytest.raises(err) as got:
+        scale(g, ScaleParams(mu, lam))
+    assert str(got.value) == str(want)
+
+
+def test_invert_subnormal_weight_raises_as_the_record_rebuild():
+    g = build_graph([("a", 1.0, 0.0), ("b", 1.0, 0.0), ("c", 1.0, 0.0)],
+                    [("b", "c", 2.0), ("a", "b", 1e-310)])
+    want = _record_rebuild(g, lambda m: m, lambda c: c, lambda b: 1.0 / b)
+    assert str(want) == "edge ('a', 'b') has b = inf, needs b > 0"
+    with pytest.raises(NegativeWeightError) as got:
+        invert_edge_weights(g)
+    assert str(got.value) == str(want)
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, err, message",
+    [
+        # the first offending record decides, vertex records before edges
+        ([("a", 1, 0), ("b", 0, -1), ("a", 1, 0)], [("a", "x", 1)], NonpositiveMassError,
+         "vertex 'b' has m = 0.0, needs m > 0"),
+        ([("a", 1, 0), ("b", 1, float("nan")), ("a", 1, 0)], [], NegativePotentialError,
+         "vertex 'b' has c = nan, needs c >= 0"),
+        ([("a", 1, 0), ("a", 0, 0)], [], DuplicateVertexError, "duplicate vertex record 'a'"),
+        ([("a", 1, 0), ("b", float("inf"), 0)], [], NonpositiveMassError,
+         "vertex 'b' has m = inf, needs m > 0"),
+        ([("a", 1, 0), ("b", 1, 0)], [("a", "b", 1), ("b", "b", -1), ("a", "z", 1)], SelfLoopError,
+         "edge ('b', 'b') is a self loop"),
+        ([("a", 1, 0), ("b", 1, 0)], [("a", "b", float("nan")), ("z", "b", 1)], NegativeWeightError,
+         "edge ('a', 'b') has b = nan, needs b > 0"),
+        ([("a", 1, 0), ("b", 1, 0)], [("a", "b", 1), ("a", "z", 0)], UnknownEndpointError,
+         "edge ('a', 'z') references unknown vertex 'z'"),
+    ],
+)
+def test_build_graph_names_the_first_offending_record(vertices, edges, err, message):
+    with pytest.raises(err) as got:
+        build_graph(vertices, edges)
+    assert str(got.value) == message

@@ -1235,3 +1235,51 @@ def test_gauss_seidel_overflow_stops_in_the_first_sweep(spec, vertex):
     with pytest.raises(NoConvergenceError, match=message) as exc:
         solve_torsion(spec, opts)
     assert exc.value.iterations == 1
+
+
+@pytest.mark.parametrize("t0", [0.0, 0.5, 7.3, -100.0, 1e4])
+def test_scalar_solve_brackets_a_tiny_root_at_its_own_scale(monkeypatch, t0):
+    # 281 phi_p(t - 0) = 0.25 at p = 1.05 has the root (0.25/281)^20 = 9.7e-62;
+    # a first bracket step of at least 1 cost Brent's method up to 220 steps.
+    # The steps are counted as evaluations of h: brentq's own count is not
+    # set when an end of the bracket is the root, as it is here from t0 = 0
+    import scipy.optimize
+
+    real, steps = scipy.optimize.brentq, []
+
+    def counting(h, lo, hi, **kwargs):
+        calls = []
+        root, info = real(lambda t: calls.append(t) or h(t), lo, hi, full_output=True, **kwargs)
+        assert info.converged
+        steps.append(len(calls))
+        return root
+
+    monkeypatch.setattr(scipy.optimize, "brentq", counting)
+    t = torsio.solver._scalar_solve(np.array([0.0]), np.array([281.0]), 0.0, 0.25, t0, 1.05)
+    assert t == pytest.approx((0.25 / 281.0) ** 20, rel=1e-12)
+    assert len(steps) == 1 and steps[0] <= 80, steps
+
+
+@pytest.mark.parametrize("cv, t0", [(0.0, 2.0), (1.0, 2.0), (1.0, 0.0), (0.0, -3.0), (2.0, 1e-300)])
+def test_scalar_solve_with_zero_rhs_and_equal_neighbours_ends(cv, t0):
+    # every scale of the data but |t0| or the distance to the neighbours is 0
+    nb = np.array([2.0, 2.0])
+    t = torsio.solver._scalar_solve(nb, np.array([1.0, 3.0]), cv, 0.0, t0, 1.5)
+    h = float(np.dot([1.0, 3.0], phi_p(t - nb, 1.5))) + cv * float(phi_p(t, 1.5))
+    assert abs(h) <= 1e-12
+    assert (t == 2.0) if cv == 0.0 else (0.0 < t < 2.0)
+
+
+def test_scalar_solve_ends_when_the_root_lies_below_float_range():
+    # rhs/W = 5e-18 at p = 1.05 puts the root at 1e-347, below the smallest
+    # subnormal: every scale of the data is 0 at t0 = 0 while h(0) = -1, so
+    # the first step has to be positive for the bracket to close
+    t = torsio.solver._scalar_solve(np.zeros(2), np.full(2, 1e17), 0.0, 1.0, 0.0, 1.05)
+    assert 0.0 <= t <= np.finfo(float).smallest_subnormal
+
+
+def test_gauss_seidel_ends_on_a_path_whose_first_sweep_underflows():
+    # the first sweep starts from u = 0, where the equations above arise
+    opts = SolverOptions(method="gauss_seidel", max_iterations=20)
+    with pytest.raises(NoConvergenceError, match="after 20 sweeps"):
+        solve_torsion(make_path(3, "unit", 1e17, 1.05), opts)

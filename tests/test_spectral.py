@@ -226,3 +226,21 @@ def test_inverse_power_runs_no_gauss_seidel(monkeypatch):
         assert barta <= sol.lambda0 * (1.0 + 1e-12)
         assert sol.lambda0 <= rayleigh * (1.0 + 1e-12)
         assert (rayleigh - barta) / rayleigh <= 1e-5
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_lambda0_ignores_an_overflow_in_the_dropped_dirichlet_row():
+    # the two fluxes of 9.7e307 into the Dirichlet vertex v0 add up beyond
+    # float range; the residual reads the free rows only, so no warning
+    sol = lambda0(make_complete(3, "unit", 1e308, 1.05))
+    assert sol.lambda0 == 1e308
+    assert np.isfinite(sol.residual)
+
+
+def test_an_eigen_residual_out_of_float_range_on_a_free_row_raises():
+    # a residual of inf would print as Infinity, which is not JSON
+    spec = make_path(2)
+    asm = torsio.solver._assemble(spec)
+    u = np.array([0.0, 1e308, -1e308])
+    with pytest.raises(NoConvergenceError, match="^the lambda0 eigen-residual at p = 2 leaves float range$"):
+        torsio.spectral._eigen_residual(asm, 2.0, 1.0, u)
