@@ -151,7 +151,7 @@ class _Ctx:
         """sum b(free, V0) + sum c(free): boundary edge weight plus free
         potential mass."""
         boundary = sum(boundary_entries(self.spec)[1])
-        return boundary + sum(self.g.potential[v] for v in self.spec.free_vertices)
+        return boundary + sum(self.g.c[self.spec._free].tolist())
 
     @cached_property
     def inverted_distances(self) -> tuple[float, float]:
@@ -188,16 +188,15 @@ class _Ctx:
         """Homogeneous path on the same free data, ordered by ascending values
         of ``order_by`` (ties by internal index), masses and potentials
         carried along; Dirichlet merged to the left end when present."""
-        free = sorted(
-            self.spec.free_vertices,
-            key=lambda v: (order_by[v], self.g.vertex_index(v)),
-        )
+        ids = self.g.vertices
+        free = sorted(self.spec._free.tolist(), key=lambda i: (order_by[ids[i]], i))
+        m, c = self.g.m.tolist(), self.g.c.tolist()
         records = []
         if self.spec.dirichlet:
             pinned = np.flatnonzero(self.spec._pinned)
             records.append(("p0", sum(self.g.m[pinned].tolist()), sum(self.g.c[pinned].tolist())))
-        for j, v in enumerate(free, start=1 if self.spec.dirichlet else 0):
-            records.append((f"p{j}", self.g.measure[v], self.g.potential[v]))
+        for j, i in enumerate(free, start=1 if self.spec.dirichlet else 0):
+            records.append((f"p{j}", m[i], c[i]))
         edges = [
             (records[i][0], records[i + 1][0], edge_weight)
             for i in range(len(records) - 1)
@@ -209,11 +208,10 @@ class _Ctx:
     def path_rigidity_of(self, spec: ProblemSpec) -> float:
         """T_p of a path spec built by sorted_path_spec (vertices in path
         order); closed form when the potential vanishes, solver otherwise."""
-        if all(c == 0.0 for c in spec.graph.potential.values()) and spec.dirichlet:
-            free = spec.free_vertices
+        if not spec.graph.c.any() and spec.dirichlet:
             params = PathSpecParams(
-                free_count=len(free),
-                masses=tuple(spec.graph.measure[v] for v in free),
+                free_count=spec.free_count,
+                masses=tuple(spec.graph.m[spec._free].tolist()),
                 weights=tuple(spec.graph.w.tolist()),  # edges in path order
                 p=spec.p,
             )
@@ -340,12 +338,11 @@ def symmetrization_upper_mtilde(c: _Ctx) -> tuple:
     """T_p(G;V0) <= (1/eta) T_p(P;V0) with the explicit mass profile that puts
     the minimum free mass everywhere except at the torsion argmax, which
     absorbs the excess; P has zero potential."""
-    free = c.spec.free_vertices
-    m = c.g.measure
-    m_min = min(m[v] for v in free)
-    excess = sum(m[v] - m_min for v in free)
-    masses = [m_min] * (len(free) - 1) + [m_min + excess]
-    params = PathSpecParams(len(free), tuple(masses), tuple(1.0 for _ in free), c.spec.p)
+    m = c.g.m[c.spec._free].tolist()
+    m_min = min(m)
+    excess = sum(mv - m_min for mv in m)
+    masses = [m_min] * (len(m) - 1) + [m_min + excess]
+    params = PathSpecParams(len(m), tuple(masses), (1.0,) * len(m), c.spec.p)
     return c.torsion.rigidity, "<=", path_rigidity(params) / c.eta
 
 
@@ -389,7 +386,7 @@ def tree_inradius_lower(c: _Ctx) -> tuple:
     naive bound of 1 otherwise).
     """
     inr = q_inradius(c.merged, c.spec.p)
-    m_min = min(c.merged.graph.measure[v] for v in c.merged.free_vertices)
+    m_min = min(c.merged.graph.m[c.merged._free].tolist())
     return c.torsion.rigidity, ">=", m_min**c.spec.p / inr
 
 

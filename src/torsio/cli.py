@@ -203,7 +203,7 @@ def graph_document(spec: ProblemSpec) -> dict:
     return {
         "version": SCHEMA_VERSION,
         "vertices": [
-            {"id": v, "m": g.measure[v], "c": g.potential[v]} for v in g.vertices
+            {"id": v, "m": m, "c": c} for v, m, c in zip(g.vertices, g.m.tolist(), g.c.tolist())
         ],
         "edges": [{"u": u, "v": v, "b": b} for u, v, b in g.edges],
         "dirichlet": sorted(spec.dirichlet, key=g.vertex_index),

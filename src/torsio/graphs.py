@@ -4,10 +4,13 @@ A graph is a finite vertex set with a positive vertex measure m, a
 nonnegative potential c and symmetric nonnegative edge weights b with
 b(v, v) = 0.  :func:`build_graph` validates the records and builds the
 graph's arrays once: m and c in vertex order, the edge list (ei, ej, w) and
-a CSR adjacency.  The solver, the spectral code and the energy kernels read
-those arrays; the id-based queries of :class:`WeightedGraph` are thin
-adapters over them.  All values are immutable after construction; every
-operation here is a pure function returning a fresh graph or problem spec.
+a CSR adjacency.  The arrays are the only stored form of the values; the
+solver, the spectral, energy, geometry and bound code and every query here
+read them.  The id views of :class:`WeightedGraph` (``measure``,
+``potential``, ``edges`` and the rows of ``neighbors``) are built from the
+arrays on first read and cached, for callers that name vertices by id.
+Arrays and views are read-only; every operation here is a pure function
+returning a fresh graph or problem spec.
 
 Surgery that keeps V and E (:func:`scale`, :func:`invert_edge_weights`)
 revalues the built arrays instead of sending records back through
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -51,36 +55,61 @@ P_MIN = 1.05
 P_MAX = 20.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedGraph:
-    """Finite weighted graph (V, m, b, c), held as read-only arrays.
+    """Finite weighted graph (V, m, b, c), stored as read-only arrays.
 
-    ``vertices`` fixes the internal index of each vertex (input order); ``m``
-    and ``c`` are the measure and potential in that order.  The edges with
-    b > 0 are ``(ei[k], ej[k], w[k])``, ei < ej, sorted by (ei, ej), and
-    ``edges`` names them by id.  A CSR adjacency (``_indptr``, ``_nbr``,
-    ``_nbw``) backs ``neighbors(v)``, which lists v's neighbors in the order
-    their pair first appears in the edge records; its rows become (id, b)
-    tuples on the first id-based query.  Equality compares vertices,
-    measure, potential and edges, not the arrays behind them.
+    Stored: ``vertices``, which fixes the internal index of each vertex
+    (input order), the id -> index map behind it, ``m`` and ``c`` (measure
+    and potential in vertex order), the edges with b > 0 as
+    ``(ei[k], ej[k], w[k])``, ei < ej, sorted by (ei, ej), and a CSR
+    adjacency (``_indptr``, ``_nbr``, ``_nbw``) whose rows list each
+    vertex's neighbors in the order their pair first appears in the edge
+    records.
+
+    Derived from the arrays on first read and cached: the read-only id views
+    ``measure`` and ``potential`` (id -> value mappings) and ``edges``
+    ((u, v, b) by id, in canonical order), and the (id, b) rows behind
+    ``neighbors(v)``.
+
+    Two graphs are equal when their vertices (in order) and their m, c and
+    edge arrays are; the CSR row order does not count.  A graph is not
+    hashable.
 
     Do not build instances directly: :func:`build_graph` enforces the
     invariants and merges parallel edge records.
     """
 
     vertices: tuple[VertexId, ...]
-    measure: Mapping[VertexId, float]
-    potential: Mapping[VertexId, float]
-    edges: tuple[tuple[VertexId, VertexId, float], ...] = field(repr=False)
-    m: np.ndarray = field(repr=False, compare=False)
-    c: np.ndarray = field(repr=False, compare=False)
-    ei: np.ndarray = field(repr=False, compare=False)
-    ej: np.ndarray = field(repr=False, compare=False)
-    w: np.ndarray = field(repr=False, compare=False)
-    _indptr: np.ndarray = field(repr=False, compare=False)
-    _nbr: np.ndarray = field(repr=False, compare=False)
-    _nbw: np.ndarray = field(repr=False, compare=False)
-    _index: Mapping[VertexId, int] = field(repr=False, compare=False)
+    _index: Mapping[VertexId, int] = field(repr=False)
+    m: np.ndarray = field(repr=False)
+    c: np.ndarray = field(repr=False)
+    ei: np.ndarray = field(repr=False)
+    ej: np.ndarray = field(repr=False)
+    w: np.ndarray = field(repr=False)
+    _indptr: np.ndarray = field(repr=False)
+    _nbr: np.ndarray = field(repr=False)
+    _nbw: np.ndarray = field(repr=False)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WeightedGraph):
+            return NotImplemented
+        return self.vertices == other.vertices and all(
+            np.array_equal(getattr(self, a), getattr(other, a)) for a in ("m", "c", "ei", "ej", "w")
+        )
+
+    @cached_property
+    def measure(self) -> Mapping[VertexId, float]:
+        return MappingProxyType(dict(zip(self.vertices, self.m.tolist())))
+
+    @cached_property
+    def potential(self) -> Mapping[VertexId, float]:
+        return MappingProxyType(dict(zip(self.vertices, self.c.tolist())))
+
+    @cached_property
+    def edges(self) -> tuple[tuple[VertexId, VertexId, float], ...]:
+        ids = self.vertices.__getitem__
+        return tuple(zip(map(ids, self.ei.tolist()), map(ids, self.ej.tolist()), self.w.tolist()))
 
     def __contains__(self, v: VertexId) -> bool:
         return v in self._index
@@ -115,9 +144,11 @@ class WeightedGraph:
         return len(self.w)
 
     def total_measure(self, subset: Iterable[VertexId] | None = None) -> float:
+        """m(subset), m(V) by default, added in the order the subset lists
+        its vertices; an unknown vertex raises UnknownVertexError."""
         if subset is None:
-            return float(sum(self.measure.values()))
-        return float(sum(self.measure[v] for v in subset))
+            return float(sum(self.m.tolist()))
+        return float(sum(self.m[[self.vertex_index(v) for v in subset]].tolist()))
 
     @cached_property
     def _components(self) -> tuple[int, np.ndarray]:
@@ -235,12 +266,7 @@ def _graph(vertices, index, m, c, ei, ej, w, first) -> WeightedGraph:
     nbw = np.concatenate((w, w))[order]
     for arr in (m, c, ei, ej, w, indptr, nbr, nbw):
         arr.flags.writeable = False
-    ids = vertices.__getitem__
-    edges = tuple(zip(map(ids, ei.tolist()), map(ids, ej.tolist()), w.tolist()))
-    measure, potential = dict(zip(vertices, m.tolist())), dict(zip(vertices, c.tolist()))
-    return WeightedGraph(
-        vertices, measure, potential, edges, m, c, ei, ej, w, indptr, nbr, nbw, index
-    )
+    return WeightedGraph(vertices, index, m, c, ei, ej, w, indptr, nbr, nbw)
 
 
 def _revalued(g: WeightedGraph, m: np.ndarray, c: np.ndarray, w: np.ndarray) -> WeightedGraph:
@@ -260,7 +286,7 @@ def degree(g: WeightedGraph, v: VertexId) -> float:
     weights added in the order ``neighbors`` lists them."""
     i = g.vertex_index(v)
     lo, hi = g._indptr[i : i + 2].tolist()
-    return float(sum(g._nbw[lo:hi].tolist()) + g.potential[v])
+    return float(sum(g._nbw[lo:hi].tolist()) + g.c.item(i))
 
 
 @dataclass(frozen=True)
@@ -315,7 +341,7 @@ class ProblemSpec:
 
     @property
     def well_posed(self) -> bool:
-        return bool(self.dirichlet) or max(self.graph.potential.values(), default=0.0) > 0.0
+        return bool(self.dirichlet) or bool(self.graph.c.any())
 
     def free_measure(self) -> float:
         # a Python sum in vertex order, as total_measure adds
@@ -386,7 +412,7 @@ def merge_dirichlet(spec: ProblemSpec) -> ProblemSpec:
     m0 = sum(g.m[pinned].tolist())
     c0 = sum(g.c[pinned].tolist())
     vertex_records = [(fresh, m0, c0)]
-    vertex_records += [(v, g.measure[v], g.potential[v]) for v in spec.free_vertices]
+    vertex_records += zip(spec.free_vertices, g.m[spec._free].tolist(), g.c[spec._free].tolist())
 
     # edges keep their canonical order; their ends in V0 become the fresh vertex
     to_fresh = dict.fromkeys(spec.dirichlet, fresh)
@@ -437,7 +463,7 @@ def weaken(
     for v in c_new:
         if v not in g:
             raise UnknownVertexError(f"unknown vertex {v!r} in the new potential")
-    vertex_records = [(v, g.measure[v], float(c_new.get(v, 0.0))) for v in g.vertices]
+    vertex_records = [(v, m, float(c_new.get(v, 0.0))) for v, m in zip(g.vertices, g.m.tolist())]
     for (v, _, c), old in zip(vertex_records, g.c.tolist()):
         if c < 0.0 or c > old:
             raise WeightIncreasedError(f"vertex {v!r}: new potential {c} outside [0, {old}]")
@@ -458,7 +484,7 @@ def insert_graph(
     host vertex.
     """
     g = host.graph
-    if any(c != 0.0 for c in guest.potential.values()):
+    if guest.c.any():
         raise NonzeroGuestPotentialError("guest potential must vanish identically")
     collisions = set(g.vertices) & set(guest.vertices)
     if collisions:
@@ -476,8 +502,8 @@ def insert_graph(
         if not float(w) > 0.0:
             raise NegativeWeightError(f"attachment ({hv!r}, {gv!r}) has weight {w}")
 
-    vertex_records = [(v, g.measure[v], g.potential[v]) for v in g.vertices]
-    vertex_records += [(v, guest.measure[v], 0.0) for v in guest.vertices]
+    vertex_records = list(zip(g.vertices, g.m.tolist(), g.c.tolist()))
+    vertex_records += [(v, m, 0.0) for v, m in zip(guest.vertices, guest.m.tolist())]
     edge_records = list(g.edges) + list(guest.edges)
     edge_records += [(hv, gv, float(w)) for hv, gv, w in attach]
     return ProblemSpec(build_graph(vertex_records, edge_records), host.dirichlet, host.p)

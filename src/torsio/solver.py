@@ -733,7 +733,7 @@ def _gs_sweeps(
 
 
 def default_tolerance(spec: ProblemSpec) -> float:
-    return 1e-10 * max(1.0, max(spec.graph.measure.values()))
+    return 1e-10 * max(1.0, max(spec.graph.m.tolist()))
 
 
 def solve_torsion(spec: ProblemSpec, opts: SolverOptions | None = None) -> TorsionSolution:
@@ -821,7 +821,8 @@ def balance_check(spec: ProblemSpec, sol: TorsionSolution) -> BalanceResult:
     # vertex is free
     rows, weights = boundary_entries(spec)
     lhs = sum(b * float(phi_p(tau[g.vertices[i]], p)) for i, b in zip(rows, weights))
-    lhs += sum(g.potential[v] * float(phi_p(tau[v], p)) for v in spec.free_vertices)
+    free_c = g.c[spec._free].tolist()
+    lhs += sum(c * float(phi_p(tau[v], p)) for v, c in zip(spec.free_vertices, free_c))
     rhs = spec.free_measure()
     return BalanceResult(lhs, rhs, abs(lhs - rhs) <= 1e-8 * rhs)
 

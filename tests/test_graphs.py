@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import random_general_spec
+from conftest import dirichlet_grid, random_general_spec
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from torsio import (
@@ -27,8 +27,10 @@ from torsio import (
     WeightIncreasedError,
     build_graph,
     degree,
+    geometry_summary,
     insert_graph,
     invert_edge_weights,
+    lambda0,
     make_complete,
     make_path,
     make_random_connected,
@@ -415,16 +417,77 @@ def test_graph_queries_match_dict_of_dicts_reference(n, records, seed):
     assert g.is_connected == nx.is_connected(G)
 
 
+def _revalue_first(records, k, f):
+    """records with entry k of the first record mapped by f."""
+    first = list(records[0])
+    first[k] = f(first[k])
+    return [tuple(first)] + records[1:]
+
+
+# (vertex records, edge records) -> new records, and whether the graph they
+# build equals the original
+EQUALITY_CASES = [
+    (lambda vs, es: (vs, es), True),
+    # the neighbor rows list another order, which equality ignores
+    (lambda vs, es: (vs, es[::-1]), True),
+    (lambda vs, es: (_revalue_first(vs, 1, lambda m: 2.0 * m), es), False),
+    (lambda vs, es: (_revalue_first(vs, 2, lambda c: c + 1.0), es), False),
+    (lambda vs, es: (vs, _revalue_first(es, 2, lambda b: 0.5 * b)), False),
+    (lambda vs, es: (vs[::-1], es), False),
+]
+
+
 def test_graph_arrays_are_read_only_and_equality_follows_the_data():
     g = random_general_spec(3, with_potential=True).graph
     for arr in (g.m, g.c, g.ei, g.ej, g.w):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
+    # a write to an id view would change what graph_document prints and
+    # total_measure adds, but not what the solver reads
+    path = make_path(3).graph
+    for view in (path.measure, path.potential):
+        with pytest.raises(TypeError):
+            view["v1"] = 100.0
+    assert path.measure["v1"] == 1.0 and path.total_measure() == 4.0
+    with pytest.raises(TypeError):
+        hash(g)
+
     records = [(v, g.measure[v], g.potential[v]) for v in g.vertices]
-    assert build_graph(records, list(g.edges)) == g
-    lighter = [(u, v, b * 0.5) for u, v, b in g.edges]
-    assert build_graph(records, lighter) != g
+    for change, equal in EQUALITY_CASES:
+        other = build_graph(*change(records, list(g.edges)))
+        assert (other == g) is equal and (other != g) is not equal
+    reversed_rows = build_graph(records, list(g.edges)[::-1])
+    assert any(reversed_rows.neighbors(v) != g.neighbors(v) for v in g.vertices)
+
+
+def test_id_queries_name_an_unknown_vertex():
+    g = make_path(3).graph
+    for query in (
+        g.vertex_index,
+        g.neighbors,
+        lambda v: degree(g, v),
+        lambda v: g.edge_weight("v1", v),
+        lambda v: g.total_measure(["v1", v]),
+    ):
+        with pytest.raises(UnknownVertexError, match="unknown vertex 'nope'"):
+            query("nope")
+    assert g.total_measure(["v3", "v1"]) == 2.0 and g.total_measure([]) == 0.0
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize(
+    "make", [lambda p: dirichlet_grid(6, p), lambda p: random_general_spec(5, p=p)],
+    ids=["grid", "random"],
+)
+def test_solves_read_the_arrays_not_the_id_views(make, p):
+    # the id views are built on first read; the solver, the spectral code
+    # and the geometry never read them
+    spec = make(p)
+    solve_torsion(spec)
+    lambda0(spec)
+    geometry_summary(spec)
+    assert not {"measure", "potential", "edges"} & vars(spec.graph).keys()
 
 
 def test_merge_dirichlet_sums_in_vertex_order():
