@@ -477,10 +477,11 @@ def _newton_leg(
     u: np.ndarray,
     tol: float,
     cap: int,
+    stall: int = 30,
 ) -> tuple[np.ndarray, int, float]:
     """Damped Newton with a trust-region cap on the step and an Armijo line
     search on the exact objective; stops on tol, cap, or a rounding-floor
-    stall.
+    stall: ``stall`` steps in a row that do not cut the best residual by 3 %.
 
     On the Krylov side the step is inexact at every p: PCG solves the
     Hessian to the residual eta_k * res_k with the forcing term eta_k =
@@ -547,7 +548,7 @@ def _newton_leg(
             stale = 0
         else:
             stale += 1
-            if stale >= 30:
+            if stale >= stall:
                 break
     return u, it, res
 

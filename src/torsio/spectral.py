@@ -22,7 +22,22 @@ assembled and checked once: each step runs one damped Newton leg on
 Q_p(v) - lambda_k <phi_p(u_k) m, v> from the current iterate, renormalizes,
 and recomputes the Rayleigh quotient.  The leg is the solver's, so on the
 Krylov side its Hessians are solved inexactly by Jacobi-PCG at every p, and
-otherwise exactly.  Started from positive constant data the iterate stays
+otherwise exactly.  Each leg aims at 1e-2 times the last change of the
+Rayleigh quotient (at least 1e-12) and stops early on its stall break.
+Below p = 2 that aim lies under the residual's rounding floor (the flux is
+only (p-1)-Hoelder in the values, so the rounding of near-equal neighbor
+values is magnified), so a leg ends on the stall break: 3 steps in a row
+that do not cut the best residual by 3 % end it.  With the torsion solve's
+30-step window the legs spent most of their steps at the floor: lambda0
+takes 30 Newton steps instead of 195 on a 10 x 10 grid at p = 1.5, 15
+instead of 69 on a 40-leaf star at p = 1.2 and 45 instead of 206 on a
+20 x 20 grid at p = 1.5, and moves by at most 1e-11 relative (over these
+and the 1,618 specs on the connected graphs of 2 to 6 vertices with one
+Dirichlet vertex at p = 1.2 and 1.5).  At and above p = 2 the legs keep the
+30-step window: they start from the flat constant vector, where the Hessian
+weights |du|^(p-2) are near 1e-12, and a 3-step window ends them before
+they leave it (lambda0 of a 20 x 20 grid at p = 8 came out 140 times too
+large).  Started from positive constant data the iterate stays
 nonnegative; the result is a variational upper bound for the bottom of the
 spectrum, believed exact, and is labeled as such.
 
@@ -151,6 +166,8 @@ def lambda0(
     lam = _rayleigh(asm, p, u)
     gap = max(1e-6 * lam, 1e-12)
     rhs = np.zeros(asm.g.vertex_count)
+    # the stall window of each leg; see the module docstring
+    stall = 3 if p < 2.0 else 30
     max_outer = 500
     for it in range(1, max_outer + 1):
         inner_tol = max(1e-12, 1e-2 * gap)
@@ -159,7 +176,7 @@ def lambda0(
         # yields a valid Rayleigh value, and for p < 2 near-tied values put
         # the pointwise residual floor above tight tolerances; the outer gap
         # test stays strict
-        v, _, _ = _newton_leg(asm, p, rhs, u, inner_tol, cap)
+        v, _, _ = _newton_leg(asm, p, rhs, u, inner_tol, cap, stall)
         v = _normalize(asm, p, np.abs(v))
         lam_new = _rayleigh(asm, p, v)
         gap = abs(lam_new - lam)

@@ -2,10 +2,12 @@
 
 import itertools
 
+import networkx as nx
 import numpy as np
 import pytest
 
 import torsio.solver
+import torsio.spectral
 from conftest import dirichlet_grid, random_general_spec
 from torsio import (
     DisconnectedError,
@@ -226,6 +228,66 @@ def test_inverse_power_runs_no_gauss_seidel(monkeypatch):
         assert barta <= sol.lambda0 * (1.0 + 1e-12)
         assert sol.lambda0 <= rayleigh * (1.0 + 1e-12)
         assert (rayleigh - barta) / rayleigh <= 1e-5
+
+
+def _long_stall_window(monkeypatch):
+    """Run every inner leg of lambda0 on the torsion solve's 30-step window."""
+    leg = torsio.spectral._newton_leg
+    monkeypatch.setattr(
+        torsio.spectral, "_newton_leg",
+        lambda asm, p, rhs, u, tol, cap, stall: leg(asm, p, rhs, u, tol, cap),
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, budget", [(dirichlet_grid(10, p=1.5), 60), (make_star(40, "unit", p=1.2), 30)]
+)
+def test_inverse_power_below_two_ends_each_leg_at_its_rounding_floor(monkeypatch, spec, budget):
+    # inner_tol lies under the residual's rounding floor below p = 2, so a
+    # leg ends on its stall break; the short window takes 30 and 15 steps,
+    # where the 30-step window took 195 and 69
+    leg = torsio.spectral._newton_leg
+    legs = []
+    monkeypatch.setattr(torsio.spectral, "_newton_leg", lambda *a: legs.append(leg(*a)) or legs[-1])
+    lambda0(spec)
+    assert 0 < sum(it for _, it, _ in legs) <= budget
+
+
+@pytest.mark.parametrize("p", [3.0, 8.0])
+def test_inverse_power_above_two_keeps_the_long_stall_window(monkeypatch, p):
+    # the legs above p = 2 start from the flat constant vector, where the
+    # Hessian weights |du|^(p-2) are near 1e-12, and need 30 steps to leave it
+    for spec in (dirichlet_grid(20, p), make_path(30, p=p), make_star(13, p=p)):
+        sol = lambda0(spec)
+        with monkeypatch.context() as patch:
+            _long_stall_window(patch)
+            ref = lambda0(spec)
+        assert sol.lambda0 == ref.lambda0
+        assert sol.ground_state == ref.ground_state
+
+
+def test_inverse_power_below_two_matches_the_long_stall_window_on_the_atlas(monkeypatch):
+    # every 8th of the 809 specs made of a connected atlas graph of 2 to 6
+    # vertices (the atlas's first 209 graphs; unit masses and weights) and
+    # one Dirichlet vertex; over all 809 at both p the two windows agree to
+    # 7.6e-12, and neither raises
+    specs = []
+    for H in nx.graph_atlas_g()[:209]:
+        if H.number_of_nodes() < 2 or not nx.is_connected(H):
+            continue
+        g = build_graph([(f"v{k}", 1.0, 0.0) for k in H], [(f"v{a}", f"v{b}", 1.0) for a, b in H.edges()])
+        specs += [(g, frozenset({f"v{k}"})) for k in H]
+    assert len(specs) == 809
+    for p in (1.2, 1.5):
+        for g, dirichlet in specs[::8]:
+            spec = ProblemSpec(g, dirichlet, p)
+            with monkeypatch.context() as patch:
+                _long_stall_window(patch)
+                try:
+                    ref = lambda0(spec).lambda0
+                except NoConvergenceError:
+                    continue
+            assert lambda0(spec).lambda0 == pytest.approx(ref, rel=1e-10, abs=0.0), (p, dirichlet)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
