@@ -13,8 +13,8 @@ connected graph with eta > 0, a tree once the Dirichlet set is merged, a
 positive denominator, at least three vertices, ...) to its machine check and
 to the reason an inapplicable bound states; each is evaluated only when the
 walk reaches it.  "torsion" and "spectral" name the solves the body reads: a
-solve that failed, with a typed error or with numpy's LinAlgError, makes the
-check inconclusive, never a report failure.
+solve that failed with a typed error makes the check inconclusive, never a
+report failure.
 
 The body runs with numpy's floating-point warnings off.  It makes the check
 inconclusive by raising ``_Inconclusive`` (a failed path-comparison solve,
@@ -56,10 +56,6 @@ from .solver import SolverOptions, TorsionSolution, solve_torsion
 from .spectral import SpectralSolution, lambda0, lambda1_p2
 
 SLACK_RTOL = 1e-9
-
-# what a failed solve raises: a typed error, or numpy's LinAlgError from an
-# exactly singular factorization
-_FAILED = (TorsioError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -165,17 +161,17 @@ class _Ctx:
             raise _Inconclusive(f"the weight-inverted graph leaves float range: {exc}") from None
 
     @cached_property
-    def torsion(self) -> TorsionSolution | TorsioError | np.linalg.LinAlgError:
+    def torsion(self) -> TorsionSolution | TorsioError:
         try:
             return solve_torsion(self.spec, self.opts)
-        except _FAILED as exc:
+        except TorsioError as exc:
             return exc
 
     @cached_property
-    def spectral(self) -> SpectralSolution | TorsioError | np.linalg.LinAlgError:
+    def spectral(self) -> SpectralSolution | TorsioError:
         try:
             return lambda0(self.spec, self.opts)
-        except _FAILED as exc:
+        except TorsioError as exc:
             return exc
 
     @cached_property
@@ -226,7 +222,7 @@ class _Ctx:
         path_spec = self.sorted_path_spec(order_by, self.eta)
         try:
             return value(path_spec)
-        except _FAILED as exc:
+        except TorsioError as exc:
             raise _Inconclusive(f"path comparison solve failed: {exc}") from None
 
 
@@ -271,7 +267,7 @@ def _evaluate(
     for need in needs:
         if need in ("torsion", "spectral"):
             sol = getattr(c, need)
-            if isinstance(sol, _FAILED):
+            if isinstance(sol, TorsioError):
                 return BoundCheck(cid, statement, True, f"{need} solve failed: {sol}")
         elif not _GATES[need][0](c):
             return BoundCheck(cid, statement, False, _GATES[need][1])
@@ -470,7 +466,7 @@ def fiedler_neumann_p2(c: _Ctx) -> tuple:
     n = c.g.vertex_count // 2 + 1
     try:
         lam1 = lambda1_p2(c.g)
-    except _FAILED as exc:
+    except TorsioError as exc:
         raise _Inconclusive(f"lambda1 solve failed: {exc}") from None
     return lam1, ">=", c.eta / sum(n - k for k in range(1, n))
 
@@ -531,7 +527,7 @@ def torsion_ordered_path(spec: ProblemSpec, opts: SolverOptions | None = None) -
     vertices ordered by ascending torsion values (ties by internal index),
     masses and potentials carried along, Dirichlet data merged at one end."""
     ctx = _Ctx(spec, opts)
-    if isinstance(ctx.torsion, _FAILED):
+    if isinstance(ctx.torsion, TorsioError):
         raise ctx.torsion
     return ctx.sorted_path_spec(ctx.torsion.tau)
 
@@ -589,7 +585,7 @@ def check_all(spec: ProblemSpec, opts: SolverOptions | None = None) -> BoundRepo
     order of the registry, each through _evaluate.
 
     A check reads inconclusive, and the report still completes, when a solve
-    it needs failed (a typed error or numpy's LinAlgError), when its path
+    it needs failed with a typed error, when its path
     comparison solve failed, when its own float arithmetic raises an
     ArithmeticError (an overflowing power, a division by zero) or when a
     side is not finite, and in the four mean-distance and inradius rows
@@ -614,13 +610,13 @@ def check_all(spec: ProblemSpec, opts: SolverOptions | None = None) -> BoundRepo
         "c_zero": ctx.c_zero,
     }
     diagnostics: dict = {}
-    if isinstance(ctx.torsion, _FAILED):
+    if isinstance(ctx.torsion, TorsioError):
         diagnostics["torsion_error"] = str(ctx.torsion)
     else:
         diagnostics["torsion_iterations"] = ctx.torsion.iterations
         diagnostics["torsion_residual"] = ctx.torsion.residual_inf
         diagnostics["torsion_method"] = ctx.torsion.method
-    if isinstance(ctx.spectral, _FAILED):
+    if isinstance(ctx.spectral, TorsioError):
         diagnostics["lambda0_error"] = str(ctx.spectral)
     else:
         diagnostics["lambda0_method"] = ctx.spectral.method

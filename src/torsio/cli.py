@@ -450,7 +450,7 @@ def main(argv: list[str] | None = None) -> int:
     except (TorsioError, FileNotFoundError, ValueError) as exc:
         print(render_json({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         # a numerical failure exits 2, an input error 1
-        return 2 if isinstance(exc, (NoConvergenceError, np.linalg.LinAlgError)) else 1
+        return 2 if isinstance(exc, NoConvergenceError) else 1
 
 
 if __name__ == "__main__":

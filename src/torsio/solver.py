@@ -61,7 +61,8 @@ must be admissible to rounding, names none and is solved exactly.
 Convergence is measured on the pointwise residual max_v |L_p u(v) - 1| (not
 on step sizes), because on finite graphs the weak and the pointwise
 formulations coincide; it is the gradient of F_p over m (``_gradient``),
-which a Newton leg evaluates once per iterate.  For p < 2 it has a rounding
+which a Newton step evaluates at its full step, and again only where the
+line search settles below it.  For p < 2 it has a rounding
 floor near (eps * ||tau||)^(p-1): the edge flux |d|^(p-1) is only
 (p-1)-Hoelder in the values, so edges with near-equal end values (mirror
 images on a symmetric grid, say) keep it above tight tolerances.  A Newton
@@ -138,6 +139,10 @@ KRYLOV_EDGE_RATIO = 1.25
 KRYLOV_HOPS = 2.0
 # PCG steps after which a solve gives up and is solved exactly instead
 PCG_MAX_ITERATIONS = 1000
+# Newton steps a leg takes at most, and the steps in a row without a 3 % cut
+# of its best residual that end it (the rounding-floor stall break)
+_LEG_CAP = 400
+_LEG_STALL = 30
 
 
 @dataclass(frozen=True)
@@ -297,7 +302,7 @@ def _gradient(asm: _Assembled, p: float, rhs: np.ndarray, u: np.ndarray) -> tupl
 def _factor(A: sp.csc_matrix) -> spla.SuperLU:
     """Sparse LU of a symmetric positive definite A with a symmetric
     ordering and pivots on the diagonal (a Cholesky factor in LU form);
-    LinAlgError if A is exactly singular."""
+    NoConvergenceError if A is exactly singular."""
     try:
         return spla.splu(
             A,
@@ -306,7 +311,7 @@ def _factor(A: sp.csc_matrix) -> spla.SuperLU:
             options={"SymmetricMode": True},
         )
     except RuntimeError as exc:  # SuperLU reports an exactly singular factor
-        raise np.linalg.LinAlgError(str(exc)) from exc
+        raise NoConvergenceError(str(exc)) from exc
 
 
 class _System:
@@ -324,7 +329,6 @@ class _System:
         self._asm = asm
         vals = np.concatenate((w_e, -w_e, c_v))[asm.lap_src]
         self._data = np.bincount(asm.lap_slot, weights=vals, minlength=len(asm.lap_cell))
-        self._lu: spla.SuperLU | None = None
 
     @cached_property
     def A(self) -> np.ndarray | sp.csc_matrix:
@@ -344,21 +348,20 @@ class _System:
         asm, nf = self._asm, len(self._asm.free)
         return sp.csc_matrix((self._data, asm.lap_col, asm.lap_indptr), shape=(nf, nf))
 
+    @cached_property
     def factor(self) -> spla.SuperLU:
-        """The sparse factor of A (above DENSE_LIMIT), computed once."""
-        if self._lu is None:
-            self._lu = _factor(self.A)
-        return self._lu
+        """The sparse factor of A (above DENSE_LIMIT)."""
+        return _factor(self.A)
 
     def solve(self, b: np.ndarray, target: float | None = None) -> np.ndarray:
-        """Solve A x = b; LinAlgError if A is singular.  A target, the
+        """Solve A x = b; NoConvergenceError if A is singular.  A target, the
         residual max|b - A x| / m over the free vertices, lets a Krylov-side
         problem run PCG; without one the solve is exact to rounding."""
         asm, nf = self._asm, len(b)
         if target is not None and asm.krylov:
             return self._pcg(b, target)
         if nf > DENSE_LIMIT:
-            return self.factor().solve(b)
+            return self.factor.solve(b)
         if nf > BAND_MIN_FREE:
             order, kd, upper, cell = asm.band
             ab = np.zeros((kd + 1) * nf)
@@ -374,7 +377,10 @@ class _System:
             _, x, info = dposv(self.A.T, b)
             if info == 0:
                 return x
-        return np.linalg.solve(self.A, b)  # not numerically positive definite: general LU
+        try:  # not numerically positive definite: general LU
+            return np.linalg.solve(self.A, b)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergenceError(str(exc)) from exc
 
     def _pcg(self, b: np.ndarray, target: float) -> np.ndarray:
         """Jacobi-preconditioned conjugate gradients to max|b - A x| / m <=
@@ -477,7 +483,7 @@ def _newton_leg(
     u: np.ndarray,
     tol: float,
     cap: int,
-    stall: int = 30,
+    stall: int = _LEG_STALL,
 ) -> tuple[np.ndarray, int, float]:
     """Damped Newton with a trust-region cap on the step and an Armijo line
     search on the exact objective; stops on tol, cap, or a rounding-floor
@@ -487,9 +493,12 @@ def _newton_leg(
     Hessian to the residual eta_k * res_k with the forcing term eta_k =
     min(1e-3, res_k / res_0), res_0 the residual at the start of the leg.
     A looser forcing term costs Newton steps, and the one-step corrector
-    legs of the continuation need the 1e-3 at their only step.  Each
-    iterate's gradient is evaluated once and F_p only in the line search; a
-    non-finite residual or step ends the leg with the overflow error;
+    legs of the continuation need the 1e-3 at their only step.  Each step
+    evaluates the gradient at the full step, and reuses it when the line
+    search keeps that step: when it cuts the residual by 10 %, or else when
+    it passes the Armijo test on F_p, which only then is evaluated; the
+    gradient is evaluated again only where the search settles below the full
+    step.  A non-finite residual or step ends the leg with the overflow error;
     flipped edges take the secant weight at p < 2; the caller's u is not
     written to."""
     g, res = _gradient(asm, p, rhs, u)
@@ -508,8 +517,8 @@ def _newton_leg(
         target = min(1e-3, res / res_start) * res
         try:
             step = H.solve(-g, target)
-        except np.linalg.LinAlgError:
-            step = _System(asm, ce, cc + 1e-10 * (1.0 + abs(H.A).max())).solve(-g)
+        except NoConvergenceError:  # exactly singular: retry on a shifted diagonal
+            step = _System(asm, ce, cc + 1e-10 * (1.0 + np.abs(H._data).max())).solve(-g)
         # for p < 2 the curvature model flattens far from the minimizer and
         # raw steps can overshoot by orders of magnitude
         limit = 0.5 * max(1.0, float(np.max(np.abs(u[asm.free]))))
@@ -524,27 +533,23 @@ def _newton_leg(
         if not np.isfinite(slope):  # an infinite step, or its slope
             raise NoConvergenceError(f"the Newton step at p = {p:.6g} overflows a float", it, res)
         # near the minimum the objective differences underflow before the
-        # gradient does; accept the full step on strict residual decrease
+        # gradient does; keep the full step on strict residual decrease, else
+        # halve it until F_p passes the Armijo test, or take the first step
+        # below alpha = 1e-18 untested (a nan fails both tests)
         trial = u.copy()
         trial[asm.free] = u[asm.free] + step
         g_full, res_full = _gradient(asm, p, rhs, trial)
-        if res_full <= 0.9 * res:
-            g, res = g_full, res_full
-        else:
+        alpha = 1.0
+        if not res_full <= 0.9 * res:
             with np.errstate(over="ignore", invalid="ignore"):
                 fval = _objective(asm, p, rhs, u)
-                alpha = 1.0
-                while alpha > 1e-18:
-                    trial[asm.free] = u[asm.free] + alpha * step
-                    if _objective(asm, p, rhs, trial) <= fval + 1e-4 * alpha * slope:
-                        break
+                while alpha > 1e-18 and not _objective(asm, p, rhs, trial) <= fval + 1e-4 * alpha * slope:
                     alpha *= 0.5
-                else:  # no trial passed: take the smallest step
                     trial[asm.free] = u[asm.free] + alpha * step
-            g, res = _gradient(asm, p, rhs, trial)
+        g, res = (g_full, res_full) if alpha == 1.0 else _gradient(asm, p, rhs, trial)
         u = trial
         if res < 0.97 * best:
-            best = min(best, res)
+            best = res
             stale = 0
         else:
             stale += 1
@@ -582,7 +587,7 @@ def _solve_newton(
         if not np.isfinite(u).all():
             raise NoConvergenceError(f"tau overflows a float in the continuation to p = {leg_p:.6g}", it)
         final = abs(np.log(s_tgt / s_cur)) < 1e-12
-        cap = min(400, max_iter - it)
+        cap = min(_LEG_CAP, max_iter - it)
         if final:
             leg_tol, leg_cap = tol, cap
         elif p > 2.0:

@@ -59,7 +59,7 @@ import scipy.sparse.linalg as spla
 from .energy import _mlp, _qp, phi_p
 from .errors import DisconnectedError, NoConvergenceError
 from .graphs import ProblemSpec, VertexId, WeightedGraph
-from .solver import SolverOptions, _assemble, _check_bounded, _newton_leg, _operator
+from .solver import _LEG_CAP, _LEG_STALL, SolverOptions, _assemble, _check_bounded, _newton_leg, _operator
 
 
 @dataclass(frozen=True)
@@ -113,26 +113,27 @@ def _solution(asm, p: float, lam: float, u: np.ndarray, method: str, iterations:
     return SpectralSolution(lam, ground_state, _eigen_residual(asm, p, lam, u), method, iterations)
 
 
-def _lambda0_p2(asm) -> tuple[float, np.ndarray, str]:
+def _lambda0_p2(asm) -> tuple[np.ndarray, str]:
+    """The p = 2 ground state on the free vertices, positive, and the method."""
     K = _operator(asm)
     m_free = asm.g.m[asm.free]
     if isinstance(K.A, np.ndarray):
-        vals, vecs = scipy.linalg.eigh(K.A, np.diag(m_free))
+        _, vecs = scipy.linalg.eigh(K.A, np.diag(m_free))
         method = "dense_eigh"
     else:
         if not asm.krylov:
-            K.factor()  # before ARPACK allocates its Lanczos vectors
+            K.factor  # before ARPACK allocates its Lanczos vectors
         inv_K = spla.LinearOperator(
             K.A.shape, matvec=lambda b: K.solve(b, 1e-11 * float(np.max(np.abs(b) / m_free))),
             dtype=float,
         )
         # the ground state is positive, so this fixed start vector is never
         # orthogonal to it, and repeated calls give identical results
-        vals, vecs = spla.eigsh(K.A, k=1, M=sp.diags(m_free).tocsc(), sigma=0.0, which="LM",
-                                v0=np.ones(len(m_free)), OPinv=inv_K, ncv=8)
+        _, vecs = spla.eigsh(K.A, k=1, M=sp.diags(m_free).tocsc(), sigma=0.0, which="LM",
+                             v0=np.ones(len(m_free)), OPinv=inv_K, ncv=8)
         method = "lanczos"
     vec = vecs[:, 0]
-    return float(vals[0]), -vec if vec.sum() < 0.0 else vec, method
+    return -vec if vec.sum() < 0.0 else vec, method
 
 
 def lambda0(
@@ -151,23 +152,20 @@ def lambda0(
     _check_bounded(spec, asm)
     p = spec.p
 
-    if p == 2.0 and method == "auto":
-        lam, vec, method = _lambda0_p2(asm)
-        u = np.zeros(asm.g.vertex_count)
-        u[asm.free] = vec
-        u = _normalize(asm, p, u)
-        lam = _rayleigh(asm, p, u)
-        return _solution(asm, p, lam, u, method, 1)
-
-    cap = min((opts or SolverOptions()).max_iterations, 400)
+    # the exact p = 2 ground state, else the constant start of inverse power
+    exact = p == 2.0 and method == "auto"
     u = np.zeros(asm.g.vertex_count)
-    u[asm.free] = 1.0
+    u[asm.free], method = _lambda0_p2(asm) if exact else (1.0, "inverse_power")
     u = _normalize(asm, p, u)
     lam = _rayleigh(asm, p, u)
+    if exact:
+        return _solution(asm, p, lam, u, method, 1)
+
+    cap = min((opts or SolverOptions()).max_iterations, _LEG_CAP)
     gap = max(1e-6 * lam, 1e-12)
     rhs = np.zeros(asm.g.vertex_count)
     # the stall window of each leg; see the module docstring
-    stall = 3 if p < 2.0 else 30
+    stall = 3 if p < 2.0 else _LEG_STALL
     max_outer = 500
     for it in range(1, max_outer + 1):
         inner_tol = max(1e-12, 1e-2 * gap)
@@ -183,7 +181,7 @@ def lambda0(
         u = v
         lam = lam_new
         if gap <= 1e-10 * max(lam, 1e-30):
-            return _solution(asm, p, lam, u, "inverse_power", it)
+            return _solution(asm, p, lam, u, method, it)
     raise NoConvergenceError(
         f"inverse power iteration did not settle within {max_outer} steps",
         iterations=max_outer,

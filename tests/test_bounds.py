@@ -302,9 +302,9 @@ def test_check_all_disconnected_graph_completes():
     assert by_id["landscape_lower"].inconclusive
 
 
-def test_check_all_completes_when_a_solve_raises_linalg_error():
+def test_check_all_completes_when_a_solve_meets_a_singular_matrix():
     # 1 + 1e16 == 1e16 in floats, so the p = 2 start matrix of the solve is
-    # exactly singular and numpy raises LinAlgError
+    # exactly singular and the solve raises NoConvergenceError
     g = build_graph(
         [("a", 1, 0), ("b", 1, 0), ("c", 1, 0)], [("a", "b", 1.0), ("b", "c", 1e16)]
     )

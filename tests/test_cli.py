@@ -612,6 +612,13 @@ def test_cli_bounds_reports_a_singular_torsion_solve(tmp_path, capsys):
     assert "trivial_lower,true,,,,,torsion solve failed: Singular matrix" in rows
 
 
+def test_cli_singular_torsion_solve_is_a_numerical_failure(tmp_path, capsys):
+    assert main(["torsion", write(tmp_path, _stiff_path(1e16))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "NoConvergenceError", "message": "Singular matrix"}
+
+
 def test_cli_input_errors(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["torsion", missing]) == 1

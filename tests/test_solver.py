@@ -2,6 +2,7 @@
 independent brute-force oracle for tiny graphs."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -825,8 +826,17 @@ def test_dense_solve_falls_back_to_lu_and_factor_rejects_singular():
     np.testing.assert_array_equal(K.A, A)
     np.testing.assert_array_equal(K.solve(b), np.linalg.solve(A, b))
     path = sp.csc_matrix(np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]]))
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(NoConvergenceError):
         torsio.solver._factor(path)
+
+
+@pytest.mark.parametrize("p", [1.05, 2.0, 3.0])
+def test_a_singular_solve_raises_a_torsio_error(p):
+    # 1 + 1e16 == 1e16 in floats, so the p = 2 operator on the free vertices
+    # b and c is exactly singular and its dense LU fallback fails
+    g = build_graph([("a", 1.0, 0.0), ("b", 1.0, 0.0), ("c", 1.0, 0.0)], [("a", "b", 1.0), ("b", "c", 1e16)])
+    with pytest.raises(NoConvergenceError, match="^Singular matrix$"):
+        solve_torsion(ProblemSpec(g, frozenset({"a"}), p))
 
 
 def _count_band_solves(monkeypatch):
@@ -1093,15 +1103,29 @@ def test_paths_and_stars_solve_at_p_1_1():
 
 
 @pytest.mark.parametrize(
-    "spec, searches", [(make_path(30, "unit", 1.0, 3.0), 0), (make_path(30, "unit", 1.0, 1.5), 2)]
+    "spec, searches, cuts",
+    [
+        (make_path(30, "unit", 1.0, 3.0), 0, 0),
+        (make_path(30, "unit", 1.0, 1.5), 2, 0),  # both searches keep the full step
+        (dirichlet_grid(6, p=8.0), 1, 1),  # the search settles below the full step
+    ],
+    ids=["no_search", "full_step_kept", "full_step_cut"],
 )
-def test_newton_leg_evaluates_each_iterate_once(monkeypatch, spec, searches):
+def test_newton_leg_evaluates_each_iterate_once(monkeypatch, spec, searches, cuts):
     # the gradient m L_p u - m is evaluated once at the start, once at each
-    # full-step trial and once where a line search settles; F_p only by the
-    # line search, which starts after a rejected full step
-    events = []
+    # full step and once more only where a line search settles below it;
+    # F_p only by the line search, which starts after a full step that does
+    # not cut the residual by 10 %: twice when it keeps the full step (at u
+    # and there), at least three times when it cuts it
+    events, iterates = [], []
     mlp, qp = torsio.solver._mlp, torsio.solver._qp
-    monkeypatch.setattr(torsio.solver, "_mlp", lambda g, p, u: events.append("g") or mlp(g, p, u))
+
+    def gradient(g, p, u):
+        events.append("g")
+        iterates.append(u.tobytes())
+        return mlp(g, p, u)
+
+    monkeypatch.setattr(torsio.solver, "_mlp", gradient)
     monkeypatch.setattr(torsio.solver, "_qp", lambda g, p, u: events.append("f") or qp(g, p, u))
     asm = torsio.solver._assemble(spec)
     rhs = np.where(spec._pinned, 0.0, asm.g.m)
@@ -1110,9 +1134,10 @@ def test_newton_leg_evaluates_each_iterate_once(monkeypatch, spec, searches):
     _, it, res = torsio.solver._newton_leg(asm, spec.p, rhs, u, torsio.solver.default_tolerance(spec), 400)
     assert res <= torsio.solver.default_tolerance(spec)
     np.testing.assert_array_equal(u, start)  # the caller's array is not written to
-    log = "".join(events)
-    assert log.count("gf") == searches
-    assert log.count("g") == 1 + it + searches
+    runs = [len(run) for run in re.findall("f+", "".join(events))]
+    assert (len(runs), sum(n >= 3 for n in runs)) == (searches, cuts)
+    assert events.count("g") == 1 + it + cuts
+    assert len(set(iterates)) == len(iterates)  # no vector twice
 
 
 def test_p_above_two_continuation_takes_one_corrector_step_per_leg():

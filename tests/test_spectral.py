@@ -306,3 +306,18 @@ def test_an_eigen_residual_out_of_float_range_on_a_free_row_raises():
     u = np.array([0.0, 1e308, -1e308])
     with pytest.raises(NoConvergenceError, match="^the lambda0 eigen-residual at p = 2 leaves float range$"):
         torsio.spectral._eigen_residual(asm, 2.0, 1.0, u)
+
+
+@pytest.mark.xfail(
+    strict=True, raises=(AssertionError, NoConvergenceError),
+    reason="ROADMAP item 1: inverse power moves the weight between two free components "
+    "whose quotients differ by 1 % by a factor of only 1.01^(1/(p-1)) per step",
+)
+@pytest.mark.parametrize("p", [1.5, 3.0, 8.0])
+def test_lambda0_on_a_star_whose_free_leaves_nearly_tie(p):
+    # Dirichlet centre, free leaves of mass 1 and 1.01, unit weights: each
+    # leaf is a free component of its own, with quotient b/m, so lambda0 =
+    # 1/1.01.  Inverse power raises after 500 outer steps at p = 3 and 8,
+    # and returns 0.99009901313 at p = 1.5, 3.2e-9 too high
+    g = build_graph([("c", 1.0, 0.0), ("a", 1.0, 0.0), ("b", 1.01, 0.0)], [("c", "a", 1.0), ("c", "b", 1.0)])
+    assert lambda0(ProblemSpec(g, frozenset({"c"}), p)).lambda0 == pytest.approx(1 / 1.01, rel=1e-12, abs=0.0)
