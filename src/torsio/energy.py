@@ -4,9 +4,23 @@ Polya and Rayleigh quotients, all with Dirichlet restriction.
 The energy and its gradient have one implementation, the array kernels
 ``_qp`` (Q_p(u)) and ``_mlp`` (m * L_p u at every vertex) over the graph's
 arrays, with u a vector in vertex order.  The solver, ``spectral`` and the
-public functions below all call them.  The public functions take vertex
-functions as mappings id -> value on the whole vertex set; for specs with a
-Dirichlet set they must vanish there (enforced, not assumed).
+public functions below all call them.  ``_mlp`` scatters the edge fluxes
+with one ``np.bincount`` over the concatenated ends (ei, ej): it adds them
+to each vertex in the order two ``np.add.at`` calls, first over ei and then
+over ej, would, so its sums are theirs bit for bit.
+
+On a graph with c = 0 at every vertex the kernels skip the potential terms.
+Each is then 0.0 or -0.0, and adding it leaves a sum as it is (these sums
+start at 0.0 and are never -0.0), unless |u|^(p-1) overflows or u holds a
+nan: there 0 * inf or 0 * nan is nan.  So ``_mlp`` skips the term only when
+``_finite_powers`` bounds every |u|^(p-1) below the largest float, and the
+solver's Hessian weights c (p-1) |u|^(p-2) follow the same rule; in Q_p the
+term is exactly 0.0 even then, as ``_power_sum`` recomputes a non-finite
+sum over the vertices with c > 0 alone.
+
+The public functions take vertex functions as mappings id -> value on the
+whole vertex set; for specs with a Dirichlet set they must vanish there
+(enforced, not assumed).
 """
 
 from __future__ import annotations
@@ -45,11 +59,19 @@ def _power_sum(w: np.ndarray, x: np.ndarray, p: float) -> float:
     return total
 
 
+def _finite_powers(au: np.ndarray, e: float) -> bool:
+    """For e >= 0, whether au^e is finite at every entry of au >= 0: e
+    log(max(1, max au)) lies below 709, under the log of the largest float
+    (709.78).  False where au holds a nan; for e < 0 true otherwise."""
+    return e * math.log(np.maximum.reduce(au, initial=1.0)) < 709.0
+
+
 def _qp(g: WeightedGraph, p: float, u: np.ndarray) -> float:
     """Q_p(u), with each undirected edge (ei, ej, w) counted once."""
     d = u[g.ei] - u[g.ej]
     val = _power_sum(g.w, d, p) / p
-    val += _power_sum(g.c, u, p) / p
+    if not g._zero_potential:
+        val += _power_sum(g.c, u, p) / p
     return val
 
 
@@ -57,10 +79,10 @@ def _mlp(g: WeightedGraph, p: float, u: np.ndarray) -> np.ndarray:
     """m * L_p u, the gradient of Q_p, at every vertex."""
     d = u[g.ei] - u[g.ej]
     f = g.w * phi_p(d, p)
-    out = np.zeros(len(u))
-    np.add.at(out, g.ei, f)
-    np.add.at(out, g.ej, -f)
-    out += g.c * phi_p(u, p)
+    # bincount returns ints for a graph without edges
+    out = np.bincount(g._ends, np.concatenate((f, -f)), len(u)).astype(float, copy=False)
+    if not (g._zero_potential and _finite_powers(np.abs(u), p - 1.0)):
+        out += g.c * phi_p(u, p)
     return out
 
 

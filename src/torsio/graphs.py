@@ -70,7 +70,8 @@ class WeightedGraph:
     Derived from the arrays on first read and cached: the read-only id views
     ``measure`` and ``potential`` (id -> value mappings) and ``edges``
     ((u, v, b) by id, in canonical order), and the (id, b) rows behind
-    ``neighbors(v)``.
+    ``neighbors(v)``; for the energy kernels, the edge ends ``_ends`` and
+    whether c vanishes (``_zero_potential``).
 
     Two graphs are equal when their vertices (in order) and their m, c and
     edge arrays are; the CSR row order does not count.  A graph is not
@@ -164,6 +165,19 @@ class WeightedGraph:
     @property
     def is_connected(self) -> bool:
         return self._components[0] <= 1
+
+    @cached_property
+    def _ends(self) -> np.ndarray:
+        """concat(ei, ej): the vertex each edge adds its flux to, then the
+        vertex it takes it from (``energy._mlp``)."""
+        ends = np.concatenate((self.ei, self.ej))
+        ends.flags.writeable = False
+        return ends
+
+    @cached_property
+    def _zero_potential(self) -> bool:
+        """Whether c = 0 at every vertex."""
+        return not self.c.any()
 
 
 def build_graph(

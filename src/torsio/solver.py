@@ -19,15 +19,19 @@ potential is somewhere positive).  Three methods are available:
 
 A problem is assembled once: ``_assemble`` reads the graph's arrays and the
 spec's free vertices and derives only the CSR pattern of the Laplacian on
-them; objective and gradient are the array kernels of ``energy``.  The p = 2
-operator (the Laplacian plus the potential), the Newton Hessian and the
-p = 2 eigenproblems of ``spectral`` are all one symmetric positive definite
-reweighted Laplacian on the free vertices, a ``_System`` with one solve
-policy.  One constructor, ``_operator``, builds the p = 2 operator for the
-p = 2 solve, the rigidity bracket and both eigenproblems, and refuses an
-entry that overflows a float.  A solve that names a
-residual target on a Krylov-side problem (below) runs Jacobi-PCG in place
-on the CSR arrays.  Every other solve is exact to rounding, by Cholesky
+them, without a sort: the free vertices are ascending and the edges
+canonical, so each row holds its lower cells, its diagonal and its upper
+cells in that order, the upper cells come in edge order, the lower ones by a
+stable sort of the inner edges on their larger end, and two bincounts give
+the row pointers.  Objective and gradient are the array kernels of
+``energy``.  The p = 2 operator (the Laplacian plus the potential), the
+Newton Hessian and the p = 2 eigenproblems of ``spectral`` are all one
+symmetric positive definite reweighted Laplacian on the free vertices, a
+``_System`` with one solve policy.  One constructor, ``_operator``, builds
+the p = 2 operator for the p = 2 solve, the rigidity bracket and both
+eigenproblems, and refuses an entry that overflows a float.  A solve that
+names a residual target on a Krylov-side problem (below) runs Jacobi-PCG in
+place on the CSR arrays.  Every other solve is exact to rounding, by Cholesky
 with general LU on a non-positive pivot: up to BAND_MIN_FREE free vertices
 on a dense array (LAPACK dposv); up to DENSE_LIMIT in LAPACK band storage,
 in the reverse Cuthill-McKee order of the pattern (dpbsv; Cuthill & McKee
@@ -55,8 +59,12 @@ term (``_newton_leg``).  PCG takes 10-135 steps on such graphs at p = 3
 and 8 and about 200-260 on the p = 1.5 Hessians of a random 3000-vertex
 graph, stops at the residual's rounding floor when that lies above the
 target, and solves exactly only if PCG_MAX_ITERATIONS run out (as some
-Hessians near p = 20 do).  Only the rigidity bracket, whose corrected flux
-must be admissible to rounding, names none and is solved exactly.
+Hessians near p = 20 do).  Its stop test max|r|/m <= target takes three
+passes over the residual, so it runs only where r.z, which the next step
+computes anyway, is within target^2 sum m^2/D, a bound the test implies (D
+the diagonal), or has left the normal range; every step is tested where the
+bound is not a normal float.  Only the rigidity bracket, whose corrected
+flux must be admissible to rounding, names none and is solved exactly.
 
 Convergence is measured on the pointwise residual max_v |L_p u(v) - 1| (not
 on step sizes), because on finite graphs the weak and the pointwise
@@ -111,7 +119,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpbsv, dposv
 from scipy.sparse._sparsetools import csr_matvec
 
-from .energy import _mlp, _power_sum, _qp, _values, functional_Fp, phi_p
+from .energy import _finite_powers, _mlp, _power_sum, _qp, _values, functional_Fp, phi_p
 from .errors import (
     IllPosedError,
     NoConvergenceError,
@@ -139,6 +147,8 @@ KRYLOV_EDGE_RATIO = 1.25
 KRYLOV_HOPS = 2.0
 # PCG steps after which a solve gives up and is solved exactly instead
 PCG_MAX_ITERATIONS = 1000
+# the smallest normal float
+_TINY = np.finfo(float).tiny
 # Newton steps a leg takes at most, and the steps in a row without a 3 % cut
 # of its best residual that end it (the rounding-floor stall break)
 _LEG_CAP = 400
@@ -207,6 +217,13 @@ class _Assembled:
     krylov: bool              # solves with a target run PCG, not a factor
 
     @cached_property
+    def m_free(self) -> np.ndarray:
+        """The masses of the free vertices, read-only."""
+        m = self.g.m[self.free]
+        m.flags.writeable = False
+        return m
+
+    @cached_property
     def band(self) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
         """The Laplacian's layout in LAPACK upper band storage in reverse
         Cuthill-McKee order, computed on the first banded solve: the order
@@ -245,20 +262,41 @@ def _on_krylov_side(nf: int, lap_col: np.ndarray, lap_indptr: np.ndarray) -> boo
 def _assemble(spec: ProblemSpec) -> _Assembled:
     g = spec.graph
     free = spec._free
+    nf = len(free)
     pos = np.full(g.vertex_count, -1, dtype=int)
-    pos[free] = np.arange(len(free))
+    pos[free] = np.arange(nf)
     ne = g.edge_count
     pa, pb = pos[g.ei], pos[g.ej]
     ka, kb = np.flatnonzero(pa >= 0), np.flatnonzero(pb >= 0)
     kab = np.flatnonzero((pa >= 0) & (pb >= 0))
-    nf = len(free)
     lap_src = np.concatenate([ka, kb, ne + kab, ne + kab, 2 * ne + free])
-    row = np.concatenate([pa[ka], pb[kb], pa[kab], pb[kab], pos[free]])
-    col = np.concatenate([pa[ka], pb[kb], pb[kab], pa[kab], pos[free]])
-    lap_cell, lap_slot = np.unique(row * nf + col, return_inverse=True)
-    lap_indptr = np.searchsorted(lap_cell, np.arange(nf + 1) * nf).astype(np.int32)
-    lap_col = (lap_cell % nf).astype(np.int32)
-    lap_diag = lap_slot[len(lap_slot) - nf:]  # the c_v triplets come last
+    # free is ascending and the edges canonical, so an inner edge has a < b
+    # and its cells are (a, b) above the diagonal and (b, a) below it.  Each
+    # row lists its lower cells, its diagonal, then its upper cells; the
+    # inner edges in edge order list the upper cells in CSR order, and
+    # stably sorted by b the lower ones
+    a, b = pa[kab], pb[kab]
+    lower = np.bincount(b, minlength=nf)
+    rest = np.bincount(a, minlength=nf) + 1  # the diagonal and upper cells of each row
+    cells = lower + rest
+    indptr = np.concatenate(([0], np.cumsum(cells)))
+    lap_diag = indptr[:-1] + lower
+    # an upper cell follows the upper cells of earlier edges and the lower
+    # and diagonal cells of its row and the rows above; a lower cell follows
+    # the lower cells before it and the diagonal and upper cells of the rows
+    # above
+    k = np.arange(len(kab))
+    up = k + np.cumsum(lower + 1)[a]
+    order = np.argsort(b, kind="stable")
+    down = np.empty(len(kab), dtype=int)
+    down[order] = k + (np.cumsum(rest) - rest)[b[order]]
+    lap_slot = np.concatenate([lap_diag[pa[ka]], lap_diag[pb[kb]], up, down, lap_diag])
+    lap_col = np.empty(indptr[-1], dtype=np.int32)
+    lap_col[lap_diag] = np.arange(nf)
+    lap_col[up] = b
+    lap_col[down] = a
+    lap_cell = np.repeat(np.arange(nf), cells) * nf + lap_col
+    lap_indptr = indptr.astype(np.int32)
     krylov = _on_krylov_side(nf, lap_col, lap_indptr)
     return _Assembled(g, free, lap_src, lap_slot, lap_cell, lap_indptr, lap_col, lap_diag, krylov)
 
@@ -296,7 +334,7 @@ def _gradient(asm: _Assembled, p: float, rhs: np.ndarray, u: np.ndarray) -> tupl
     w phi_p(du) overflows, and no comparison with a tolerance accepts that."""
     with np.errstate(over="ignore", invalid="ignore"):
         g = (_mlp(asm.g, p, u) - rhs)[asm.free]
-        return g, float(np.max(np.abs(g) / asm.g.m[asm.free]))
+        return g, float(np.maximum.reduce(np.abs(g) / asm.m_free))
 
 
 def _factor(A: sp.csc_matrix) -> spla.SuperLU:
@@ -393,23 +431,39 @@ class _System:
         its rounding floor above the target and x is returned as it is; the
         caller judges it.  After PCG_MAX_ITERATIONS steps A is solved exactly
         instead.  The loop builds no matrix and works in place: its product
-        is csr_matvec on the assembled arrays, the kernel of scipy's A @ d."""
+        is csr_matvec on the assembled arrays, the kernel of scipy's A @ d.
+
+        The stop test max|r|/m <= target takes three passes over r, so it
+        runs only where r.z = sum r^2/D, which the next step needs anyway, is
+        at most target^2 sum m^2/D (D the diagonal of A), as the test implies
+        it is.  The bound is widened by (2 nf + 16) eps, more than the
+        rounding of both sums while target^2, every m^2 and m^2/D, and the
+        bound are normal floats; where one is not (target^2 underflows, or
+        D has a 0) every step is tested.  The test also runs where r.z has
+        left the normal range: there the recursion's quotients lose their
+        precision, and once r.z and d.Ad underflow to 0 it would divide 0
+        by 0."""
         asm, nf = self._asm, len(b)
-        m = asm.g.m[asm.free]
+        m = asm.m_free
         inv_diag = 1.0 / self._data[asm.lap_diag]  # the preconditioner
+        mm = m * m
+        terms = mm * inv_diag
+        gate = target * target * float(np.sum(terms)) * (1.0 + (2 * nf + 16) * np.finfo(float).eps)
+        if not (target * target >= _TINY and min(mm.min(), terms.min()) >= _TINY and _TINY <= gate < np.inf):
+            gate = np.inf
         x, r = np.zeros(nf), b.copy()
         z, d, q, t = np.empty(nf), np.empty(nf), np.empty(nf), np.empty(nf)
         rz, floor = None, np.inf  # rz is None where CG (re)starts
+        rz_new = float(np.dot(r, np.multiply(inv_diag, r, out=z)))
         for _ in range(PCG_MAX_ITERATIONS):
-            if np.divide(np.abs(r, out=t), m, out=t).max() <= target:
+            if rz_new < _TINY or rz_new <= gate and np.maximum.reduce(np.divide(np.abs(r, out=t), m, out=t)) <= target:
                 q.fill(0.0)
                 csr_matvec(nf, nf, asm.lap_indptr, asm.lap_col, self._data, x, q)
-                res = np.divide(np.abs(np.subtract(b, q, out=r), out=t), m, out=t).max()
+                res = np.maximum.reduce(np.divide(np.abs(np.subtract(b, q, out=r), out=t), m, out=t))
                 if res <= target or res >= floor:
                     return x
                 rz, floor = None, res
-            np.multiply(inv_diag, r, out=z)
-            rz_new = float(np.dot(r, z))
+                rz_new = float(np.dot(r, np.multiply(inv_diag, r, out=z)))
             if rz is not None:  # d = z + beta d, into z's array
                 z += np.multiply(rz_new / rz, d, out=d)
             d, z, rz = z, d, rz_new
@@ -418,6 +472,7 @@ class _System:
             alpha = rz / float(np.dot(d, q))
             x += np.multiply(alpha, d, out=t)
             r -= np.multiply(alpha, q, out=t)
+            rz_new = float(np.dot(r, np.multiply(inv_diag, r, out=z)))
         return self.solve(b)
 
 
@@ -453,13 +508,12 @@ def _curvature(asm: _Assembled, p: float, u: np.ndarray, last: tuple | None = No
     Either way the matrix stays symmetric positive definite and the step
     remains a descent direction for the exact F_p.
     """
-    scale = max(1.0, float(np.max(np.abs(u))) if len(u) else 1.0)
+    au = np.abs(u)
+    scale = max(1.0, float(np.max(au)) if len(u) else 1.0)
     d = u[asm.g.ei] - u[asm.g.ej]
     ad = np.abs(d)
-    au = np.abs(u)
     if p >= 2.0:
         we = ad ** (p - 2.0) + 1e-12
-        wu = au ** (p - 2.0) + 1e-12
         flips = None
     else:
         # the curvature blows up at equal neighbor values; floor the gradient
@@ -467,13 +521,18 @@ def _curvature(asm: _Assembled, p: float, u: np.ndarray, last: tuple | None = No
         # stiff near-tie directions keep their true curvature
         floor = 64.0 * np.finfo(float).eps * scale
         we = np.maximum(ad, floor) ** (p - 2.0)
-        wu = np.maximum(au, floor) ** (p - 2.0)
         # a difference at the floor (a mirror tie, say) never counts as a flip
         d[ad <= floor] = 0.0
         before, flipped = last or (d, False)
         flips = (d, d * before < 0.0)
         we[flips[1] | flipped] /= p - 1.0
-    return asm.g.w * (p - 1.0) * we, asm.g.c * (p - 1.0) * wu, flips
+    ce = asm.g.w * (p - 1.0) * we
+    # with c = 0, c (p-1) wu is c bit for bit where every wu is finite; below
+    # p = 2 the floor keeps them finite, and only a nan in u counts
+    if asm.g._zero_potential and _finite_powers(au, p - 2.0):
+        return ce, asm.g.c, flips
+    wu = au ** (p - 2.0) + 1e-12 if p >= 2.0 else np.maximum(au, floor) ** (p - 2.0)
+    return ce, asm.g.c * (p - 1.0) * wu, flips
 
 
 def _newton_leg(
@@ -779,7 +838,7 @@ def solve_torsion(spec: ProblemSpec, opts: SolverOptions | None = None) -> Torsi
         rigidity = _certify(asm, p, rhs, u, what, iterations, res, tol)
     else:
         with np.errstate(over="ignore"):
-            l1 = float(np.dot(np.abs(u[asm.free]), asm.g.m[asm.free]))
+            l1 = float(np.dot(np.abs(u[asm.free]), asm.m_free))
         try:
             rigidity = l1 ** (p - 1.0)  # inf ** x is inf, without an OverflowError
         except OverflowError:

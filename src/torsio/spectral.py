@@ -84,7 +84,7 @@ def _eigen_residual(asm, p: float, lam: float, u: np.ndarray) -> float:
     if a free row's residual is not finite.  The fluxes summed into a
     Dirichlet row, which is dropped, may overflow harmlessly."""
     with np.errstate(over="ignore", invalid="ignore"):
-        res = _mlp(asm.g, p, u)[asm.free] / asm.g.m[asm.free] - lam * phi_p(u[asm.free], p)
+        res = _mlp(asm.g, p, u)[asm.free] / asm.m_free - lam * phi_p(u[asm.free], p)
         worst = float(np.max(np.abs(res))) if len(res) else 0.0
     if not np.isfinite(worst):
         raise NoConvergenceError(f"the lambda0 eigen-residual at p = {p:g} leaves float range")
@@ -94,7 +94,7 @@ def _eigen_residual(asm, p: float, lam: float, u: np.ndarray) -> float:
 def _lp_mass(asm, p: float, u: np.ndarray) -> float:
     """sum |u|^p m over the free vertices, the p-th power of the l^p(m) norm."""
     with np.errstate(over="ignore"):
-        lp = float(np.sum(np.abs(u[asm.free]) ** p * asm.g.m[asm.free]))
+        lp = float(np.sum(np.abs(u[asm.free]) ** p * asm.m_free))
     if not 0.0 < lp < np.inf:
         raise NoConvergenceError(f"the l^p(m) norm of the lambda0 eigenvector at p = {p:g} leaves float range")
     return lp
@@ -116,7 +116,7 @@ def _solution(asm, p: float, lam: float, u: np.ndarray, method: str, iterations:
 def _lambda0_p2(asm) -> tuple[np.ndarray, str]:
     """The p = 2 ground state on the free vertices, positive, and the method."""
     K = _operator(asm)
-    m_free = asm.g.m[asm.free]
+    m_free = asm.m_free
     if isinstance(K.A, np.ndarray):
         _, vecs = scipy.linalg.eigh(K.A, np.diag(m_free))
         method = "dense_eigh"
@@ -169,7 +169,7 @@ def lambda0(
     max_outer = 500
     for it in range(1, max_outer + 1):
         inner_tol = max(1e-12, 1e-2 * gap)
-        rhs[asm.free] = lam * phi_p(u[asm.free], p) * asm.g.m[asm.free]
+        rhs[asm.free] = lam * phi_p(u[asm.free], p) * asm.m_free
         # one Newton leg from the current iterate, best effort: any iterate
         # yields a valid Rayleigh value, and for p < 2 near-tied values put
         # the pointwise residual floor above tight tolerances; the outer gap

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import torsio.solver
 from conftest import as_unit_function, random_general_spec
 from torsio import (
     DirichletViolationError,
@@ -24,6 +25,7 @@ from torsio import (
     solve_torsion,
 )
 from torsio.closed_forms import PathSpecParams, path_torsion
+from torsio.energy import _mlp, _power_sum, _qp, phi_p
 
 TIGHT = SolverOptions(tol=1e-12)
 
@@ -244,3 +246,87 @@ def test_energy_with_an_overflowing_power_is_finite():
     g = build_graph([(v, 1.0, 0.0) for v in "abc"], [("a", "b", 1.0), ("b", "c", 1e-308)])
     spec = ProblemSpec(g, frozenset({"a"}), 3.0)
     assert energy_Qp(spec, {"a": 0.0, "b": 1.0, "c": 1e154}) == pytest.approx(1e154 / 3.0, rel=1e-12)
+
+
+def _qp_reference(g, p, u):
+    """Q_p with the potential term always summed."""
+    d = u[g.ei] - u[g.ej]
+    return _power_sum(g.w, d, p) / p + _power_sum(g.c, u, p) / p
+
+
+def _mlp_reference(g, p, u):
+    """m L_p u with two scatters and the potential term always added."""
+    d = u[g.ei] - u[g.ej]
+    f = g.w * phi_p(d, p)
+    out = np.zeros(len(u))
+    np.add.at(out, g.ei, f)
+    np.add.at(out, g.ej, -f)
+    out += g.c * phi_p(u, p)
+    return out
+
+
+def _curvature_reference(asm, p, u):
+    """The Hessian weights of solver._curvature with the vertex weights
+    always computed, from a first step (no earlier flips)."""
+    scale = max(1.0, float(np.max(np.abs(u))) if len(u) else 1.0)
+    d = u[asm.g.ei] - u[asm.g.ej]
+    ad, au = np.abs(d), np.abs(u)
+    if p >= 2.0:
+        we = ad ** (p - 2.0) + 1e-12
+        wu = au ** (p - 2.0) + 1e-12
+        flips = None
+    else:
+        floor = 64.0 * np.finfo(float).eps * scale
+        we = np.maximum(ad, floor) ** (p - 2.0)
+        wu = np.maximum(au, floor) ** (p - 2.0)
+        d[ad <= floor] = 0.0
+        flips = (d, d * d < 0.0)
+        we[flips[1]] /= p - 1.0
+    return asm.g.w * (p - 1.0) * we, asm.g.c * (p - 1.0) * wu, flips
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def test_kernels_skip_a_zero_potential_bit_for_bit():
+    # _mlp scatters once and, like _qp and the solver's Hessian weights,
+    # skips the potential terms where c = 0 everywhere; each must give the
+    # full expressions' bits, nan where they have nan (0 * inf where |u|^19
+    # overflows at p = 20, and a nan entry of u), and float zeros without
+    # edges
+    rng = np.random.default_rng(17)
+    n = 12
+    ids = [f"v{k}" for k in range(n)]
+    edges = [(ids[a], ids[b], float(rng.uniform(0.5, 2.0)))
+             for a, b in (rng.choice(n, 2, replace=False) for _ in range(30))]
+    potential = np.where(np.arange(n) % 3 == 0, 0.5, 0.0)
+    graphs = {
+        "zero_c": build_graph([(v, 1.0, 0.0) for v in ids], edges),
+        "some_c": build_graph([(v, 1.0, float(c)) for v, c in zip(ids, potential)], edges),
+        "no_edges": build_graph([(v, 1.0, 0.0) for v in ids], []),
+    }
+    base = rng.uniform(-1.0, 1.0, n)
+    vectors = {
+        "plain": base,
+        "overflow": base * 1e20,
+        "flat_overflow": np.full(n, 1e20),  # no flux, only the potential terms overflow
+        "nan": np.where(np.arange(n) == 4, np.nan, base),
+    }
+    for name, g in graphs.items():
+        asm = torsio.solver._assemble(ProblemSpec(g, frozenset(ids[:1]), 2.0))
+        for p in (1.5, 3.0, 20.0):
+            for kind, u in vectors.items():
+                with np.errstate(all="ignore"):
+                    got = (_qp(g, p, u), _mlp(g, p, u), *torsio.solver._curvature(asm, p, u.copy()))
+                    want = (_qp_reference(g, p, u), _mlp_reference(g, p, u), *_curvature_reference(asm, p, u.copy()))
+                case = (name, p, kind)
+                assert _bits(got[0]) == _bits(want[0]), case
+                assert got[1].dtype == float and _bits(got[1]) == _bits(want[1]), case
+                for a, b in zip(got[2:4], want[2:4]):
+                    assert _bits(a) == _bits(b), case
+                if p < 2.0:
+                    assert all(_bits(a) == _bits(b) for a, b in zip(got[4], want[4])), case
+    assert not _mlp(graphs["no_edges"], 3.0, base).any()
+    with np.errstate(all="ignore"):
+        assert np.isnan(_mlp(graphs["zero_c"], 20.0, vectors["flat_overflow"])).all()

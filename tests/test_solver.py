@@ -20,6 +20,7 @@ from torsio import (
     IllPosedError,
     NoConvergenceError,
     ProblemSpec,
+    ScaleParams,
     SolverOptions,
     UnboundedComponentError,
     UnsupportedCombinationError,
@@ -32,6 +33,7 @@ from torsio import (
     pointwise_residual,
     polya_quotient,
     rigidity_via_min,
+    scale,
     solve_torsion,
 )
 from torsio.closed_forms import (
@@ -494,6 +496,65 @@ def test_laplacian_matches_networkx_on_both_sides_of_dense_limit():
         np.testing.assert_allclose(K, _free_laplacian_reference(spec), rtol=0, atol=1e-14)
 
 
+def _sorted_layout(spec):
+    """The Laplacian layout of _assemble built by sorting: every triplet's
+    flat cell row * nf + col, made unique by np.unique."""
+    g, free = spec.graph, spec._free
+    nf, ne = len(free), g.edge_count
+    pos = np.full(g.vertex_count, -1, dtype=int)
+    pos[free] = np.arange(nf)
+    pa, pb = pos[g.ei], pos[g.ej]
+    ka, kb = np.flatnonzero(pa >= 0), np.flatnonzero(pb >= 0)
+    kab = np.flatnonzero((pa >= 0) & (pb >= 0))
+    row = np.concatenate([pa[ka], pb[kb], pa[kab], pb[kab], pos[free]])
+    col = np.concatenate([pa[ka], pb[kb], pb[kab], pa[kab], pos[free]])
+    lap_cell, lap_slot = np.unique(row * nf + col, return_inverse=True)
+    return {
+        "lap_src": np.concatenate([ka, kb, ne + kab, ne + kab, 2 * ne + free]),
+        "lap_slot": lap_slot,
+        "lap_cell": lap_cell,
+        "lap_indptr": np.searchsorted(lap_cell, np.arange(nf + 1) * nf).astype(np.int32),
+        "lap_col": (lap_cell % nf).astype(np.int32),
+        "lap_diag": lap_slot[len(lap_slot) - nf:],  # the c_v triplets come last
+    }
+
+
+def _layout_specs():
+    yield make_path(1)
+    yield make_path(7)
+    yield dirichlet_grid(2)  # every vertex is Dirichlet, none is free
+    yield dirichlet_grid(6)
+    # a star with a Dirichlet centre (v1) has no edge between free vertices
+    star = make_star(5).graph
+    yield ProblemSpec(star, frozenset({star.vertices[1]}), 2.0)
+    # a component anchored only by its potential, beside a Dirichlet one
+    g = build_graph([(v, 1.0, 0.5 if v == "e" else 0.0) for v in "abcdef"],
+                    [("a", "b", 1.0), ("b", "c", 2.0), ("d", "e", 1.0), ("e", "f", 1.0)])
+    yield ProblemSpec(g, frozenset({"a"}), 3.0)
+    # random graphs with 1 to n - 1 Dirichlet vertices, parallel edge records
+    # and ids that are not in vertex order, so the free set has gaps
+    for seed in range(40):
+        rng = np.random.default_rng([seed, 11])
+        n = int(rng.integers(3, 16))
+        ids = [f"x{k}" for k in rng.permutation(n)]
+        edges = [(ids[a], ids[b], float(rng.uniform(0.5, 2.0)))
+                 for a, b in (rng.choice(n, 2, replace=False) for _ in range(int(rng.integers(0, 3 * n))))]
+        c = np.where(rng.random(n) < 0.2, 0.5, 0.0)
+        g = build_graph([(v, 1.0, float(cv)) for v, cv in zip(ids, c)], edges)
+        yield ProblemSpec(g, frozenset(rng.choice(ids, int(rng.integers(1, n)), replace=False).tolist()), 2.0)
+
+
+def test_laplacian_layout_matches_the_sorted_one():
+    # _assemble reads the CSR layout off the canonical edge order; it must be
+    # the layout sorting all triplet cells gives, dtypes included
+    for spec in _layout_specs():
+        asm = torsio.solver._assemble(spec)
+        for name, want in _sorted_layout(spec).items():
+            got = getattr(asm, name)
+            assert got.dtype == want.dtype, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
+
+
 def _random_expander(n=800, degree=6, n_dirichlet=4, seed=5, p=2.0):
     """Seeded sparse random graph: a random spanning tree on the free
     vertices, each Dirichlet vertex tied to two free ones, and random extra
@@ -649,7 +710,9 @@ def _records_spec(n, p, seed=1):
 
 def _scipy_pcg(system, b, target):
     """_System._pcg written on a scipy matrix, as the reference it must
-    match: K @ d for the product and np.max(np.abs(r) / m) for the test."""
+    match: K @ d for the product and np.max(np.abs(r) / m) for the test,
+    which also runs where r.z has left the normal range (where it and d.Kd
+    underflow to 0, the next step would divide 0 by 0)."""
     K = system._sparse
     m = system._asm.g.m[system._asm.free]
     inv_diag = 1.0 / K.diagonal()
@@ -658,7 +721,7 @@ def _scipy_pcg(system, b, target):
     d = None
     floor = np.inf
     for _ in range(torsio.solver.PCG_MAX_ITERATIONS):
-        if np.max(np.abs(r) / m) <= target:
+        if np.max(np.abs(r) / m) <= target or float(np.dot(r, inv_diag * r)) < np.finfo(float).tiny:
             r = b - K @ x
             res = np.max(np.abs(r) / m)
             if res <= target or res >= floor:
@@ -689,6 +752,18 @@ def test_pcg_matches_the_scipy_loop_bit_for_bit(monkeypatch, make):
     m = asm.g.m[asm.free]
     for target in (1e-12, 1e-13):
         np.testing.assert_array_equal(system._pcg(m, target), _scipy_pcg(system, m, target))
+    # the filter in front of the stop test: b = 0, b = target m (which meets
+    # the test at x = 0, where r.z is the filter's bound to rounding), and
+    # targets whose square underflows, also on masses of 1e-150 and 1e150
+    # times these against the same right-hand side m
+    for b, target in ((0.0 * m, 1e-12), (1e-3 * m, 1e-3), (m, 1e-170), (m, 1e-200)):
+        np.testing.assert_array_equal(system._pcg(b, target), _scipy_pcg(system, b, target))
+    spec = make(2.0)
+    for mu in (1e-150, 1e150):
+        heavy = torsio.solver._assemble(ProblemSpec(scale(spec.graph, ScaleParams(mu, 1.0)), spec.dirichlet, 2.0))
+        scaled = torsio.solver._System(heavy, heavy.g.w, heavy.g.c)
+        for target in (1e-12, 1e-170, 1e-200):
+            np.testing.assert_array_equal(scaled._pcg(m, target), _scipy_pcg(scaled, m, target))
     calls = []
     pcg = torsio.solver._System._pcg
     monkeypatch.setattr(torsio.solver._System, "_pcg",
@@ -704,6 +779,21 @@ def test_pcg_matches_the_scipy_loop_bit_for_bit(monkeypatch, make):
     y = np.zeros(len(x))
     torsio.solver.csr_matvec(len(x), len(x), asm.lap_indptr, asm.lap_col, system._data, x, y)
     np.testing.assert_array_equal(y, system._sparse @ x)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 1.5])
+def test_a_krylov_side_solve_to_tol_zero_is_judged_on_its_bracket(p):
+    # tol = 0 sends PCG below float range: r.z underflows to 0 before the
+    # stop test can pass, and CG must take the true residual there instead
+    # of dividing 0 by 0; the solve stops at its rounding floor and the
+    # bracket certifies it
+    spec = _records_spec(400, p, seed=[0, 1])
+    assert torsio.solver._assemble(spec).krylov
+    exact = solve_torsion(spec).rigidity
+    for tol in (0.0, 1e-200):
+        sol = solve_torsion(spec, SolverOptions(tol=tol))
+        assert sol.residual_inf > tol
+        assert sol.rigidity == pytest.approx(exact, rel=1e-12)
 
 
 def _exact_solve(system, b, target):
