@@ -354,7 +354,7 @@ def polya_szego_product(c: _Ctx) -> tuple:
 
 
 @_check("trivial_lower", "T_p >= m_free^p / (sum b(free, V0) + sum c(free))",
-        "torsion", "denominator")
+        "well_posed", "torsion", "denominator")
 def trivial_lower(c: _Ctx) -> tuple:
     """T_p >= m_free^p / (boundary edge weight + free potential mass)."""
     return c.torsion.rigidity, ">=", c.spec.free_measure() ** c.spec.p / c.denominator

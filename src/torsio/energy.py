@@ -18,6 +18,14 @@ solver's Hessian weights c (p-1) |u|^(p-2) follow the same rule; in Q_p the
 term is exactly 0.0 even then, as ``_power_sum`` recomputes a non-finite
 sum over the vertices with c > 0 alone.
 
+numpy's float-error policy is set once per public numeric entry, never in a
+kernel: ``energy_Qp``, ``functional_Fp``, ``polya_quotient`` and
+``rayleigh_quotient`` here, ``solver.solve_torsion`` and ``spectral.lambda0``
+each run under ``np.errstate(over="ignore", invalid="ignore")``.  A
+kernel's result out of float range is thus inf or nan without a warning,
+and each caller that needs a finite value tests for it and raises a typed
+error; the four functions here return what the kernels give.
+
 The public functions take vertex functions as mappings id -> value on the
 whole vertex set; for specs with a Dirichlet set they must vanish there
 (enforced, not assumed).
@@ -51,11 +59,10 @@ def _power_sum(w: np.ndarray, x: np.ndarray, p: float) -> float:
     """sum w |x|^p.  Where |x|^p overflows although the sum may not, the
     terms with w > 0 are recomputed as (w^(1/p) |x|)^p; a sum with finite
     terms is the plain one, bit for bit."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = float(np.sum(w * np.abs(x) ** p))
-        if not math.isfinite(total):
-            loaded = w > 0.0
-            total = float(np.sum((w[loaded] ** (1.0 / p) * np.abs(x[loaded])) ** p))
+    total = float(np.sum(w * np.abs(x) ** p))
+    if not math.isfinite(total):
+        loaded = w > 0.0
+        total = float(np.sum((w[loaded] ** (1.0 / p) * np.abs(x[loaded])) ** p))
     return total
 
 
@@ -106,11 +113,13 @@ def _values(spec: ProblemSpec, u: VertexFunction) -> tuple[np.ndarray, np.ndarra
     return np.array([u[v] for v in spec.graph.vertices], dtype=float), spec._free
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def energy_Qp(spec: ProblemSpec, u: VertexFunction) -> float:
     """Q_p(u) = (1/2p) sum_{v,w} b(v,w) |u(v)-u(w)|^p + (1/p) sum_v c(v) |u(v)|^p."""
     return _qp(spec.graph, spec.p, _values(spec, u)[0])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def functional_Fp(spec: ProblemSpec, u: VertexFunction) -> float:
     """F_p(u) = Q_p(u) - sum over free vertices of u(v) m(v)."""
     uv, free = _values(spec, u)
@@ -130,6 +139,7 @@ def gradient_Fp(spec: ProblemSpec, u: VertexFunction) -> dict[VertexId, float]:
     return dict(zip(spec.graph.vertices, grad.tolist()))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def polya_quotient(spec: ProblemSpec, u: VertexFunction) -> float:
     """(sum_{v free} |u(v)| m(v))^p / (p Q_p(u)); maximized by the torsion function."""
     if not spec.well_posed:
@@ -144,6 +154,7 @@ def polya_quotient(spec: ProblemSpec, u: VertexFunction) -> float:
     return l1**spec.p / (spec.p * q)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def rayleigh_quotient(spec: ProblemSpec, u: VertexFunction) -> float:
     """p Q_p(u) / sum_{v free} |u(v)|^p m(v); its infimum is the bottom of the p-spectrum."""
     if not spec.well_posed:

@@ -86,11 +86,20 @@ the same way: its residual has the rounding floor eps * ||L|| * ||tau||,
 above the default tol on long paths (2.3e-10 for a path of 2000 free
 vertices).
 
+``solve_torsion`` runs under numpy's float-error policy of the public
+entries (``energy``: overflow and invalid operations pass quietly), and no
+kernel here sets one but the Gauss-Seidel sweep, which raises on overflow
+to stop in that sweep.  A value out of float range is thus inf or nan
+without a warning, and it meets an explicit test that raises
+NoConvergenceError: a residual, Hessian weight or Newton step that is not
+finite, an entry of the p = 2 operator, tau or T_p that overflows, and a
+bracket whose float power overflows or whose energy underflows.
+
 Below p = 2 the tangent model sends the difference d of an edge near a tie
 to d(p-2)/(p-1), across 0, so the edge flips sign at every Newton step;
 ``_curvature`` gives it the secant weight of the IRLS majorizer of |x|^p/p
 (Daubechies et al., CPAM 2010), which sends d to 0: a random 400-vertex
-graph of degree 6 at p = 1.5 takes 26 Newton steps instead of 91.
+graph of degree 6 at p = 1.5 takes 26 Newton steps with it, 91 without.
 
 The continuation toward p > 2 is path following: each intermediate leg
 takes one damped Newton (corrector) step, because the power transform of
@@ -332,9 +341,8 @@ def _gradient(asm: _Assembled, p: float, rhs: np.ndarray, u: np.ndarray) -> tupl
     """The gradient g = m L_p u - rhs of the objective on the free vertices,
     and the residual max |g| / m; inf or nan, quietly, where a flux
     w phi_p(du) overflows, and no comparison with a tolerance accepts that."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = (_mlp(asm.g, p, u) - rhs)[asm.free]
-        return g, float(np.maximum.reduce(np.abs(g) / asm.m_free))
+    g = (_mlp(asm.g, p, u) - rhs)[asm.free]
+    return g, float(np.maximum.reduce(np.abs(g) / asm.m_free))
 
 
 def _factor(A: sp.csc_matrix) -> spla.SuperLU:
@@ -568,8 +576,7 @@ def _newton_leg(
     while not res <= tol and it < cap:
         it += 1
         # an overflowing gradient or Hessian weight ends the leg before any step
-        with np.errstate(over="ignore", invalid="ignore"):
-            ce, cc, flips = _curvature(asm, p, u, flips)
+        ce, cc, flips = _curvature(asm, p, u, flips)
         if not (np.isfinite(g).all() and np.isfinite(ce).all() and np.isfinite(cc).all()):
             raise NoConvergenceError(f"the Newton step at p = {p:.6g} overflows a float", it, res)
         H = _System(asm, ce, cc)
@@ -581,14 +588,13 @@ def _newton_leg(
         # for p < 2 the curvature model flattens far from the minimizer and
         # raw steps can overshoot by orders of magnitude
         limit = 0.5 * max(1.0, float(np.max(np.abs(u[asm.free]))))
-        with np.errstate(over="ignore", invalid="ignore"):
-            size = float(np.max(np.abs(step)))
-            if size > limit:
-                step *= limit / size
-            slope = float(np.dot(g, step))
-            if slope >= 0.0:
-                step = -g
-                slope = -float(np.dot(g, g))
+        size = float(np.max(np.abs(step)))
+        if size > limit:
+            step *= limit / size
+        slope = float(np.dot(g, step))
+        if slope >= 0.0:
+            step = -g
+            slope = -float(np.dot(g, g))
         if not np.isfinite(slope):  # an infinite step, or its slope
             raise NoConvergenceError(f"the Newton step at p = {p:.6g} overflows a float", it, res)
         # near the minimum the objective differences underflow before the
@@ -600,11 +606,10 @@ def _newton_leg(
         g_full, res_full = _gradient(asm, p, rhs, trial)
         alpha = 1.0
         if not res_full <= 0.9 * res:
-            with np.errstate(over="ignore", invalid="ignore"):
-                fval = _objective(asm, p, rhs, u)
-                while alpha > 1e-18 and not _objective(asm, p, rhs, trial) <= fval + 1e-4 * alpha * slope:
-                    alpha *= 0.5
-                    trial[asm.free] = u[asm.free] + alpha * step
+            fval = _objective(asm, p, rhs, u)
+            while alpha > 1e-18 and not _objective(asm, p, rhs, trial) <= fval + 1e-4 * alpha * slope:
+                alpha *= 0.5
+                trial[asm.free] = u[asm.free] + alpha * step
         g, res = (g_full, res_full) if alpha == 1.0 else _gradient(asm, p, rhs, trial)
         u = trial
         if res < 0.97 * best:
@@ -641,8 +646,7 @@ def _solve_newton(
         ratio = float(np.clip(s_tgt / s_cur, 0.75, 4.0 / 3.0))
         s_cur *= ratio
         leg_p = 1.0 + 1.0 / s_cur
-        with np.errstate(over="ignore"):
-            u[asm.free] = phi_p(u[asm.free], 1.0 + ratio)
+        u[asm.free] = phi_p(u[asm.free], 1.0 + ratio)
         if not np.isfinite(u).all():
             raise NoConvergenceError(f"tau overflows a float in the continuation to p = {leg_p:.6g}", it)
         final = abs(np.log(s_tgt / s_cur)) < 1e-12
@@ -801,6 +805,7 @@ def default_tolerance(spec: ProblemSpec) -> float:
     return 1e-10 * max(1.0, max(spec.graph.m.tolist()))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_torsion(spec: ProblemSpec, opts: SolverOptions | None = None) -> TorsionSolution:
     """Minimize F_p and return the torsion function with its rigidity.
 
@@ -837,8 +842,7 @@ def solve_torsion(spec: ProblemSpec, opts: SolverOptions | None = None) -> Torsi
         what = "direct solve" if method == "direct_p2" else "Newton"
         rigidity = _certify(asm, p, rhs, u, what, iterations, res, tol)
     else:
-        with np.errstate(over="ignore"):
-            l1 = float(np.dot(np.abs(u[asm.free]), asm.m_free))
+        l1 = float(np.dot(np.abs(u[asm.free]), asm.m_free))
         try:
             rigidity = l1 ** (p - 1.0)  # inf ** x is inf, without an OverflowError
         except OverflowError:

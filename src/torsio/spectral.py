@@ -27,24 +27,22 @@ Rayleigh quotient (at least 1e-12) and stops early on its stall break.
 Below p = 2 that aim lies under the residual's rounding floor (the flux is
 only (p-1)-Hoelder in the values, so the rounding of near-equal neighbor
 values is magnified), so a leg ends on the stall break: 3 steps in a row
-that do not cut the best residual by 3 % end it.  With the torsion solve's
-30-step window the legs spent most of their steps at the floor: lambda0
-takes 30 Newton steps instead of 195 on a 10 x 10 grid at p = 1.5, 15
-instead of 69 on a 40-leaf star at p = 1.2 and 45 instead of 206 on a
-20 x 20 grid at p = 1.5, and moves by at most 1e-11 relative (over these
-and the 1,618 specs on the connected graphs of 2 to 6 vertices with one
-Dirichlet vertex at p = 1.2 and 1.5).  At and above p = 2 the legs keep the
-30-step window: they start from the flat constant vector, where the Hessian
-weights |du|^(p-2) are near 1e-12, and a 3-step window ends them before
-they leave it (lambda0 of a 20 x 20 grid at p = 8 came out 140 times too
-large).  Started from positive constant data the iterate stays
-nonnegative; the result is a variational upper bound for the bottom of the
-spectrum, believed exact, and is labeled as such.
+that do not cut the best residual by 3 % end it; the torsion solve's
+30-step window would spend most of a leg's steps at the floor.  At and
+above p = 2 the legs keep the 30-step window: they start from the flat
+constant vector, where the Hessian weights |du|^(p-2) are near 1e-12, and a
+3-step window ends them before they leave it (lambda0 of a 20 x 20 grid at
+p = 8 is then 140 times too large).  Started from positive constant data
+the iterate stays nonnegative; the result is a variational upper bound for
+the bottom of the spectrum, believed exact, and is labeled as such.
 
-At both p, an iterate whose l^p(m) norm leaves float range (sum |u|^p m is
-0 or not finite, as when |u|^p overflows against subnormal masses) is a
-NoConvergenceError, and so is a result whose eigen-residual on a free
-vertex is not finite.
+``lambda0`` runs under numpy's float-error policy of the public entries
+(``energy``: overflow and invalid operations pass quietly), and the kernels
+here set none, so a value out of float range is inf or nan without a
+warning and meets an explicit test.  At both p, an iterate whose l^p(m)
+norm leaves float range (sum |u|^p m is 0 or not finite, as when |u|^p
+overflows against subnormal masses) is a NoConvergenceError, and so is a
+result whose eigen-residual on a free vertex is not finite.
 """
 
 from __future__ import annotations
@@ -57,7 +55,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .energy import _mlp, _qp, phi_p
-from .errors import DisconnectedError, NoConvergenceError
+from .errors import DisconnectedError, NoConvergenceError, TooFewVerticesError
 from .graphs import ProblemSpec, VertexId, WeightedGraph
 from .solver import _LEG_CAP, _LEG_STALL, SolverOptions, _assemble, _check_bounded, _newton_leg, _operator
 
@@ -83,9 +81,8 @@ def _eigen_residual(asm, p: float, lam: float, u: np.ndarray) -> float:
     """max over the free rows of |L_p u - lam phi_p(u)|; NoConvergenceError
     if a free row's residual is not finite.  The fluxes summed into a
     Dirichlet row, which is dropped, may overflow harmlessly."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = _mlp(asm.g, p, u)[asm.free] / asm.m_free - lam * phi_p(u[asm.free], p)
-        worst = float(np.max(np.abs(res))) if len(res) else 0.0
+    res = _mlp(asm.g, p, u)[asm.free] / asm.m_free - lam * phi_p(u[asm.free], p)
+    worst = float(np.max(np.abs(res))) if len(res) else 0.0
     if not np.isfinite(worst):
         raise NoConvergenceError(f"the lambda0 eigen-residual at p = {p:g} leaves float range")
     return worst
@@ -93,8 +90,7 @@ def _eigen_residual(asm, p: float, lam: float, u: np.ndarray) -> float:
 
 def _lp_mass(asm, p: float, u: np.ndarray) -> float:
     """sum |u|^p m over the free vertices, the p-th power of the l^p(m) norm."""
-    with np.errstate(over="ignore"):
-        lp = float(np.sum(np.abs(u[asm.free]) ** p * asm.m_free))
+    lp = float(np.sum(np.abs(u[asm.free]) ** p * asm.m_free))
     if not 0.0 < lp < np.inf:
         raise NoConvergenceError(f"the l^p(m) norm of the lambda0 eigenvector at p = {p:g} leaves float range")
     return lp
@@ -136,6 +132,7 @@ def _lambda0_p2(asm) -> tuple[np.ndarray, str]:
     return -vec if vec.sum() < 0.0 else vec, method
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def lambda0(
     spec: ProblemSpec, opts: SolverOptions | None = None, method: str = "auto"
 ) -> SpectralSolution:
@@ -194,7 +191,10 @@ def lambda1_p2(g: WeightedGraph) -> float:
 
     With zero potential the smallest eigenvalue is 0 (constant eigenvector)
     and this is the spectral gap.  Implemented for p = 2 only.
+    TooFewVerticesError below two vertices.
     """
+    if g.vertex_count < 2:
+        raise TooFewVerticesError(f"lambda1 needs at least 2 vertices, got {g.vertex_count}")
     if not g.is_connected:
         raise DisconnectedError("lambda1 needs a connected graph")
     asm = _assemble(ProblemSpec(g, frozenset(), 2.0))

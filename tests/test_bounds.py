@@ -287,6 +287,16 @@ def test_check_all_neumann_spec():
     assert not report.violations
 
 
+def test_check_all_on_an_ill_posed_spec_has_no_inconclusive_check():
+    # no Dirichlet set and c = 0: every check that reads a solve is gated on
+    # a well-posed spec first, so none reports the failed solve
+    for p in (1.5, 2.0, 3.0):
+        report = check_all(ProblemSpec(_three_path(dirichlet=()).graph, frozenset(), p))
+        assert not report.inconclusive, p
+        trivial = {c.id: c for c in report.checks}["trivial_lower"]
+        assert not trivial.applicable and trivial.reason == "spec is not well posed"
+
+
 def test_check_all_disconnected_graph_completes():
     g = build_graph(
         [("a", 1, 0), ("b", 1, 0), ("c", 1, 0), ("d", 1, 0)],

@@ -1398,3 +1398,30 @@ def test_gauss_seidel_ends_on_a_path_whose_first_sweep_underflows():
     opts = SolverOptions(method="gauss_seidel", max_iterations=20)
     with pytest.raises(NoConvergenceError, match="after 20 sweeps"):
         solve_torsion(make_path(3, "unit", 1e17, 1.05), opts)
+
+
+def test_a_public_solve_sets_the_float_policy_at_most_once(monkeypatch):
+    # numpy's float-error policy is set at the public entry and by no kernel
+    # under it; numpy's decorator form may not go through __enter__ at all,
+    # so a call counts at most one entry
+    entries = []
+    enter = np.errstate.__enter__
+
+    def counted(self):
+        entries.append(self)
+        return enter(self)
+
+    monkeypatch.setattr(np.errstate, "__enter__", counted)
+    grid = dirichlet_grid(10, p=1.5)
+    expander = _random_expander(n=400, p=3.0)
+    assert not torsio.solver._assemble(grid).krylov and torsio.solver._assemble(expander).krylov
+    calls = {
+        "newton grid p = 1.5": lambda: solve_torsion(grid),
+        "newton expander p = 3": lambda: solve_torsion(expander),
+        "lambda0 expander p = 3": lambda: lambda0(expander),
+        "lambda0 grid p = 1.5": lambda: lambda0(grid),
+    }
+    for name, call in calls.items():
+        entries.clear()
+        call()
+        assert len(entries) <= 1, (name, len(entries))

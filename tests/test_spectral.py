@@ -16,6 +16,7 @@ from torsio import (
     ProblemSpec,
     UnboundedComponentError,
     ScaleParams,
+    TooFewVerticesError,
     TorsioError,
     build_graph,
     gradient_Fp,
@@ -153,6 +154,13 @@ def test_lambda1_scaling_in_weights():
 def test_lambda1_needs_connected():
     g = build_graph([("a", 1, 0), ("b", 1, 0), ("c", 1, 0)], [("a", "b", 1)])
     with pytest.raises(DisconnectedError):
+        lambda1_p2(g)
+
+
+def test_lambda1_needs_two_vertices():
+    # a one-vertex graph has one eigenvalue; the error is typed, as for the min cut
+    g = build_graph([("a", 1, 0)], [])
+    with pytest.raises(TooFewVerticesError, match="^lambda1 needs at least 2 vertices, got 1$"):
         lambda1_p2(g)
 
 
@@ -300,11 +308,14 @@ def test_lambda0_ignores_an_overflow_in_the_dropped_dirichlet_row():
 
 
 def test_an_eigen_residual_out_of_float_range_on_a_free_row_raises():
-    # a residual of inf would print as Infinity, which is not JSON
+    # a residual of inf would print as Infinity, which is not JSON; the
+    # kernel sets no float policy, so it runs under the one lambda0 sets
     spec = make_path(2)
     asm = torsio.solver._assemble(spec)
     u = np.array([0.0, 1e308, -1e308])
-    with pytest.raises(NoConvergenceError, match="^the lambda0 eigen-residual at p = 2 leaves float range$"):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        NoConvergenceError, match="^the lambda0 eigen-residual at p = 2 leaves float range$"
+    ):
         torsio.spectral._eigen_residual(asm, 2.0, 1.0, u)
 
 
