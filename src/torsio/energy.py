@@ -24,7 +24,12 @@ kernel: ``energy_Qp``, ``functional_Fp``, ``polya_quotient`` and
 each run under ``np.errstate(over="ignore", invalid="ignore")``.  A
 kernel's result out of float range is thus inf or nan without a warning,
 and each caller that needs a finite value tests for it and raises a typed
-error; the four functions here return what the kernels give.
+error; the four functions here return what the kernels give.  The two
+quotients are scale invariant while the sums they divide are not: where one
+of those sums, or the Polya numerator, is not a normal float, they are
+evaluated on u / max|u| instead (on ``make_path(3, p=8.0)``, u = 1e50 and
+u = 1e-50 give the quotients of u = 1).  Everywhere else they are the plain
+evaluation, bit for bit.
 
 The public functions take vertex functions as mappings id -> value on the
 whole vertex set; for specs with a Dirichlet set they must vanish there
@@ -48,6 +53,9 @@ from .errors import (
 from .graphs import ProblemSpec, VertexId, WeightedGraph
 
 VertexFunction = Mapping[VertexId, float]
+
+# the smallest normal float
+_TINY = np.finfo(float).tiny
 
 
 def phi_p(x, p: float):
@@ -139,19 +147,44 @@ def gradient_Fp(spec: ProblemSpec, u: VertexFunction) -> dict[VertexId, float]:
     return dict(zip(spec.graph.vertices, grad.tolist()))
 
 
+def _scales(uv: np.ndarray):
+    """uv, then uv / max|uv| if that is a positive float: the quotients are
+    scale invariant, the sums they divide are not."""
+    yield uv
+    top = float(np.max(np.abs(uv)))
+    if 0.0 < top < math.inf:
+        yield uv / top
+
+
+def _normal(x: float) -> bool:
+    return _TINY <= x < math.inf
+
+
+def _power(x: float, p: float) -> float:
+    """x ** p, inf where that overflows."""
+    try:
+        return x**p
+    except OverflowError:
+        return math.inf
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def polya_quotient(spec: ProblemSpec, u: VertexFunction) -> float:
     """(sum_{v free} |u(v)| m(v))^p / (p Q_p(u)); maximized by the torsion function."""
     if not spec.well_posed:
         raise IllPosedError("Polya quotient needs a Dirichlet vertex or a positive potential")
     uv, free = _values(spec, u)
-    l1 = float(np.dot(np.abs(uv[free]), spec.graph.m[free]))
+    g, p = spec.graph, spec.p
+    for v in _scales(uv):
+        l1 = float(np.dot(np.abs(v[free]), g.m[free]))
+        top, q = _power(l1, p), _qp(g, p, v)
+        if _normal(top) and _normal(q):
+            break
     if l1 == 0.0:
         raise ZeroFunctionError("function vanishes on all free vertices")
-    q = _qp(spec.graph, spec.p, uv)
     if q == 0.0:
         raise ZeroEnergyError("function has zero energy; the quotient is undefined")
-    return l1**spec.p / (spec.p * q)
+    return top / (p * q)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -160,7 +193,12 @@ def rayleigh_quotient(spec: ProblemSpec, u: VertexFunction) -> float:
     if not spec.well_posed:
         raise IllPosedError("Rayleigh quotient needs a Dirichlet vertex or a positive potential")
     uv, free = _values(spec, u)
-    lp = float(np.sum(np.abs(uv[free]) ** spec.p * spec.graph.m[free]))
+    g, p = spec.graph, spec.p
+    for v in _scales(uv):
+        lp = float(np.sum(np.abs(v[free]) ** p * g.m[free]))
+        q = _qp(g, p, v)
+        if _normal(lp) and _normal(q):
+            break
     if lp == 0.0:
         raise ZeroFunctionError("function vanishes on all free vertices")
-    return spec.p * _qp(spec.graph, spec.p, uv) / lp
+    return p * q / lp

@@ -143,6 +143,45 @@ def test_quotients_scale_invariant():
     )
 
 
+def test_quotients_scale_invariant_out_of_float_range():
+    # at p = 8 the sums behind both quotients overflow at u = 1e50 and
+    # underflow at u = 1e-50; the quotients are those of u = 1, which is
+    # u / max|u| here
+    spec = make_path(3, p=8.0)
+
+    def at(s):
+        return {v: 0.0 if v in spec.dirichlet else s for v in spec.graph.vertices}
+
+    for s in (1e50, 1e-50, 1e300, 5e-324):
+        assert polya_quotient(spec, at(s)) == polya_quotient(spec, at(1.0)) == 3.0**8
+        assert rayleigh_quotient(spec, at(s)) == rayleigh_quotient(spec, at(1.0)) == 1.0 / 3.0
+    rng = np.random.default_rng(2)
+    for seed in range(4):
+        spec = random_general_spec(seed, p=8.0, with_potential=True)
+        u = as_unit_function(spec, rng)
+        uv = np.array([u[v] for v in spec.graph.vertices])
+        free = spec._free
+        # in float range each quotient is the plain evaluation, bit for bit
+        q = _qp(spec.graph, 8.0, uv)
+        l1 = float(np.dot(np.abs(uv[free]), spec.graph.m[free]))
+        lp = float(np.sum(np.abs(uv[free]) ** 8.0 * spec.graph.m[free]))
+        assert polya_quotient(spec, u) == l1**8.0 / (8.0 * q)
+        assert rayleigh_quotient(spec, u) == 8.0 * q / lp
+        for s in (1e60, 1e-60):
+            scaled = {v: s * x for v, x in u.items()}
+            assert polya_quotient(spec, scaled) == pytest.approx(polya_quotient(spec, u), rel=1e-13)
+            assert rayleigh_quotient(spec, scaled) == pytest.approx(rayleigh_quotient(spec, u), rel=1e-13)
+    # a function of zero energy or zero on the free vertices raises at any scale
+    g = build_graph([("a", 1, 0), ("b", 1, 0), ("c", 1, 0)], [("a", "b", 1)])
+    spec = ProblemSpec(g, frozenset({"a"}), 8.0)
+    with pytest.raises(ZeroEnergyError):
+        polya_quotient(spec, {"a": 0.0, "b": 0.0, "c": 1e-60})
+    assert rayleigh_quotient(spec, {"a": 0.0, "b": 0.0, "c": 1e-60}) == 0.0
+    for quotient in (polya_quotient, rayleigh_quotient):
+        with pytest.raises(ZeroFunctionError):
+            quotient(spec, {"a": 0.0, "b": 0.0, "c": 0.0})
+
+
 def test_quotient_errors():
     spec = single_edge_spec()
     with pytest.raises(ZeroFunctionError):

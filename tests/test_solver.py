@@ -739,31 +739,37 @@ def _scipy_pcg(system, b, target):
     return system.solve(b)
 
 
+def _same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("make", [lambda p: _records_spec(400, p), lambda p: _random_expander(p=p)],
                          ids=["random400", "expander"])
 def test_pcg_matches_the_scipy_loop_bit_for_bit(monkeypatch, make):
     # the in-place loop on the assembled arrays takes the reference's steps
-    # exactly: on the p = 2 matrix at the targets of the replacement and
-    # floor tests above, and on every Newton Hessian of a p = 3 and a p = 8
-    # solve at its forcing term
+    # exactly, down to the sign of each zero (compared as bytes: the loop
+    # stores -x, and assert_array_equal takes -0.0 for 0.0): on the p = 2
+    # matrix at the targets of the replacement and floor tests above, and on
+    # every Newton Hessian of a p = 3 and a p = 8 solve at its forcing term
     asm = torsio.solver._assemble(make(2.0))
     assert asm.krylov
     system = torsio.solver._System(asm, asm.g.w, asm.g.c)
     m = asm.g.m[asm.free]
     for target in (1e-12, 1e-13):
-        np.testing.assert_array_equal(system._pcg(m, target), _scipy_pcg(system, m, target))
+        _same_bits(system._pcg(m, target), _scipy_pcg(system, m, target))
     # the filter in front of the stop test: b = 0, b = target m (which meets
     # the test at x = 0, where r.z is the filter's bound to rounding), and
     # targets whose square underflows, also on masses of 1e-150 and 1e150
     # times these against the same right-hand side m
     for b, target in ((0.0 * m, 1e-12), (1e-3 * m, 1e-3), (m, 1e-170), (m, 1e-200)):
-        np.testing.assert_array_equal(system._pcg(b, target), _scipy_pcg(system, b, target))
+        _same_bits(system._pcg(b, target), _scipy_pcg(system, b, target))
     spec = make(2.0)
     for mu in (1e-150, 1e150):
         heavy = torsio.solver._assemble(ProblemSpec(scale(spec.graph, ScaleParams(mu, 1.0)), spec.dirichlet, 2.0))
         scaled = torsio.solver._System(heavy, heavy.g.w, heavy.g.c)
         for target in (1e-12, 1e-170, 1e-200):
-            np.testing.assert_array_equal(scaled._pcg(m, target), _scipy_pcg(scaled, m, target))
+            _same_bits(scaled._pcg(m, target), _scipy_pcg(scaled, m, target))
     calls = []
     pcg = torsio.solver._System._pcg
     monkeypatch.setattr(torsio.solver._System, "_pcg",
@@ -772,7 +778,7 @@ def test_pcg_matches_the_scipy_loop_bit_for_bit(monkeypatch, make):
         solve_torsion(make(p))
     assert len(calls) > 10
     for system, b, target in calls:
-        np.testing.assert_array_equal(pcg(system, b, target), _scipy_pcg(system, b, target))
+        _same_bits(pcg(system, b, target), _scipy_pcg(system, b, target))
     # the kernel of K @ x for a CSC matrix with symmetric pattern is
     # csr_matvec on the same arrays; a scipy that changes that fails here
     x = np.random.default_rng(0).uniform(-1.0, 1.0, len(asm.free))
